@@ -11,7 +11,9 @@
 //!   path is lock-free** and safe to hit from the pipeline's scoped
 //!   worker threads;
 //! * [`hist`] — fixed-bucket latency histograms with p50/p95/p99
-//!   estimation and drop-to-record [`hist::SpanTimer`] span timing;
+//!   estimation, drop-to-record [`hist::SpanTimer`] span timing, and the
+//!   [`hist::HistogramBatch`] staging buffer that per-packet loops record
+//!   into and publish once per call;
 //! * [`export`] — immutable [`export::Snapshot`]s of a registry,
 //!   rendered as JSON lines (machine), a single JSON document (the
 //!   `BENCH_*.json` perf trajectory), or an aligned human table, plus
@@ -48,7 +50,7 @@ pub mod export;
 pub mod hist;
 
 pub use export::Snapshot;
-pub use hist::{Histogram, SpanTimer};
+pub use hist::{Histogram, HistogramBatch, SpanTimer};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -7,11 +7,22 @@
 //! 2. they join the [`crate::dama::DamaLoop`] backlog, which ages, asks
 //!    the scheduler, and releases granted packets oldest-first;
 //! 3. released packets ingress the QoS [`PacketSwitch`] (grant latency
-//!    recorded at this boundary);
+//!    measured at this boundary);
 //! 4. every beam's Tx chain drains up to `beam_egress_per_frame` packets
-//!    (strict/WRR order), recording end-to-end packet latency
+//!    (strict/WRR order), measuring end-to-end packet latency
 //!    `tick − born_tick`;
-//! 5. counters, gauges and tick-histograms are pushed to `gsp-telemetry`.
+//! 5. the frame's telemetry is published to `gsp-telemetry` in one pass.
+//!    Per-packet sites stage locally and publish at the public-call
+//!    boundary: every counter is a field of [`TrafficStats`] and is
+//!    published as its delta since the last publish, each class's tick
+//!    latencies are staged in a [`HistogramBatch`] and flushed (and
+//!    merged into the all-class `traffic.packet.latency` /
+//!    `traffic.grant.latency`, so each observation is bucketed once),
+//!    and the gauges are re-read. The same publish ends every other
+//!    public mutator (`ingress_isl`, `evacuate_switch`,
+//!    `set_beam_outage`, `extract_`/`inject_beam_population`), so at any
+//!    public-call boundary the registry holds exactly what recording
+//!    each packet as it passed would have left there.
 //!
 //! Telemetry is observed, never consulted: an engine with a live
 //! [`Registry`] produces bit-identical [`TrafficStats`] to one without,
@@ -49,7 +60,7 @@ use crate::dama::{AggregateBacklog, DamaLoop};
 use crate::population::{MigratedBeam, Population};
 use crate::{tick_buckets, TrafficConfig};
 use gsp_payload::switch::{BasebandPacket, PacketSwitch};
-use gsp_telemetry::{Counter, Gauge, Histogram, Registry};
+use gsp_telemetry::{Counter, Gauge, HistogramBatch, Registry};
 
 /// Deterministic per-class counters (the engine's ground truth — kept
 /// independent of telemetry so a disabled registry changes nothing).
@@ -199,88 +210,109 @@ impl BeamMigration {
     }
 }
 
-/// Telemetry handles, resolved once at construction (no-op by default).
-#[derive(Clone, Debug, Default)]
+/// A registry counter that mirrors one engine total: [`Mirror::publish`]
+/// adds whatever the total gained since the last publish.
+#[derive(Clone, Debug)]
+struct Mirror {
+    counter: Counter,
+    published: u64,
+}
+
+impl Mirror {
+    fn new(counter: Counter) -> Self {
+        Mirror {
+            counter,
+            published: 0,
+        }
+    }
+
+    fn publish(&mut self, total: u64) {
+        if total != self.published {
+            self.counter.add(total - self.published);
+            self.published = total;
+        }
+    }
+}
+
+/// One QoS class's instruments.
+#[derive(Clone, Debug)]
+struct ClassInstruments {
+    offered: Mirror,
+    delivered: Mirror,
+    dropped_aged: Mirror,
+    dropped_switch: Mirror,
+    rerouted: Mirror,
+    dropped_shed: Mirror,
+    latency: HistogramBatch,
+    grant_latency: HistogramBatch,
+}
+
+/// One downlink beam's instruments.
+#[derive(Clone, Debug)]
+struct BeamInstruments {
+    delivered: Mirror,
+    depth: Gauge,
+}
+
+/// Telemetry handles, resolved once at construction. Counters mirror
+/// [`TrafficStats`]; tick latencies are staged per class and published,
+/// with the all-class aggregates derived from them, by
+/// [`TrafficEngine::publish`].
+#[derive(Clone, Debug)]
 struct Instruments {
-    frames: Counter,
+    frames: Mirror,
     backlog: Gauge,
     sessions: Gauge,
-    packet_latency: Histogram,
-    grant_latency: Histogram,
-    grant_trips: Counter,
-    isl_out: Counter,
-    isl_in: Counter,
-    class_offered: Vec<Counter>,
-    class_delivered: Vec<Counter>,
-    class_dropped_aged: Vec<Counter>,
-    class_dropped_switch: Vec<Counter>,
-    class_rerouted: Vec<Counter>,
-    class_dropped_shed: Vec<Counter>,
-    class_latency: Vec<Histogram>,
-    class_grant_latency: Vec<Histogram>,
-    beam_delivered: Vec<Counter>,
-    beam_depth: Vec<Gauge>,
+    packet_latency: HistogramBatch,
+    grant_latency: HistogramBatch,
+    grant_trips: Mirror,
+    isl_out: Mirror,
+    isl_in: Mirror,
+    classes: Vec<ClassInstruments>,
+    beams: Vec<BeamInstruments>,
 }
 
 impl Instruments {
-    fn resolve(reg: &Registry, cfg: &TrafficConfig) -> Self {
-        let hist = |name: &str| reg.histogram_with(name, tick_buckets());
-        Instruments {
-            frames: reg.counter("traffic.frames"),
+    /// The engine's instruments, or `None` for a disabled registry.
+    fn resolve(reg: &Registry, cfg: &TrafficConfig) -> Option<Self> {
+        if !reg.enabled() {
+            return None;
+        }
+        let hist = |name: &str| HistogramBatch::new(reg.histogram_with(name, tick_buckets()));
+        let counter = |name: &str| Mirror::new(reg.counter(name));
+        Some(Instruments {
+            frames: counter("traffic.frames"),
             backlog: reg.gauge("traffic.backlog"),
             sessions: reg.gauge("traffic.sessions"),
             packet_latency: hist("traffic.packet.latency"),
             grant_latency: hist("traffic.grant.latency"),
-            grant_trips: reg.counter("traffic.grant_table.trips"),
-            isl_out: reg.counter("traffic.isl.out"),
-            isl_in: reg.counter("traffic.isl.in"),
-            class_offered: cfg
+            grant_trips: counter("traffic.grant_table.trips"),
+            isl_out: counter("traffic.isl.out"),
+            isl_in: counter("traffic.isl.in"),
+            classes: cfg
                 .classes
                 .iter()
-                .map(|c| reg.counter(&format!("traffic.{}.offered", c.name)))
+                .map(|c| {
+                    let name = |quantity: &str| ["traffic.", c.name, ".", quantity].concat();
+                    ClassInstruments {
+                        offered: counter(&name("offered")),
+                        delivered: counter(&name("delivered")),
+                        dropped_aged: counter(&name("dropped_aged")),
+                        dropped_switch: counter(&name("dropped_switch")),
+                        rerouted: counter(&name("rerouted")),
+                        dropped_shed: counter(&name("dropped_shed")),
+                        latency: hist(&name("latency")),
+                        grant_latency: hist(&name("grant.latency")),
+                    }
+                })
                 .collect(),
-            class_delivered: cfg
-                .classes
-                .iter()
-                .map(|c| reg.counter(&format!("traffic.{}.delivered", c.name)))
+            beams: (0..cfg.beams)
+                .map(|b| BeamInstruments {
+                    delivered: counter(&format!("traffic.beam{b}.delivered")),
+                    depth: reg.gauge(&format!("traffic.beam{b}.depth")),
+                })
                 .collect(),
-            class_dropped_aged: cfg
-                .classes
-                .iter()
-                .map(|c| reg.counter(&format!("traffic.{}.dropped_aged", c.name)))
-                .collect(),
-            class_dropped_switch: cfg
-                .classes
-                .iter()
-                .map(|c| reg.counter(&format!("traffic.{}.dropped_switch", c.name)))
-                .collect(),
-            class_rerouted: cfg
-                .classes
-                .iter()
-                .map(|c| reg.counter(&format!("traffic.{}.rerouted", c.name)))
-                .collect(),
-            class_dropped_shed: cfg
-                .classes
-                .iter()
-                .map(|c| reg.counter(&format!("traffic.{}.dropped_shed", c.name)))
-                .collect(),
-            class_latency: cfg
-                .classes
-                .iter()
-                .map(|c| hist(&format!("traffic.{}.latency", c.name)))
-                .collect(),
-            class_grant_latency: cfg
-                .classes
-                .iter()
-                .map(|c| hist(&format!("traffic.{}.grant.latency", c.name)))
-                .collect(),
-            beam_delivered: (0..cfg.beams)
-                .map(|b| reg.counter(&format!("traffic.beam{b}.delivered")))
-                .collect(),
-            beam_depth: (0..cfg.beams)
-                .map(|b| reg.gauge(&format!("traffic.beam{b}.depth")))
-                .collect(),
-        }
+        })
     }
 }
 
@@ -298,13 +330,12 @@ pub struct TrafficEngine {
     switch_drop_base: Vec<u64>,
     /// Per-beam outage posture (None = beam healthy).
     outage: Vec<Option<BeamOutage>>,
-    /// Last-seen grant-table trip total, for the telemetry delta.
-    grant_trip_base: u64,
     /// Constellation placement for ISL routing (None = single payload).
     isl: Option<IslConfig>,
     /// Granted packets awaiting ISL pickup, `(dest satellite, packet)`.
     isl_egress: Vec<(u16, BasebandPacket)>,
-    tel: Instruments,
+    /// `None` when telemetry is disabled.
+    tel: Option<Instruments>,
 }
 
 impl TrafficEngine {
@@ -348,7 +379,6 @@ impl TrafficEngine {
             stats,
             switch_drop_base: vec![0; n],
             outage: vec![None; cfg.beams],
-            grant_trip_base: 0,
             isl: None,
             isl_egress: Vec::new(),
             tel,
@@ -389,6 +419,7 @@ impl TrafficEngine {
                 self.dispatch(pkt);
             }
         }
+        self.publish();
     }
 
     /// The outage posture of `beam`, if any.
@@ -434,11 +465,10 @@ impl TrafficEngine {
     /// traffic.
     pub fn ingress_isl(&mut self, pkts: Vec<BasebandPacket>) {
         for pkt in pkts {
-            let class = pkt.class as usize;
-            self.stats.classes[class].isl_in += 1;
-            self.tel.isl_in.inc();
+            self.stats.classes[pkt.class as usize].isl_in += 1;
             self.dispatch(pkt);
         }
+        self.publish();
     }
 
     /// The global uplink beams this engine currently serves (natives
@@ -455,6 +485,7 @@ impl TrafficEngine {
         let (positions, pop) = self.population.extract_home_beam(home_beam);
         let backlog = self.dama.extract_aggregates(&positions);
         self.stats.backlog = self.dama.backlog_len() as u64;
+        self.publish();
         BeamMigration { pop, backlog }
     }
 
@@ -473,6 +504,7 @@ impl TrafficEngine {
             "population and DAMA aggregate orders must stay in lockstep"
         );
         self.stats.backlog = self.dama.backlog_len() as u64;
+        self.publish();
     }
 
     /// Drains every beam's switch queue — the evacuation step of a
@@ -485,8 +517,8 @@ impl TrafficEngine {
         }
         for pkt in &out {
             self.stats.classes[pkt.class as usize].isl_out += 1;
-            self.tel.isl_out.inc();
         }
+        self.publish();
         out
     }
 
@@ -549,11 +581,9 @@ impl TrafficEngine {
         if pkt.class < outage.reroute_below && backup_up {
             pkt.dest_beam = outage.backup as u8;
             self.stats.classes[class].rerouted += 1;
-            self.tel.class_rerouted[class].inc();
             self.switch.ingress(pkt);
         } else {
             self.stats.classes[class].dropped_shed += 1;
-            self.tel.class_dropped_shed[class].inc();
         }
     }
 
@@ -565,9 +595,7 @@ impl TrafficEngine {
         // 1. Generate this frame's traffic.
         let offered = self.population.generate(tick);
         for o in &offered {
-            let class = o.packet.class as usize;
-            self.stats.classes[class].offered += 1;
-            self.tel.class_offered[class].inc();
+            self.stats.classes[o.packet.class as usize].offered += 1;
         }
 
         // 2–3. Closed DAMA loop: backlog in, grants out.
@@ -575,25 +603,21 @@ impl TrafficEngine {
         let outcome = self.dama.run_frame(tick);
         for (class, &aged) in outcome.aged.iter().enumerate() {
             self.stats.classes[class].dropped_aged += aged;
-            self.tel.class_dropped_aged[class].add(aged);
         }
         for (pkt, grant_latency) in outcome.released {
             let class = pkt.class as usize;
             self.stats.classes[class].granted += 1;
             self.stats.classes[class].grant_latency_sum += grant_latency;
-            self.tel.grant_latency.record(grant_latency);
-            self.tel.class_grant_latency[class].record(grant_latency);
+            if let Some(tel) = &mut self.tel {
+                tel.classes[class].grant_latency.record(grant_latency);
+            }
             if let Some(dest_sat) = self.isl_route(&pkt) {
                 self.stats.classes[class].isl_out += 1;
-                self.tel.isl_out.inc();
                 self.isl_egress.push((dest_sat, pkt));
             } else {
                 self.dispatch(pkt);
             }
         }
-        let trips = self.dama.grant_faults_detected();
-        self.tel.grant_trips.add(trips - self.grant_trip_base);
-        self.grant_trip_base = trips;
 
         // 4. Downlink: each beam drains its Tx-chain share (an outaged
         // beam's Tx chain is down and egresses nothing).
@@ -612,12 +636,10 @@ impl TrafficEngine {
                 self.stats.classes[class].delivered += 1;
                 self.stats.classes[class].packet_latency_sum += latency;
                 self.stats.delivered_per_beam[beam] += 1;
-                self.tel.class_delivered[class].inc();
-                self.tel.beam_delivered[beam].inc();
-                self.tel.packet_latency.record(latency);
-                self.tel.class_latency[class].record(latency);
+                if let Some(tel) = &mut self.tel {
+                    tel.classes[class].latency.record(latency);
+                }
             }
-            self.tel.beam_depth[beam].set(self.switch.depth(beam) as f64);
         }
 
         // 5. Switch drop deltas (overflow + early + no-route) per class.
@@ -627,17 +649,48 @@ impl TrafficEngine {
             let delta = total - self.switch_drop_base[class];
             self.switch_drop_base[class] = total;
             self.stats.classes[class].dropped_switch += delta;
-            self.tel.class_dropped_switch[class].add(delta);
         }
 
         self.stats.backlog = self.dama.backlog_len() as u64;
-        self.tel.backlog.set(self.stats.backlog as f64);
-        self.tel
-            .sessions
-            .set(self.population.active_sessions() as f64);
         self.stats.frames += 1;
-        self.tel.frames.inc();
         self.tick += 1;
+        self.publish();
+    }
+
+    /// Brings the registry up to date with the engine: counters gain
+    /// their [`TrafficStats`] deltas, the staged tick latencies are
+    /// flushed (each class batch also merged into the all-class
+    /// aggregate), and the gauges are re-read. Every public mutator ends
+    /// here, so between public calls the registry holds exactly what
+    /// per-packet recording would have left in it.
+    fn publish(&mut self) {
+        let Some(tel) = &mut self.tel else { return };
+        let stats = &self.stats;
+        let total = |field: fn(&ClassCounters) -> u64| stats.classes.iter().map(field).sum();
+        tel.frames.publish(stats.frames);
+        tel.grant_trips.publish(self.dama.grant_faults_detected());
+        tel.isl_out.publish(total(|c| c.isl_out));
+        tel.isl_in.publish(total(|c| c.isl_in));
+        for (ci, c) in tel.classes.iter_mut().zip(&stats.classes) {
+            ci.offered.publish(c.offered);
+            ci.delivered.publish(c.delivered);
+            ci.dropped_aged.publish(c.dropped_aged);
+            ci.dropped_switch.publish(c.dropped_switch);
+            ci.rerouted.publish(c.rerouted);
+            ci.dropped_shed.publish(c.dropped_shed);
+            tel.packet_latency.merge_from(&ci.latency);
+            tel.grant_latency.merge_from(&ci.grant_latency);
+            ci.latency.flush();
+            ci.grant_latency.flush();
+        }
+        tel.packet_latency.flush();
+        tel.grant_latency.flush();
+        for (b, bi) in tel.beams.iter_mut().enumerate() {
+            bi.delivered.publish(stats.delivered_per_beam[b]);
+            bi.depth.set(self.switch.depth(b) as f64);
+        }
+        tel.backlog.set(stats.backlog as f64);
+        tel.sessions.set(self.population.active_sessions() as f64);
     }
 
     /// Advances the loop `frames` ticks.

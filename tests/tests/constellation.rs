@@ -116,3 +116,42 @@ fn migrated_switch_depth(engine: &ConstellationEngine) -> u64 {
         .map(|s| engine.switch_depth(s) as u64)
         .sum()
 }
+
+/// A quarantined satellite never runs another traffic frame, so its
+/// gauges must be refreshed by the migration that empties it: after the
+/// quarantine its backlog, session count and every beam's queue depth
+/// read 0, agreeing with the live engine state.
+#[test]
+fn a_quarantined_satellites_gauges_follow_its_evacuation() {
+    let registry = gsp_telemetry::Registry::new();
+    let cfg = ConstellationConfig::standard(8, 2.0);
+    let beams = cfg.traffic.beams;
+    let mut engine = ConstellationEngine::with_telemetry(cfg, 7, &registry);
+    engine.run(400);
+    engine.fail_satellite(1);
+    engine.run(400);
+    let report = engine.report();
+    assert_eq!(
+        report.quarantines.iter().map(|q| q.sat).collect::<Vec<_>>(),
+        [1]
+    );
+
+    let snap = registry.snapshot();
+    let gauge = |name: &str| match snap.get(name) {
+        Some(gsp_telemetry::export::MetricValue::Gauge(v)) => *v,
+        other => panic!("{name} is not a registered gauge: {other:?}"),
+    };
+    let depth: f64 = (0..beams)
+        .map(|b| gauge(&format!("sat1.traffic.beam{b}.depth")))
+        .sum();
+    assert_eq!(depth, 0.0);
+    assert_eq!(depth, engine.switch_depth(1) as f64);
+    assert_eq!(gauge("sat1.traffic.backlog"), 0.0);
+    assert_eq!(
+        gauge("sat1.traffic.backlog"),
+        report.satellites[1].traffic.backlog as f64
+    );
+    assert_eq!(gauge("sat1.traffic.sessions"), 0.0);
+    // The survivors keep reporting live, non-trivial state.
+    assert!(gauge("sat0.traffic.sessions") > 0.0);
+}

@@ -202,3 +202,74 @@ fn housekeeping_frame_carries_the_registry_to_the_ground() {
     bad[mid] ^= 0x10;
     assert!(decode_frame(&bad).is_none());
 }
+
+/// Expands the brace groups of one README metric token:
+/// `a.{b,c}` → `a.b`, `a.c`.
+fn expand_braces(token: &str) -> Vec<String> {
+    match (token.find('{'), token.find('}')) {
+        (Some(open), Some(close)) if open < close => token[open + 1..close]
+            .split(',')
+            .flat_map(|alt| {
+                expand_braces(&format!("{}{alt}{}", &token[..open], &token[close + 1..]))
+            })
+            .collect(),
+        _ => vec![token.to_string()],
+    }
+}
+
+/// The README "Telemetry" table's traffic row names exactly the metrics a
+/// live `TrafficEngine` registers, with class names written `<class>` and
+/// beam indices `<b>`.
+#[test]
+fn readme_traffic_row_matches_the_registered_traffic_metrics() {
+    use gsp_traffic::{TrafficConfig, TrafficEngine};
+    use std::collections::BTreeSet;
+
+    let readme = include_str!("../../README.md");
+    let row = readme
+        .lines()
+        .find(|l| l.starts_with("| traffic |"))
+        .expect("the README Telemetry table has a traffic row");
+    let documented: BTreeSet<String> = row
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .flat_map(expand_braces)
+        .collect();
+
+    let cfg = TrafficConfig::standard(1.0);
+    let registry = Registry::new();
+    let mut engine = TrafficEngine::with_telemetry(cfg.clone(), 1, &registry);
+    engine.run(4);
+    let normalise = |name: &str| {
+        name.split('.')
+            .map(|part| {
+                if cfg.classes.iter().any(|c| c.name == part) {
+                    "<class>".to_string()
+                } else if part
+                    .strip_prefix("beam")
+                    .is_some_and(|b| !b.is_empty() && b.bytes().all(|c| c.is_ascii_digit()))
+                {
+                    "beam<b>".to_string()
+                } else {
+                    part.to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(".")
+    };
+    let registered: BTreeSet<String> = registry
+        .snapshot()
+        .entries
+        .iter()
+        .map(|e| normalise(&e.name))
+        .collect();
+
+    let missing: Vec<&String> = registered.difference(&documented).collect();
+    assert!(missing.is_empty(), "README traffic row omits {missing:?}");
+    let stale: Vec<&String> = documented.difference(&registered).collect();
+    assert!(
+        stale.is_empty(),
+        "README traffic row lists unregistered {stale:?}"
+    );
+}
