@@ -1,733 +1,48 @@
-//! CI perf-regression gate for the payload pipeline, the traffic plane,
-//! the FDIR recovery ladder, the constellation sharding layer, the
-//! waveform hot-swap plane and the ground-segment contact plane.
+//! CI regression gate over every bench's committed artefact.
 //!
-//! Eight checks, all against committed baselines:
-//!
-//! 1. **Pipeline wall clock** — reads `BENCH_payload.json`, re-runs a
-//!    short 1-worker smoke of the Fig. 2 engine, and fails when the
-//!    fresh `payload.frame.ns` p50 exceeds the committed p50 by more
-//!    than `--factor` (ratcheted to 1.5× now that the per-frame
-//!    allocation storms are gone; still generous enough for
-//!    shared-runner jitter).
-//! 2. **Traffic-plane QoS latency** — reads `BENCH_traffic.json`,
-//!    re-runs the nominal-load (1.0×) closed-loop soak, and applies the
-//!    same factor to the `traffic.packet.latency` p50. This latency is
-//!    measured in *frame ticks*, not nanoseconds — it is deterministic
-//!    for the seed, so a failure means the queueing behaviour itself
-//!    regressed (scheduler, DAMA backlog, or switch discipline), not the
-//!    runner.
-//! 3. **FDIR recovery MTTR** — reads `BENCH_fdir.json`, re-runs the
-//!    full-ladder 10× soak, and applies the factor to the
-//!    `fdir.recovery.mttr` p50. Also in frame ticks and deterministic
-//!    for the seed: a failure means detection got slower or the ladder
-//!    started escalating where a scrub used to suffice.
-//! 4. **Worker scaling** — the flat-sweep tripwire. The committed
-//!    artefact's `scaling.modeled_ratio` (the Amdahl bound from the
-//!    1-worker stage-time split) must stay ≥ `--scaling-min` (default
-//!    2.5 — rebased from 3.0 when the SIMD compute kernels landed: they
-//!    cut the *parallelizable* per-lane demod/decode time ~2.2x while
-//!    the serial demux/tx stages shrank less, which lowers the Amdahl
-//!    bound even though every frame got faster in absolute terms), and
-//!    the gate recomputes the same model from its own smoke
-//!    run so a serial-stage regression fails *here*, on any host. The
-//!    committed *measured* last/first frames-per-second ratio is held to
-//!    the same bar only when the artefact's `host_parallelism` shows the
-//!    bench machine actually had ≥ 8 cores — a 1-core container cannot
-//!    measure wall-clock speedup, and pretending otherwise would just
-//!    invite a fabricated artefact.
-//! 5. **Kernel backend matrix** — the committed artefact's `"kernels"`
-//!    section (written by `bench_payload`) must exist, and when its
-//!    `"host_simd"` flag says the bench host had the SIMD backend, the
-//!    recorded `decode_speedup` (scalar p50 / SIMD p50 of
-//!    `payload.decode.ns`, both pinned via `ChainConfig::kernel_backend`)
-//!    must stay ≥ `--kernel-min` (default 1.5). This ratchets the SIMD
-//!    decoder against its own scalar reference, so a change that quietly
-//!    erodes the vector path fails even while absolute wall-clock checks
-//!    still pass on a faster runner. On a non-SIMD bench host the ratio
-//!    is `null` and the check reduces to schema presence.
-//! 6. **Constellation shard scaling** — reads
-//!    `BENCH_constellation.json` and holds its committed
-//!    `scaling.modeled_ratio` (the Amdahl bound from the serial run's
-//!    shard-busy vs coordinator-serial split) to `--scaling-min`, with
-//!    the *measured* multi-shard/1-shard frames-per-second ratio held to
-//!    the same bar only when the artefact's `host_parallelism` shows the
-//!    bench host actually had ≥ 8 cores (the check-4 discipline, one
-//!    layer up). The artefact must also demonstrate the acceptance
-//!    scale — ≥ 4 satellites and ≥ 2 M terminal-equivalent offered load
-//!    — and its quarantine replay must show `voice_dropped` of exactly
-//!    0. A live serial-vs-threaded smoke re-asserts bitwise report
-//!    identity in the current tree.
-//! 7. **Waveform hot-swap interruption** — reads `BENCH_waveform.json`
-//!    and holds a live `waveform_swap_soak` smoke (CDMA→MF-TDMA under
-//!    1.0× load with SEU injection) to the committed
-//!    `interruption_ms.p50` × `--factor`. The interruption is simulated
-//!    time — window ticks × frame period plus modelled configure /
-//!    teardown costs — so it is deterministic for the seed and a failure
-//!    means the swap protocol itself got slower (more trial frames, a
-//!    wider window), not the runner. The committed artefact must also
-//!    show `voice_dropped` of exactly 0 across every event and a
-//!    rollback event that actually rolled back.
-//! 8. **Ground-contact recovery** — reads `BENCH_ground.json` and
-//!    requires the committed artefact to demonstrate the contact
-//!    plane's acceptance story: at least one golden-bitstream upload
-//!    resume across passes (`upload_resumes >= 1`), a resume that
-//!    crossed stations (`cross_station_resume:true`), zero voice drops
-//!    across the whole fade sweep, and a `mean_pass_utilization` at or
-//!    above `--ground-util-min` (default 0.1). A live
-//!    `ground_contact_soak` smoke must then recover the forced hard
-//!    fault within `--factor` of the committed `recovery_ticks` — the
-//!    time-to-recover *across passes*, in simulated frame ticks, so a
-//!    failure means the contact plane (scheduling, resume, expiry) got
-//!    slower, not the runner — again with zero voice drops and a
-//!    cross-station resume.
-//!
-//! Usage: `perf_gate [--baseline PATH] [--traffic-baseline PATH]
-//! [--fdir-baseline PATH] [--constellation-baseline PATH]
-//! [--waveform-baseline PATH] [--ground-baseline PATH] [--frames N]
-//! [--traffic-frames N] [--fdir-frames N] [--factor F] [--scaling-min R]
-//! [--kernel-min R] [--ground-util-min U] [--esn0 DB]` (defaults:
-//! `BENCH_payload.json`, `BENCH_traffic.json`, `BENCH_fdir.json`,
-//! `BENCH_constellation.json`, `BENCH_waveform.json`,
-//! `BENCH_ground.json`, 8 pipeline frames, 256 traffic frames, 768 fdir
-//! frames, 1.5, 2.5, 1.5, 0.1, 12 dB).
+//! For each bench in [`gsp_bench::bench::ALL`] it loads
+//! `BENCH_<name>.json` from the working directory, runs the bench's live
+//! smoke (seed from `GSP_SEED`), evaluates every declared gate, and
+//! checks the committed artefact for drift from the code (see
+//! [`gsp_bench::bench::Drift`]). It prints one line per check, exits 1
+//! when any failed, and prints `perf_gate: OK` otherwise. It takes no
+//! options: every threshold is declared beside its bench.
 
-use gsp_bench::report::arg_value;
-use gsp_payload::chain::ChainConfig;
-use gsp_payload::pipeline::PipelineEngine;
-use gsp_telemetry::Registry;
-use gsp_traffic::{TrafficConfig, TrafficEngine};
-
-/// Pulls `"p50":<int>` out of the baseline entry named `metric`.
-///
-/// The artefact is the flat hand-rolled schema `gsp-telemetry` emits
-/// (no escapes, no nesting inside an entry), so a string scan is exact —
-/// and keeps the gate dependency-free like the rest of the workspace.
-fn baseline_p50(doc: &str, metric: &str) -> Option<u64> {
-    let entry_at = doc.find(&format!("\"name\":\"{metric}\""))?;
-    let rest = &doc[entry_at..];
-    let entry_end = rest.find('}')?;
-    let entry = &rest[..entry_end];
-    let p50_at = entry.find("\"p50\":")? + "\"p50\":".len();
-    let tail = &entry[p50_at..];
-    let num_end = tail
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..num_end].parse().ok()
-}
-
-/// Loads a baseline document and extracts the committed p50 of `metric`,
-/// exiting with a diagnostic on any failure.
-fn load_baseline_p50(path: &str, metric: &str) -> u64 {
-    let doc = match std::fs::read_to_string(path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("perf_gate: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match baseline_p50(&doc, metric) {
-        Some(v) => v,
-        None => {
-            eprintln!("perf_gate: no {metric} p50 in {path}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Pulls the first `"key":<number>` out of `doc`, accepting the float
-/// tokens `bench_payload` writes (`3.7`, `1e3`) as well as plain ints.
-fn baseline_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = &doc[at..];
-    let num_end = tail
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(tail.len());
-    tail[..num_end].parse().ok()
-}
-
-/// Sum of a snapshot histogram, or exit loudly — the gate's own smoke run
-/// must have recorded every stage it models.
-fn stage_sum(snapshot: &gsp_telemetry::Snapshot, name: &str) -> f64 {
-    match snapshot.histogram(name) {
-        Some(h) => h.sum as f64,
-        None => {
-            eprintln!("perf_gate: smoke run recorded no {name}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Amdahl-bound speedup of `workers` workers over serial for the given
-/// serial/parallelizable stage-time split (same model as `bench_payload`).
-fn amdahl(serial_ns: f64, parallel_ns: f64, workers: usize) -> f64 {
-    let t1 = serial_ns + parallel_ns;
-    let tw = serial_ns + parallel_ns / (workers.max(1) as f64);
-    if tw <= 0.0 {
-        1.0
-    } else {
-        t1 / tw
-    }
-}
-
-/// Applies the factor gate to one (baseline, current) pair; returns
-/// whether the check passed. A zero baseline is clamped to 1 so the gate
-/// still has a finite limit.
-fn check(metric: &str, unit: &str, baseline: u64, current: u64, factor: f64, detail: &str) -> bool {
-    let floor = baseline.max(1);
-    let limit = (floor as f64 * factor) as u64;
-    let ratio = current as f64 / floor as f64;
-    println!(
-        "perf_gate: {metric} p50 {current} {unit} vs baseline {baseline} {unit} \
-         ({ratio:.2}x, limit {factor:.1}x, {detail})"
-    );
-    if current > limit {
-        eprintln!(
-            "perf_gate: FAIL — {metric} p50 regressed past {factor:.1}x the committed baseline"
-        );
-        return false;
-    }
-    true
-}
+use gsp_bench::bench::ALL;
+use gsp_bench::gate::check;
+use gsp_bench::report::{die, Args, Artefact};
 
 fn main() {
-    let baseline_path = arg_value("--baseline").unwrap_or_else(|| "BENCH_payload.json".to_string());
-    let traffic_baseline_path =
-        arg_value("--traffic-baseline").unwrap_or_else(|| "BENCH_traffic.json".to_string());
-    let frames: usize = arg_value("--frames")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let traffic_frames: u64 = arg_value("--traffic-frames")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
-    let factor: f64 = arg_value("--factor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.5);
-    let scaling_min: f64 = arg_value("--scaling-min")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.5);
-    let esn0: f64 = arg_value("--esn0")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12.0);
+    const USAGE: &str = "perf_gate (no arguments; seed from GSP_SEED)";
+    if !Args::from_env(USAGE, &[], &[]).positional.is_empty() {
+        die(USAGE, "unexpected argument");
+    }
     let seed = gsp_bench::seed_from_env();
-
-    // Check 1: pipeline frame wall-clock p50.
-    let baseline_frame_p50 = load_baseline_p50(&baseline_path, "payload.frame.ns");
-    let cfg = ChainConfig {
-        esn0_db: Some(esn0),
-        ..ChainConfig::default()
+    let mut failures = 0;
+    let mut report = |file: &str, result: Result<String, String>| match result {
+        Ok(line) => println!("ok   {file} {line}"),
+        Err(line) => {
+            println!("FAIL {file} {line}");
+            failures += 1;
+        }
     };
-    let active_carriers = cfg.active_carriers;
-    let mut engine = PipelineEngine::with_workers(cfg, 1);
-    let registry = Registry::new();
-    engine.set_telemetry(&registry);
-    let _ = engine.run_frames(frames, seed);
-    let snapshot = registry.snapshot();
-    let Some(hist) = snapshot.histogram("payload.frame.ns") else {
-        eprintln!("perf_gate: smoke run recorded no payload.frame.ns");
-        std::process::exit(1);
-    };
-    let pipeline_ok = check(
-        "payload.frame.ns",
-        "ns",
-        baseline_frame_p50,
-        hist.p50,
-        factor,
-        &format!("{frames} frames, seed {seed}"),
-    );
-
-    // Check 2: traffic-plane packet latency p50 (frame ticks) at 1.0x.
-    let baseline_traffic_p50 = load_baseline_p50(&traffic_baseline_path, "traffic.packet.latency");
-    let traffic_registry = Registry::new();
-    let mut traffic =
-        TrafficEngine::with_telemetry(TrafficConfig::standard(1.0), seed, &traffic_registry);
-    traffic.run(traffic_frames);
-    let traffic_snapshot = traffic_registry.snapshot();
-    let Some(traffic_hist) = traffic_snapshot.histogram("traffic.packet.latency") else {
-        eprintln!("perf_gate: traffic soak recorded no traffic.packet.latency");
-        std::process::exit(1);
-    };
-    let traffic_ok = check(
-        "traffic.packet.latency",
-        "ticks",
-        baseline_traffic_p50,
-        traffic_hist.p50,
-        factor,
-        &format!("{traffic_frames} frames @ 1.0x, seed {seed}"),
-    );
-
-    // Check 3: FDIR recovery MTTR p50 (frame ticks), full ladder at 10x.
-    let fdir_baseline_path =
-        arg_value("--fdir-baseline").unwrap_or_else(|| "BENCH_fdir.json".to_string());
-    let fdir_frames: u64 = arg_value("--fdir-frames")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(768);
-    let baseline_mttr_p50 = load_baseline_p50(&fdir_baseline_path, "fdir.recovery.mttr");
-    let fdir_registry = Registry::new();
-    let fdir_cfg = gsp_fdir::HarnessConfig {
-        frames: fdir_frames,
-        inject_until: fdir_frames.saturating_sub(96),
-        ..gsp_fdir::HarnessConfig::soak(10.0)
-    };
-    let report = gsp_fdir::FdirHarness::with_telemetry(fdir_cfg, seed, &fdir_registry).run();
-    let fdir_snapshot = fdir_registry.snapshot();
-    let Some(mttr_hist) = fdir_snapshot.histogram("fdir.recovery.mttr") else {
-        eprintln!(
-            "perf_gate: fdir soak recorded no recoveries ({} detections)",
-            report.detections
-        );
-        std::process::exit(1);
-    };
-    let fdir_ok = check(
-        "fdir.recovery.mttr",
-        "ticks",
-        baseline_mttr_p50,
-        mttr_hist.p50,
-        factor,
-        &format!("{fdir_frames} frames @ 10x, seed {seed}"),
-    );
-
-    // Check 4: worker scaling must not go flat again. Three layers:
-    //   (a) the committed artefact's modeled Amdahl ratio,
-    //   (b) the committed *measured* fps ratio — but only when the bench
-    //       host demonstrably had the cores to measure it,
-    //   (c) a live modeled ratio recomputed from this smoke run's own
-    //       stage histograms, so a serial-stage regression in the current
-    //       tree fails the gate regardless of what was committed.
-    let baseline_doc = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-    let Some(committed_modeled) = baseline_number(&baseline_doc, "modeled_ratio") else {
-        eprintln!("perf_gate: no scaling.modeled_ratio in {baseline_path} — rerun bench_payload");
-        std::process::exit(1);
-    };
-    let mut scaling_ok = true;
-    println!(
-        "perf_gate: scaling modeled_ratio {committed_modeled:.2}x vs minimum {scaling_min:.1}x \
-         (committed artefact)"
-    );
-    if committed_modeled < scaling_min {
-        eprintln!(
-            "perf_gate: FAIL — committed modeled worker-scaling ratio below {scaling_min:.1}x"
-        );
-        scaling_ok = false;
-    }
-    let bench_cores = baseline_number(&baseline_doc, "host_parallelism").unwrap_or(1.0);
-    match baseline_number(&baseline_doc, "measured_ratio") {
-        Some(measured) if bench_cores >= 8.0 => {
-            println!(
-                "perf_gate: scaling measured_ratio {measured:.2}x vs minimum {scaling_min:.1}x \
-                 (bench host had {bench_cores:.0} cores)"
-            );
-            if measured < scaling_min {
-                eprintln!(
-                    "perf_gate: FAIL — committed measured worker-scaling ratio below \
-                     {scaling_min:.1}x on a {bench_cores:.0}-core bench host"
-                );
-                scaling_ok = false;
+    for bench in &ALL {
+        let file = bench.file();
+        let committed = match Artefact::load(&file) {
+            Ok(doc) => doc,
+            Err(e) => {
+                report(&file, Err(e));
+                continue;
             }
-        }
-        Some(measured) => {
-            println!(
-                "perf_gate: scaling measured_ratio {measured:.2}x recorded on a \
-                 {bench_cores:.0}-core host — wall-clock check skipped (needs >= 8 cores)"
-            );
-        }
-        None => {
-            eprintln!("perf_gate: no scaling.measured_ratio in {baseline_path}");
-            scaling_ok = false;
-        }
-    }
-    // (c) live model from this tree's own 1-worker smoke run.
-    let serial_ns = stage_sum(&snapshot, "payload.tx.ns")
-        + stage_sum(&snapshot, "payload.demux.ns")
-        + stage_sum(&snapshot, "payload.switch.ns");
-    let parallel_ns = stage_sum(&snapshot, "payload.tx.synth.ns")
-        + stage_sum(&snapshot, "payload.demod.ns")
-        + stage_sum(&snapshot, "payload.decode.ns");
-    let live_workers = active_carriers.min(8);
-    let live_modeled = amdahl(serial_ns, parallel_ns, live_workers);
-    println!(
-        "perf_gate: scaling live modeled {live_modeled:.2}x at {live_workers} workers vs minimum \
-         {scaling_min:.1}x (serial {serial_ns:.0} ns, parallel {parallel_ns:.0} ns over {frames} \
-         frames)"
-    );
-    if live_modeled < scaling_min {
-        eprintln!(
-            "perf_gate: FAIL — live modeled worker-scaling ratio below {scaling_min:.1}x; \
-             too much frame time has moved back into serial stages"
-        );
-        scaling_ok = false;
-    }
-
-    // Check 5: the committed kernel backend matrix. The SIMD-vs-scalar
-    // decode ratio is measured on the bench host itself, so it stays
-    // meaningful on any CI runner — we only require that the committed
-    // artefact was produced with the matrix present and, when that host
-    // had SIMD, that the vector decoder actually earned its keep.
-    let kernel_min: f64 = arg_value("--kernel-min")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.5);
-    let mut kernels_ok = true;
-    if baseline_doc.contains("\"host_simd\":true") {
-        match baseline_number(&baseline_doc, "decode_speedup") {
-            Some(speedup) => {
-                println!(
-                    "perf_gate: kernels decode_speedup {speedup:.2}x vs minimum {kernel_min:.1}x \
-                     (committed matrix, SIMD-capable bench host)"
-                );
-                if speedup < kernel_min {
-                    eprintln!(
-                        "perf_gate: FAIL — committed SIMD decode speedup below {kernel_min:.1}x \
-                         the scalar backend; the vector kernels have regressed"
-                    );
-                    kernels_ok = false;
-                }
-            }
-            None => {
-                eprintln!(
-                    "perf_gate: no kernels.decode_speedup in {baseline_path} — rerun bench_payload"
-                );
-                kernels_ok = false;
-            }
-        }
-    } else if baseline_doc.contains("\"host_simd\":false") {
-        println!(
-            "perf_gate: kernels matrix committed from a non-SIMD bench host — \
-             decode_speedup check skipped"
-        );
-    } else {
-        eprintln!("perf_gate: no kernels section in {baseline_path} — rerun bench_payload");
-        kernels_ok = false;
-    }
-
-    // Check 6: constellation shard scaling, scale floor and quarantine
-    // losslessness — all from the committed artefact, plus a live
-    // determinism smoke.
-    let constellation_baseline_path = arg_value("--constellation-baseline")
-        .unwrap_or_else(|| "BENCH_constellation.json".to_string());
-    let mut constellation_ok = true;
-    let cdoc = match std::fs::read_to_string(&constellation_baseline_path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("perf_gate: cannot read baseline {constellation_baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match baseline_number(&cdoc, "modeled_ratio") {
-        Some(modeled) => {
-            println!(
-                "perf_gate: constellation modeled_ratio {modeled:.2}x vs minimum \
-                 {scaling_min:.1}x (committed artefact)"
-            );
-            if modeled < scaling_min {
-                eprintln!(
-                    "perf_gate: FAIL — committed modeled shard-scaling ratio below \
-                     {scaling_min:.1}x; the coordinator's serial span has grown"
-                );
-                constellation_ok = false;
-            }
-        }
-        None => {
-            eprintln!(
-                "perf_gate: no scaling.modeled_ratio in {constellation_baseline_path} — \
-                 rerun bench_constellation without --no-wall"
-            );
-            constellation_ok = false;
-        }
-    }
-    let constellation_cores = baseline_number(&cdoc, "host_parallelism").unwrap_or(1.0);
-    match baseline_number(&cdoc, "measured_ratio") {
-        Some(measured) if constellation_cores >= 8.0 => {
-            println!(
-                "perf_gate: constellation measured_ratio {measured:.2}x vs minimum \
-                 {scaling_min:.1}x (bench host had {constellation_cores:.0} cores)"
-            );
-            if measured < scaling_min {
-                eprintln!(
-                    "perf_gate: FAIL — committed measured shard-scaling ratio below \
-                     {scaling_min:.1}x on a {constellation_cores:.0}-core bench host"
-                );
-                constellation_ok = false;
-            }
-        }
-        Some(measured) => {
-            println!(
-                "perf_gate: constellation measured_ratio {measured:.2}x recorded on a \
-                 {constellation_cores:.0}-core host — wall-clock check skipped (needs >= 8 cores)"
-            );
-        }
-        None => {
-            eprintln!("perf_gate: no scaling.measured_ratio in {constellation_baseline_path}");
-            constellation_ok = false;
-        }
-    }
-    // Acceptance scale: the largest committed sweep point must reach
-    // >= 4 satellites and >= 2M terminal-equivalent offered load.
-    let max_terminals = {
-        let mut max = 0.0f64;
-        let mut rest = cdoc.as_str();
-        while let Some(at) = rest.find("\"terminals_total\":") {
-            let tail = &rest[at..];
-            if let Some(v) = baseline_number(tail, "terminals_total") {
-                max = max.max(v);
-            }
-            rest = &tail["\"terminals_total\":".len()..];
-        }
-        max
-    };
-    let committed_sats = baseline_number(&cdoc, "satellites").unwrap_or(0.0);
-    println!(
-        "perf_gate: constellation scale {committed_sats:.0} satellites, \
-         {max_terminals:.0} terminal-equivalents (floors: 4, 2000000)"
-    );
-    if committed_sats < 4.0 || max_terminals < 2_000_000.0 {
-        eprintln!("perf_gate: FAIL — committed constellation artefact below the acceptance scale");
-        constellation_ok = false;
-    }
-    match baseline_number(&cdoc, "voice_dropped") {
-        Some(0.0) => {
-            println!("perf_gate: constellation quarantine voice_dropped 0 (lossless reroute)");
-        }
-        Some(v) => {
-            eprintln!(
-                "perf_gate: FAIL — quarantine replay dropped {v:.0} voice packets; \
-                 whole-satellite reroute must be lossless for the strict class"
-            );
-            constellation_ok = false;
-        }
-        None => {
-            eprintln!("perf_gate: no quarantine.voice_dropped in {constellation_baseline_path}");
-            constellation_ok = false;
-        }
-    }
-    // Live smoke: serial and threaded runs of the current tree must
-    // still produce bitwise-identical reports.
-    {
-        let smoke = |threads: usize| {
-            let mut cfg = gsp_constellation::ConstellationConfig::standard(3, 1.0);
-            cfg.shard_threads = threads;
-            let mut engine = gsp_constellation::ConstellationEngine::new(cfg, seed);
-            engine.run(32);
-            engine.report()
         };
-        if smoke(1) == smoke(2) {
-            println!("perf_gate: constellation live determinism smoke OK (1 vs 2 shard threads)");
-        } else {
-            eprintln!(
-                "perf_gate: FAIL — serial and threaded constellation runs diverged; \
-                 the shard merge order is no longer deterministic"
-            );
-            constellation_ok = false;
+        let live = (bench.smoke)(seed);
+        for gate in bench.gates {
+            report(&file, check(gate, &committed, &live));
         }
+        report(&file, bench.check_drift(&committed));
     }
-
-    // Check 7: waveform hot-swap interruption and losslessness. The
-    // committed distribution's p50 is the ratchet; a live soak smoke in
-    // the current tree must commit a swap within --factor of it with
-    // zero voice drops (both numbers are simulated-deterministic).
-    let waveform_baseline_path =
-        arg_value("--waveform-baseline").unwrap_or_else(|| "BENCH_waveform.json".to_string());
-    let mut waveform_ok = true;
-    let wdoc = match std::fs::read_to_string(&waveform_baseline_path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("perf_gate: cannot read baseline {waveform_baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let committed_interruption = wdoc
-        .find("\"interruption_ms\":")
-        .and_then(|at| baseline_number(&wdoc[at..], "p50"));
-    match committed_interruption {
-        Some(p50) => {
-            let smoke_cfg = gsp_core::scenario::WaveformSwapSoakConfig::standard();
-            let smoke = gsp_core::scenario::waveform_swap_soak(&smoke_cfg, seed);
-            let live = smoke.swap.interruption_ms();
-            println!(
-                "perf_gate: waveform interruption {live:.2} ms vs committed p50 {p50:.2} ms \
-                 (limit {factor:.1}x, live swap {} under load, seed {seed})",
-                if smoke.swap.committed {
-                    "committed"
-                } else {
-                    "DID NOT COMMIT"
-                }
-            );
-            if !smoke.swap.committed || smoke.voice_dropped != 0 {
-                eprintln!(
-                    "perf_gate: FAIL — live hot-swap smoke must commit with zero voice drops \
-                     (dropped {})",
-                    smoke.voice_dropped
-                );
-                waveform_ok = false;
-            }
-            if live > p50.max(1.0) * factor {
-                eprintln!(
-                    "perf_gate: FAIL — live swap interruption exceeds {factor:.1}x the \
-                     committed p50; the swap window has widened"
-                );
-                waveform_ok = false;
-            }
-        }
-        None => {
-            eprintln!(
-                "perf_gate: no interruption_ms.p50 in {waveform_baseline_path} — \
-                 rerun bench_waveform"
-            );
-            waveform_ok = false;
-        }
-    }
-    match baseline_number(&wdoc, "voice_dropped") {
-        Some(0.0) => {
-            println!("perf_gate: waveform committed voice_dropped 0 (lossless swaps)");
-        }
-        Some(v) => {
-            eprintln!(
-                "perf_gate: FAIL — committed waveform artefact dropped {v:.0} voice packets \
-                 across its swap events"
-            );
-            waveform_ok = false;
-        }
-        None => {
-            eprintln!("perf_gate: no voice_dropped in {waveform_baseline_path}");
-            waveform_ok = false;
-        }
-    }
-    if wdoc.contains("\"rolled_back\":true") {
-        println!("perf_gate: waveform committed rollback event present");
-    } else {
-        eprintln!(
-            "perf_gate: FAIL — {waveform_baseline_path} has no rolled-back event; \
-             the fault-mid-swap path is unexercised"
-        );
-        waveform_ok = false;
-    }
-
-    // Check 8: the ground-contact plane. The committed artefact must
-    // show the cross-pass acceptance story; a live soak smoke ratchets
-    // the across-passes time-to-recover.
-    let ground_baseline_path =
-        arg_value("--ground-baseline").unwrap_or_else(|| "BENCH_ground.json".to_string());
-    let ground_util_min: f64 = arg_value("--ground-util-min")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.1);
-    let mut ground_ok = true;
-    let gdoc = match std::fs::read_to_string(&ground_baseline_path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("perf_gate: cannot read baseline {ground_baseline_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match baseline_number(&gdoc, "upload_resumes") {
-        Some(resumes) if resumes >= 1.0 => {
-            println!("perf_gate: ground upload_resumes {resumes:.0} (cross-pass resume exercised)");
-        }
-        Some(resumes) => {
-            eprintln!(
-                "perf_gate: FAIL — committed ground artefact shows {resumes:.0} upload resumes; \
-                 the golden image must be sized past one pass"
-            );
-            ground_ok = false;
-        }
-        None => {
-            eprintln!("perf_gate: no upload_resumes in {ground_baseline_path}");
-            ground_ok = false;
-        }
-    }
-    if gdoc.contains("\"cross_station_resume\":true") {
-        println!("perf_gate: ground cross_station_resume true (handover to another station)");
-    } else {
-        eprintln!(
-            "perf_gate: FAIL — {ground_baseline_path} shows no cross-station resume; \
-             the multi-station handover path is unexercised"
-        );
-        ground_ok = false;
-    }
-    match baseline_number(&gdoc, "voice_dropped") {
-        Some(0.0) => {
-            println!(
-                "perf_gate: ground committed voice_dropped 0 (lossless across the fade sweep)"
-            );
-        }
-        Some(v) => {
-            eprintln!(
-                "perf_gate: FAIL — committed ground artefact dropped {v:.0} voice packets while \
-                 equipment waited out passes; quarantine must hold losslessly"
-            );
-            ground_ok = false;
-        }
-        None => {
-            eprintln!("perf_gate: no voice_dropped in {ground_baseline_path}");
-            ground_ok = false;
-        }
-    }
-    match baseline_number(&gdoc, "mean_pass_utilization") {
-        Some(util) => {
-            println!(
-                "perf_gate: ground mean_pass_utilization {util:.2} vs minimum {ground_util_min:.2}"
-            );
-            if util < ground_util_min {
-                eprintln!(
-                    "perf_gate: FAIL — committed pass utilization below {ground_util_min:.2}; \
-                     the scheduler is wasting contact time"
-                );
-                ground_ok = false;
-            }
-        }
-        None => {
-            eprintln!("perf_gate: no mean_pass_utilization in {ground_baseline_path}");
-            ground_ok = false;
-        }
-    }
-    match baseline_number(&gdoc, "recovery_ticks") {
-        Some(committed_ticks) => {
-            let smoke_cfg = gsp_core::scenario::GroundSoakConfig::standard();
-            let smoke = gsp_core::scenario::ground_contact_soak(&smoke_cfg, seed);
-            match smoke.recovery_ticks {
-                Some(live) => {
-                    println!(
-                        "perf_gate: ground recovery {live} ticks vs committed {committed_ticks:.0} \
-                         (limit {factor:.1}x, across passes, seed {seed})"
-                    );
-                    if (live as f64) > committed_ticks.max(1.0) * factor {
-                        eprintln!(
-                            "perf_gate: FAIL — live across-pass recovery exceeds {factor:.1}x \
-                             the committed ticks; the contact plane got slower"
-                        );
-                        ground_ok = false;
-                    }
-                }
-                None => {
-                    eprintln!("perf_gate: FAIL — live ground smoke never recovered the hard fault");
-                    ground_ok = false;
-                }
-            }
-            if smoke.voice_dropped != 0 || !smoke.cross_station_resume {
-                eprintln!(
-                    "perf_gate: FAIL — live ground smoke must reroute losslessly and resume \
-                     across stations (dropped {}, cross-station {})",
-                    smoke.voice_dropped, smoke.cross_station_resume
-                );
-                ground_ok = false;
-            }
-        }
-        None => {
-            eprintln!(
-                "perf_gate: no recovery_ticks in {ground_baseline_path} — rerun bench_ground"
-            );
-            ground_ok = false;
-        }
-    }
-
-    if !(pipeline_ok
-        && traffic_ok
-        && fdir_ok
-        && scaling_ok
-        && kernels_ok
-        && constellation_ok
-        && waveform_ok
-        && ground_ok)
-    {
+    if failures > 0 {
+        eprintln!("perf_gate: {failures} check(s) failed");
         std::process::exit(1);
     }
     println!("perf_gate: OK");

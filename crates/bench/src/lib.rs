@@ -1,29 +1,26 @@
 //! # gsp-bench — benchmark & experiment harness
 //!
-//! Two kinds of targets:
+//! Four kinds of targets:
 //!
-//! * **Experiment regenerators** (`src/bin/exp_*.rs`) — one binary per
-//!   paper table/figure/claim (DESIGN.md §3). Each prints the tables the
-//!   corresponding `gsp_core::exp` driver produces. Pass `--full` for the
-//!   full Monte-Carlo trial counts (the defaults keep runtimes in
-//!   seconds). `exp_all` runs the lot.
+//! * **`exp <id|all> [--full]`** — regenerates one paper table/figure/
+//!   claim (DESIGN.md §3) by printing the tables the matching
+//!   `gsp_core::exp` driver produces; `all` runs every experiment
+//!   (E1–E12, F2). `--full` selects the full Monte-Carlo trial counts
+//!   (the defaults keep runtimes in seconds).
+//! * **`bench <name> [--seed N] [--out PATH]`** — runs one of the
+//!   [`bench`](mod@bench) modules and writes its `BENCH_<name>.json`
+//!   [`report::Artefact`].
+//! * **`perf_gate`** — evaluates every bench's declared [`gate::Gate`]s
+//!   against the committed artefacts and a live smoke run, and checks the
+//!   committed artefacts for drift from the code.
 //! * **Criterion benches** (`benches/`) — throughput of the hot kernels:
 //!   DSP primitives, Viterbi/turbo decoding, modem inner loops, FPGA
 //!   scrubbing/read-back, the Fig. 2 payload chain, and protocol
 //!   simulated-time per megabyte.
 
+pub mod bench;
+pub mod gate;
 pub mod report;
-
-use gsp_core::exp::Scale;
-
-/// Parses the common `--full` flag.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--full") {
-        Scale::Full
-    } else {
-        Scale::Smoke
-    }
-}
 
 /// The shared experiment seed (override with GSP_SEED).
 pub fn seed_from_env() -> u64 {

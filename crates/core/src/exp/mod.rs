@@ -1,10 +1,10 @@
 //! Experiment drivers — one per paper table/figure/quantitative claim.
 //!
 //! Each `eN_*` function regenerates the corresponding artefact from
-//! DESIGN.md §3 as one or more [`ExpTable`]s. The `gsp-bench` binaries
-//! print them; EXPERIMENTS.md records paper-vs-measured. Drivers take a
+//! DESIGN.md §3 as one or more [`ExpTable`]s. The `gsp-bench` `exp` binary
+//! prints them; EXPERIMENTS.md records paper-vs-measured. Drivers take a
 //! `scale` knob where Monte-Carlo cost matters: `Scale::Smoke` keeps unit
-//! tests fast, `Scale::Full` is what the bench binaries run.
+//! tests fast, `Scale::Full` is what `exp <id> --full` runs.
 
 use crate::table::ExpTable;
 
@@ -102,7 +102,8 @@ where
     out.into_iter().map(|v| v.expect("trial filled")).collect()
 }
 
-/// Runs every experiment at the given scale (the `exp_all` binary).
+/// Runs every experiment (E1–E12, F2) at the given scale (what `exp all`
+/// prints).
 pub fn run_all(scale: Scale, seed: u64) -> Vec<ExpTable> {
     let mut tables = vec![
         e1_table1(),

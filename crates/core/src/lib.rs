@@ -20,7 +20,7 @@
 //!   the [`ncc`] decodes whole-or-not-at-all;
 //! * [`scenario`] — end-to-end stories: the CDMA→TDMA waveform change
 //!   while the payload flies, the decoder upgrade, the SEU-scrub routine;
-//! * [`exp`] — one driver per paper table/figure/claim (E1…E11, F2);
+//! * [`exp`] — one driver per paper table/figure/claim (E1…E12, F2);
 //!   see DESIGN.md §3 for the index and EXPERIMENTS.md for the results;
 //! * [`table`] — plain-text table rendering shared by the drivers and the
 //!   `gsp-bench` binaries.

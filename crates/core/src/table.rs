@@ -1,4 +1,4 @@
-//! Plain-text experiment tables: what every `exp_*` driver returns and the
+//! Plain-text experiment tables: what every `exp` driver returns and the
 //! `gsp-bench` binaries print, mirroring the rows the paper reports.
 
 use std::fmt;
