@@ -5,12 +5,12 @@
 
 use crate::exp::{par_trials, Scale};
 use crate::table::ExpTable;
-use crate::waveform::ModemWaveform;
 use gsp_channel::awgn::AwgnChannel;
 use gsp_dsp::math::ber_bpsk_awgn;
 use gsp_modem::cdma::{CdmaConfig, CdmaReceiver, CdmaTransmitter};
 use gsp_modem::framing::BurstFormat;
 use gsp_modem::tdma::{TdmaBurstDemodulator, TdmaBurstModulator, TdmaConfig, TimingRecoveryKind};
+use gsp_waveform::{WaveformDescriptor, WaveformRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,9 +108,14 @@ pub fn e3_waveforms(scale: Scale, seed: u64) -> ExpTable {
             if ok_c { "yes".into() } else { "NO".into() },
         ]);
     }
-    // The functional swap check.
-    let cdma_ok = ModemWaveform::sumts_cdma().self_test(seed).clean();
-    let tdma_ok = ModemWaveform::mf_tdma().self_test(seed).clean();
+    // The functional swap check: each registered personality self-tests.
+    let registry = WaveformRegistry::builtin();
+    let clean = |d: &WaveformDescriptor| registry.self_test(d, seed).is_ok_and(|r| r.clean());
+    let cdma_ok = clean(&WaveformDescriptor {
+        carriers: 1,
+        ..WaveformDescriptor::sumts_cdma()
+    });
+    let tdma_ok = clean(&WaveformDescriptor::mf_tdma());
     t.note(&format!(
         "swap check: CDMA personality clean = {cdma_ok}, TDMA personality clean = {tdma_ok}"
     ));

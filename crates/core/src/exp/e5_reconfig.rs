@@ -4,7 +4,6 @@
 use crate::ops::run_ops_session;
 use crate::scenario::{waveform_switch, WaveformSwitchConfig};
 use crate::table::ExpTable;
-use crate::waveform::ModemWaveform;
 use gsp_fpga::device::FpgaDevice;
 use gsp_netproto::link::LinkConfig;
 use gsp_netproto::scenarios::TransferProtocol;
@@ -12,6 +11,7 @@ use gsp_payload::equipment::standard_payload;
 use gsp_payload::memory::OnboardMemory;
 use gsp_payload::obpc::{FaultInjection, Obpc};
 use gsp_payload::platform::{Telecommand, Telemetry};
+use gsp_waveform::WaveformDescriptor;
 
 /// Regenerates the reconfiguration-latency table.
 pub fn e5_reconfig(seed: u64) -> ExpTable {
@@ -76,11 +76,13 @@ pub fn e5_reconfig(seed: u64) -> ExpTable {
     // real N1 controlled-mode stack (ops link), bitstream included.
     {
         let device = FpgaDevice::virtex_like_1m();
-        let tdma = ModemWaveform::mf_tdma();
         let commands = vec![
             Telecommand::StoreBitstream {
                 name: "tdma.bit".into(),
-                data: tdma.bitstream_for(&device).serialise().to_vec(),
+                data: WaveformDescriptor::mf_tdma()
+                    .bitstream_for(&device)
+                    .serialise()
+                    .to_vec(),
             },
             Telecommand::Reconfigure {
                 equipment: 3,

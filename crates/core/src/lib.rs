@@ -6,10 +6,6 @@
 //! Fig. 4 protocol stack, validated, rolled back on failure, and defended
 //! against the radiation environment.
 //!
-//! * [`waveform`] — the two §2.3 modem personalities (S-UMTS CDMA,
-//!   MF-TDMA) and the decoder personalities (uncoded / convolutional /
-//!   turbo), each carrying its gate budget, its bitstream, and a
-//!   signal-level self-test;
 //! * [`ncc`] — the ground network control centre: bitstream catalogue,
 //!   upload-protocol choice, telecommand issue, telemetry bookkeeping;
 //! * [`ops`] — the operations link: telecommands and telemetry carried
@@ -43,8 +39,7 @@ pub mod ncc;
 pub mod ops;
 pub mod scenario;
 pub mod table;
-pub mod waveform;
 
+pub use gsp_waveform::{WaveformDescriptor, WaveformRegistry};
 pub use scenario::{waveform_switch, WaveformSwitchConfig, WaveformSwitchOutcome};
 pub use table::ExpTable;
-pub use waveform::{DecoderPersonality, ModemWaveform};

@@ -4,9 +4,7 @@
 //! equally in charge of the reconfiguration", §3.3).
 
 use crate::housekeeping;
-use crate::waveform::{DecoderPersonality, ModemWaveform};
 use gsp_fpga::bitstream::Bitstream;
-use gsp_fpga::device::FpgaDevice;
 use gsp_netproto::link::LinkConfig;
 use gsp_netproto::scenarios::{simulate_transfer, TransferProtocol, TransferStats};
 use gsp_payload::platform::Telemetry;
@@ -74,21 +72,7 @@ impl Ncc {
         (self.hk_frames_ok, self.hk_frames_rejected)
     }
 
-    /// Registers a modem personality's bitstream for a target device.
-    pub fn register_waveform(&mut self, name: &str, wf: &ModemWaveform, device: &FpgaDevice) {
-        let bs = wf.bitstream_for(device);
-        self.catalogue
-            .insert(name.to_string(), bs.serialise().to_vec());
-    }
-
-    /// Registers a decoder personality's bitstream.
-    pub fn register_decoder(&mut self, name: &str, dec: &DecoderPersonality, device: &FpgaDevice) {
-        let bs = dec.bitstream_for(device);
-        self.catalogue
-            .insert(name.to_string(), bs.serialise().to_vec());
-    }
-
-    /// Registers a raw bitstream.
+    /// Registers a bitstream in the catalogue.
     pub fn register_bitstream(&mut self, name: &str, bs: &Bitstream) {
         self.catalogue
             .insert(name.to_string(), bs.serialise().to_vec());
@@ -123,22 +107,25 @@ impl Ncc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsp_fpga::device::FpgaDevice;
+    use gsp_waveform::WaveformDescriptor;
 
     #[test]
     fn catalogue_roundtrip() {
         let mut ncc = Ncc::new(LinkConfig::geo_default());
         let dev = FpgaDevice::virtex_like_1m();
-        ncc.register_waveform("tdma", &ModemWaveform::mf_tdma(), &dev);
+        let tdma = WaveformDescriptor::mf_tdma();
+        ncc.register_bitstream("tdma", &tdma.bitstream_for(&dev));
         let bytes = ncc.design_bytes("tdma").expect("registered");
         let bs = Bitstream::deserialise(bytes).expect("valid");
-        assert_eq!(bs.design_id, ModemWaveform::mf_tdma().design_id());
+        assert_eq!(bs.design_id, tdma.design_id());
     }
 
     #[test]
     fn upload_accounts_time() {
         let mut ncc = Ncc::new(LinkConfig::geo_default());
         let dev = FpgaDevice::small_100k();
-        ncc.register_waveform("x", &ModemWaveform::mf_tdma(), &dev);
+        ncc.register_bitstream("x", &WaveformDescriptor::mf_tdma().bitstream_for(&dev));
         let st = ncc
             .upload("x", TransferProtocol::Bulk { window: 32 * 1024 }, 1)
             .expect("upload");
@@ -152,7 +139,11 @@ mod tests {
     fn all_three_protocols_upload_the_same_design() {
         let mut ncc = Ncc::new(LinkConfig::geo_default());
         let dev = FpgaDevice::small_100k();
-        ncc.register_waveform("w", &ModemWaveform::sumts_cdma(), &dev);
+        let cdma = WaveformDescriptor {
+            carriers: 1,
+            ..WaveformDescriptor::sumts_cdma()
+        };
+        ncc.register_bitstream("w", &cdma.bitstream_for(&dev));
         let mut times = Vec::new();
         for proto in [
             TransferProtocol::Tftp,

@@ -327,7 +327,6 @@ pub fn run_ops_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::waveform::ModemWaveform;
     use gsp_fpga::device::FpgaDevice;
     use gsp_payload::equipment::standard_payload;
     use gsp_payload::memory::OnboardMemory;
@@ -397,7 +396,7 @@ mod tests {
         // Upload + reconfigure + validate + status, all as TC frames over
         // the lossy GEO link; telemetry confirms each step.
         let device = FpgaDevice::virtex_like_1m();
-        let tdma = ModemWaveform::mf_tdma();
+        let tdma = gsp_waveform::WaveformDescriptor::mf_tdma();
         let bitstream = tdma.bitstream_for(&device).serialise().to_vec();
         let commands = vec![
             Telecommand::StoreBitstream {

@@ -3,13 +3,14 @@
 //! rollback, and signal-level proof that the new personality works.
 
 use crate::ncc::Ncc;
-use crate::waveform::{DecoderPersonality, ModemWaveform, SelfTest};
+use gsp_coding::CodingScheme;
 use gsp_fpga::device::FpgaDevice;
 use gsp_netproto::link::LinkConfig;
 use gsp_netproto::scenarios::TransferProtocol;
 use gsp_payload::equipment::standard_payload;
 use gsp_payload::memory::OnboardMemory;
 use gsp_payload::obpc::{FaultInjection, Obpc, ReconfigReport};
+use gsp_waveform::{WaveformDescriptor, WaveformFrameReport, WaveformRegistry};
 
 /// Configuration of the flagship CDMA→TDMA waveform-change scenario.
 #[derive(Clone, Debug)]
@@ -51,9 +52,9 @@ pub struct WaveformSwitchOutcome {
     /// Total ground-initiated change latency, seconds.
     pub total_s: f64,
     /// CDMA self-test before the change.
-    pub cdma_verified: SelfTest,
+    pub cdma_verified: WaveformFrameReport,
     /// TDMA self-test after the change (or CDMA re-test after rollback).
-    pub tdma_verified: SelfTest,
+    pub tdma_verified: WaveformFrameReport,
     /// The OBPC's step-by-step report.
     pub report: ReconfigReport,
 }
@@ -62,13 +63,22 @@ pub struct WaveformSwitchOutcome {
 /// reconfigured into the MF-TDMA personality.
 pub fn waveform_switch(cfg: &WaveformSwitchConfig, seed: u64) -> WaveformSwitchOutcome {
     let device = FpgaDevice::virtex_like_1m();
-    let cdma = ModemWaveform::sumts_cdma();
-    let tdma = ModemWaveform::mf_tdma();
+    let cdma = WaveformDescriptor {
+        carriers: 1,
+        ..WaveformDescriptor::sumts_cdma()
+    };
+    let tdma = WaveformDescriptor::mf_tdma();
+    let registry = WaveformRegistry::builtin();
+    let self_test = |d: &WaveformDescriptor, seed: u64| {
+        registry
+            .self_test(d, seed)
+            .expect("builtin personality loads")
+    };
 
     // Ground side.
     let mut ncc = Ncc::new(cfg.link);
-    ncc.register_waveform("cdma.bit", &cdma, &device);
-    ncc.register_waveform("tdma.bit", &tdma, &device);
+    ncc.register_bitstream("cdma.bit", &cdma.bitstream_for(&device));
+    ncc.register_bitstream("tdma.bit", &tdma.bitstream_for(&device));
 
     // Space side: payload with the CDMA personality in service.
     let mut obpc = Obpc::new(OnboardMemory::new(8 << 20, true), standard_payload());
@@ -77,7 +87,7 @@ pub fn waveform_switch(cfg: &WaveformSwitchConfig, seed: u64) -> WaveformSwitchO
         .unwrap();
     let pre = obpc.reconfigure(3, "cdma.bit", None).expect("initial load");
     assert!(pre.success, "initial CDMA load must succeed");
-    let cdma_verified = cdma.self_test(seed);
+    let cdma_verified = self_test(&cdma, seed);
 
     // Phase 1: deliver the TDMA bitstream (upload or library hit).
     let upload_s = if cfg.library_hit {
@@ -104,9 +114,9 @@ pub fn waveform_switch(cfg: &WaveformSwitchConfig, seed: u64) -> WaveformSwitchO
 
     // Phase 4: functional verification of whatever is now in service.
     let tdma_verified = if report.success {
-        tdma.self_test(seed + 1)
+        self_test(&tdma, seed + 1)
     } else {
-        cdma.self_test(seed + 1) // rollback leaves CDMA running
+        self_test(&cdma, seed + 1) // rollback leaves CDMA running
     };
 
     WaveformSwitchOutcome {
@@ -135,7 +145,7 @@ pub struct DecoderSwitchOutcome {
 #[derive(Clone, Debug)]
 pub struct DecoderStage {
     /// The scheme now loaded on the DECOD equipment.
-    pub scheme: gsp_coding::CodingScheme,
+    pub scheme: CodingScheme,
     /// Reconfiguration succeeded?
     pub reconfigured: bool,
     /// Service interruption, milliseconds.
@@ -144,38 +154,40 @@ pub struct DecoderStage {
     pub link_ber: f64,
 }
 
+/// The DECOD personalities [`decoder_switch`] steps through, in order,
+/// each with its bitstream design id and gate budget.
+const DECODERS: [(CodingScheme, u32, u64); 4] = [
+    (CodingScheme::Uncoded, 0x0DEC, 5_000),
+    (CodingScheme::ConvHalf, 0x0DED, 90_000), // 256-state Viterbi
+    (CodingScheme::ConvThird, 0x0DEE, 110_000),
+    // Two SISO units + interleaver.
+    (CodingScheme::Turbo { iterations: 6 }, 0x0DEF, 250_000),
+];
+
 /// Runs the paper's decoder example: the DECOD equipment steps through
 /// uncoded → convolutional → turbo as the traffic's QoS requirement
 /// tightens, each step a §3.1 reconfiguration, each verified by running
 /// the new decoder over a reference Eb/N0 = 3 dB AWGN link.
 pub fn decoder_switch(seed: u64) -> DecoderSwitchOutcome {
     use gsp_channel::awgn::GaussianSampler;
-    use gsp_coding::{
-        CodingScheme, ConvCode, ConvEncoder, TurboCode, TurboDecoder, ViterbiDecoder,
-    };
+    use gsp_coding::{ConvCode, ConvEncoder, TurboCode, TurboDecoder, ViterbiDecoder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     let device = FpgaDevice::virtex_like_1m();
     let mut obpc = Obpc::new(OnboardMemory::new(8 << 20, true), standard_payload());
-    let schemes = [
-        CodingScheme::Uncoded,
-        CodingScheme::ConvHalf,
-        CodingScheme::ConvThird,
-        CodingScheme::Turbo { iterations: 6 },
-    ];
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = GaussianSampler::new();
     let ebn0_db = 3.0;
     let k = 320usize;
 
     let mut stages = Vec::new();
-    for (i, scheme) in schemes.into_iter().enumerate() {
+    for (i, (scheme, design_id, gates)) in DECODERS.into_iter().enumerate() {
         // Ground prepares and "uploads" (library) the decoder bitstream.
-        let dec = DecoderPersonality { scheme };
+        let bitstream = gsp_fpga::resources::bitstream_for(design_id, gates, &device);
         let name = format!("decod_{i}.bit");
         obpc.memory
-            .store(&name, dec.bitstream_for(&device).serialise().to_vec())
+            .store(&name, bitstream.serialise().to_vec())
             .expect("memory");
         let report = obpc.reconfigure(4, &name, None).expect("service");
 
@@ -254,20 +266,30 @@ pub fn housekeeping_downlink(
     seed: u64,
 ) -> HousekeepingOutcome {
     use gsp_payload::pipeline::PipelineEngine;
-    use gsp_payload::platform::{Platform, Telemetry};
 
     let registry = gsp_telemetry::Registry::new();
     let mut engine = PipelineEngine::new(cfg.clone());
     engine.set_telemetry(&registry);
     let reports = engine.run_frames(n_frames, seed);
 
-    // Spacecraft side: encode the snapshot and queue it on the TM channel.
+    let (snapshot, frame_bytes) = downlink_housekeeping(&registry);
+    HousekeepingOutcome {
+        reports,
+        snapshot,
+        frame_bytes,
+    }
+}
+
+/// Downlinks `registry`'s snapshot as one CRC-protected housekeeping
+/// frame through the platform TM queue and has the NCC decode it.
+/// Returns the decoded snapshot and the encoded frame size in bytes.
+fn downlink_housekeeping(registry: &gsp_telemetry::Registry) -> (gsp_telemetry::Snapshot, usize) {
+    use gsp_payload::platform::{Platform, Telemetry};
+
     let mut platform = Platform::new();
     let frame = crate::housekeeping::encode_frame(&registry.snapshot());
     let frame_bytes = frame.len();
     platform.report(Telemetry::Housekeeping { frame });
-
-    // Ground side: drain the downlink and ingest.
     let mut ncc = Ncc::new(LinkConfig::geo_default());
     for tm in platform.downlink() {
         ncc.ingest_telemetry(&tm);
@@ -276,11 +298,7 @@ pub fn housekeeping_downlink(
         .housekeeping()
         .cloned()
         .expect("clean frame must decode");
-    HousekeepingOutcome {
-        reports,
-        snapshot,
-        frame_bytes,
-    }
+    (snapshot, frame_bytes)
 }
 
 /// Outcome of the closed-loop traffic soak.
@@ -336,8 +354,6 @@ pub struct FdirSoakOutcome {
 /// every detection, transition and recovery rung. Bitwise deterministic
 /// per `(rate_multiplier, seed)`.
 pub fn fdir_soak(rate_multiplier: f64, seed: u64) -> FdirSoakOutcome {
-    use gsp_payload::platform::{Platform, Telemetry};
-
     let registry = gsp_telemetry::Registry::new();
     let harness = gsp_fdir::FdirHarness::with_telemetry(
         gsp_fdir::HarnessConfig::soak(rate_multiplier),
@@ -346,22 +362,9 @@ pub fn fdir_soak(rate_multiplier: f64, seed: u64) -> FdirSoakOutcome {
     );
     let report = harness.run();
 
-    // Spacecraft side: the FDIR status rides the same housekeeping
-    // channel as every other subsystem.
-    let mut platform = Platform::new();
-    let frame = crate::housekeeping::encode_frame(&registry.snapshot());
-    let frame_bytes = frame.len();
-    platform.report(Telemetry::Housekeeping { frame });
-
-    // Ground side: decode and hand the snapshot to operations.
-    let mut ncc = Ncc::new(LinkConfig::geo_default());
-    for tm in platform.downlink() {
-        ncc.ingest_telemetry(&tm);
-    }
-    let snapshot = ncc
-        .housekeeping()
-        .cloned()
-        .expect("clean frame must decode");
+    // The FDIR status rides the same housekeeping channel as every other
+    // subsystem.
+    let (snapshot, frame_bytes) = downlink_housekeeping(&registry);
     FdirSoakOutcome {
         report,
         snapshot,
@@ -398,8 +401,6 @@ pub fn constellation_soak(
     fail_sat: Option<usize>,
     seed: u64,
 ) -> ConstellationSoakOutcome {
-    use gsp_payload::platform::{Platform, Telemetry};
-
     let registry = gsp_telemetry::Registry::new();
     let cfg = gsp_constellation::ConstellationConfig::standard(satellites, load);
     let mut engine = gsp_constellation::ConstellationEngine::with_telemetry(cfg, seed, &registry);
@@ -410,19 +411,7 @@ pub fn constellation_soak(
     engine.run(frames - frames / 2);
     let report = engine.report();
 
-    let mut platform = Platform::new();
-    let frame = crate::housekeeping::encode_frame(&registry.snapshot());
-    let frame_bytes = frame.len();
-    platform.report(Telemetry::Housekeeping { frame });
-
-    let mut ncc = Ncc::new(LinkConfig::geo_default());
-    for tm in platform.downlink() {
-        ncc.ingest_telemetry(&tm);
-    }
-    let snapshot = ncc
-        .housekeeping()
-        .cloned()
-        .expect("clean frame must decode");
+    let (snapshot, frame_bytes) = downlink_housekeeping(&registry);
     ConstellationSoakOutcome {
         report,
         snapshot,
@@ -512,8 +501,6 @@ pub struct WaveformSwapSoakOutcome {
 /// standing in for a fault addressed at the waveform processor itself —
 /// trips the rollback path.
 pub fn waveform_swap_soak(cfg: &WaveformSwapSoakConfig, seed: u64) -> WaveformSwapSoakOutcome {
-    use gsp_payload::platform::{Platform, Telemetry};
-
     let registry = gsp_telemetry::Registry::new();
 
     // The load + fault plane underneath: the FDIR soak harness at the
@@ -551,18 +538,7 @@ pub fn waveform_swap_soak(cfg: &WaveformSwapSoakConfig, seed: u64) -> WaveformSw
     let stats = harness.engine().stats().clone();
     let voice = &stats.classes[0];
 
-    let mut platform = Platform::new();
-    let frame = crate::housekeeping::encode_frame(&registry.snapshot());
-    let frame_bytes = frame.len();
-    platform.report(Telemetry::Housekeeping { frame });
-    let mut ncc = Ncc::new(LinkConfig::geo_default());
-    for tm in platform.downlink() {
-        ncc.ingest_telemetry(&tm);
-    }
-    let snapshot = ncc
-        .housekeeping()
-        .cloned()
-        .expect("clean frame must decode");
+    let (snapshot, frame_bytes) = downlink_housekeeping(&registry);
 
     WaveformSwapSoakOutcome {
         swap: controller.swap_report().clone(),
@@ -818,6 +794,32 @@ mod tests {
         );
         assert!(!out.success && out.rolled_back);
         assert!(out.tdma_verified.clean(), "rollback must restore service");
+    }
+
+    #[test]
+    fn design_ids_are_distinct() {
+        let modems = [
+            WaveformDescriptor::sumts_cdma(),
+            WaveformDescriptor {
+                carriers: 1,
+                ..WaveformDescriptor::sumts_cdma()
+            },
+            WaveformDescriptor::mf_tdma(),
+        ];
+        let ids: Vec<u32> = modems
+            .iter()
+            .map(WaveformDescriptor::design_id)
+            .chain(DECODERS.iter().map(|&(_, id, _)| id))
+            .collect();
+        let set: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(set.len(), ids.len(), "{ids:x?}");
+    }
+
+    #[test]
+    fn decoder_gate_ordering_matches_complexity() {
+        let gates: Vec<u64> = DECODERS.iter().map(|&(_, _, g)| g).collect();
+        // Uncoded < conv 1/2 < conv 1/3 < turbo.
+        assert!(gates.windows(2).all(|w| w[0] < w[1]), "{gates:?}");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! `gsp-modem::complexity`) onto device capacity, and computes how many
 //! configuration frames a design of a given size occupies.
 
+use crate::bitstream::Bitstream;
 use crate::device::FpgaDevice;
 
 /// Equivalent gates per CLB for the simulated fabric family.
@@ -59,6 +60,16 @@ pub fn place(gates: u64, device: &FpgaDevice) -> Result<Placement, CapacityExcee
         frames_used,
         utilisation_ppt,
     })
+}
+
+/// Synthesises design `design_id` of `gates` equivalent gates for
+/// `device`: the frames its placement touches (at least one) carry the
+/// design, and a design too large to place fills the whole device.
+pub fn bitstream_for(design_id: u32, gates: u64, device: &FpgaDevice) -> Bitstream {
+    let frames = place(gates, device)
+        .map(|p| p.frames_used.max(1))
+        .unwrap_or(device.frames);
+    Bitstream::synthesise(design_id, device, frames)
 }
 
 /// Gate capacity actually usable when a mitigation overhead factor is

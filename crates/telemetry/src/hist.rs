@@ -13,8 +13,8 @@
 //!
 //! ## What a record costs
 //!
-//! [`Histogram::record`] is five `Relaxed` read-modify-writes per
-//! observation: `fetch_add` on the bucket, the count and the sum, plus a
+//! [`Histogram::record`] is four `Relaxed` read-modify-writes per
+//! observation: `fetch_add` on the bucket and the sum, plus a
 //! `fetch_min` and a `fetch_max`, which compile to compare-and-swap loops
 //! on x86. That is cheap for a span timed once per frame and expensive
 //! for a per-packet latency recorded thousands of times per frame.
@@ -22,8 +22,8 @@
 //! A hot loop with a single owner stages its observations in a
 //! [`HistogramBatch`] instead: `record` there is plain integer arithmetic
 //! on the owner's buffer, and [`HistogramBatch::flush`] publishes the
-//! whole batch with one `fetch_add` per non-empty bucket, one each for
-//! count and sum, and one `fetch_min`/`fetch_max`. A flush leaves the
+//! whole batch with one `fetch_add` per non-empty bucket, one for the
+//! sum, and one `fetch_min`/`fetch_max`. A flush leaves the
 //! histogram exactly as recording each observation would have, so a
 //! reader that snapshots after it cannot tell the two apart.
 
@@ -59,7 +59,6 @@ struct HistCore {
     bounds: Vec<u64>,
     /// One count per bucket plus the overflow bucket.
     counts: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     /// Running minimum (u64::MAX until the first observation).
     min: AtomicU64,
@@ -96,7 +95,6 @@ impl Histogram {
             core: Some(Arc::new(HistCore {
                 bounds,
                 counts,
-                count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
                 min: AtomicU64::new(u64::MAX),
                 max: AtomicU64::new(0),
@@ -117,7 +115,6 @@ impl Histogram {
         // partition_point: first bucket whose upper bound holds v.
         let idx = core.bounds.partition_point(|&b| b < v);
         core.counts[idx].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
         core.sum.fetch_add(v, Ordering::Relaxed);
         core.min.fetch_min(v, Ordering::Relaxed);
         core.max.fetch_max(v, Ordering::Relaxed);
@@ -262,7 +259,6 @@ impl HistogramBatch {
                 cell.fetch_add(std::mem::take(staged), Ordering::Relaxed);
             }
         }
-        core.count.fetch_add(self.count, Ordering::Relaxed);
         core.sum.fetch_add(self.sum, Ordering::Relaxed);
         // The extremes only ever move outwards, so a plain load that
         // shows the stored one already covers ours skips the CAS loop.

@@ -28,7 +28,7 @@
 //! fixed `(config, seed, frames)`: one serial `StdRng` drives every
 //! draw in a fixed aggregate/session order, latencies are counted in
 //! frame ticks (never wall clock), and the switch's WRR state is part
-//! of its value. `bench_traffic` exploits this — the emitted
+//! of its value. `bench traffic` exploits this — the emitted
 //! `BENCH_traffic.json` carries only deterministic quantities, so two
 //! runs with the same seed are byte-identical.
 

@@ -8,6 +8,10 @@
 //! "configure from validated profile" rule: a corrupted or truncated
 //! upload is rejected *before* the running carrier is touched.
 
+use gsp_fpga::bitstream::Bitstream;
+use gsp_fpga::device::FpgaDevice;
+use gsp_modem::complexity::ModemPersonality;
+
 /// Which processing chain a descriptor parameterises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WaveformKind {
@@ -92,6 +96,32 @@ impl WaveformDescriptor {
         } else {
             Some(self.esn0_cdb as f64 / 100.0)
         }
+    }
+
+    /// Gate budget on the fabric (the §2.3 complexity model): CDMA
+    /// scales with despread users, MF-TDMA with carriers.
+    pub fn gates(&self) -> u64 {
+        let n = self.carriers as usize;
+        match self.kind {
+            WaveformKind::Cdma => ModemPersonality::Cdma { users: n },
+            WaveformKind::MfTdma => ModemPersonality::Tdma { carriers: n },
+        }
+        .gates()
+    }
+
+    /// Bitstream design id: `0x0CD0` (CDMA) or `0x07D0` (MF-TDMA) plus
+    /// the carrier count.
+    pub fn design_id(&self) -> u32 {
+        let base = match self.kind {
+            WaveformKind::Cdma => 0x0CD0,
+            WaveformKind::MfTdma => 0x07D0,
+        };
+        base + self.carriers as u32
+    }
+
+    /// The personality's bitstream, synthesised for `device`.
+    pub fn bitstream_for(&self, device: &FpgaDevice) -> Bitstream {
+        gsp_fpga::resources::bitstream_for(self.design_id(), self.gates(), device)
     }
 
     /// Serialises to the uplink wire form: magic, version, fields,
@@ -279,6 +309,54 @@ mod tests {
             d.sanity_check(),
             Err(DescriptorError::BadParameter("info_bits"))
         );
+    }
+
+    /// The §2.3 narrative personalities: the one-user CDMA anchor and the
+    /// six-carrier MF-TDMA.
+    fn narrative() -> [WaveformDescriptor; 2] {
+        [
+            WaveformDescriptor {
+                carriers: 1,
+                ..WaveformDescriptor::sumts_cdma()
+            },
+            WaveformDescriptor::mf_tdma(),
+        ]
+    }
+
+    #[test]
+    fn narrative_personalities_keep_their_designs_and_bitstreams() {
+        let dev = FpgaDevice::virtex_like_1m();
+        let expected = [
+            (0x0CD1, 220_080, 98_554, 0x36_366E),
+            (0x07D6, 204_600, 98_554, 0x0C_EAA6),
+        ];
+        for (d, (id, gates, len, crc)) in narrative().iter().zip(expected) {
+            let bs = d.bitstream_for(&dev);
+            assert_eq!(d.design_id(), id, "{}", d.name);
+            assert_eq!(d.gates(), gates, "{}", d.name);
+            assert_eq!(bs.serialise().len(), len, "{}", d.name);
+            assert_eq!(bs.global_crc, crc, "{}", d.name);
+        }
+    }
+
+    #[test]
+    fn paper_compatibility_claim_executable() {
+        // Both §2.3 personalities fit the same 1 Mgate device.
+        let dev = FpgaDevice::virtex_like_1m();
+        let [cdma, tdma] = narrative();
+        let pc = gsp_fpga::resources::place(cdma.gates(), &dev).unwrap();
+        let pt = gsp_fpga::resources::place(tdma.gates(), &dev).unwrap();
+        assert!(pt.frames_used <= dev.frames && pc.frames_used <= dev.frames);
+        // TDMA fits the footprint CDMA occupied (±10%).
+        assert!(tdma.gates() as f64 <= cdma.gates() as f64 * 1.1);
+    }
+
+    #[test]
+    fn bitstreams_differ_between_personalities() {
+        let dev = FpgaDevice::virtex_like_1m();
+        let [a, b] = narrative().map(|d| d.bitstream_for(&dev));
+        assert_ne!(a.global_crc, b.global_crc);
+        assert_eq!(a.frames.len(), dev.frames);
     }
 
     #[test]

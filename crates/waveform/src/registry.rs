@@ -11,7 +11,7 @@
 //! quiesced.
 
 use crate::adapters::{CdmaWaveform, MfTdmaWaveform};
-use crate::component::{Waveform, WaveformError};
+use crate::component::{Waveform, WaveformError, WaveformFrameReport};
 use crate::descriptor::{DescriptorError, WaveformDescriptor};
 
 /// Builds a component from an already-validated descriptor.
@@ -129,6 +129,25 @@ impl WaveformRegistry {
         }
         (entry.factory)(d).map_err(LoadError::Factory)
     }
+
+    /// Self-tests the personality `d` names: loads it on a clean,
+    /// noiseless channel, configures and runs it, and steps one frame.
+    /// The report is [`clean`](WaveformFrameReport::clean) when every
+    /// carrier decoded without error.
+    pub fn self_test(
+        &self,
+        d: &WaveformDescriptor,
+        seed: u64,
+    ) -> Result<WaveformFrameReport, LoadError> {
+        let clean = WaveformDescriptor {
+            esn0_cdb: i16::MIN,
+            ..d.clone()
+        };
+        let mut wf = self.load(&clean)?;
+        wf.configure().map_err(LoadError::Factory)?;
+        wf.run().map_err(LoadError::Factory)?;
+        wf.step(seed, 0).map_err(LoadError::Factory)
+    }
 }
 
 impl Default for WaveformRegistry {
@@ -164,12 +183,40 @@ mod tests {
             r.load(&d).map(|_| ()).unwrap_err(),
             LoadError::UnknownName("dvb-rcs".into())
         );
+        assert_eq!(
+            r.self_test(&d, 1),
+            Err(LoadError::UnknownName("dvb-rcs".into()))
+        );
         let mut d = WaveformDescriptor::mf_tdma();
         d.version = (3, 0);
         assert!(matches!(
             r.load(&d).map(|_| ()),
             Err(LoadError::IncompatibleVersion { .. })
         ));
+        assert!(matches!(
+            r.self_test(&d, 1),
+            Err(LoadError::IncompatibleVersion { .. })
+        ));
+    }
+
+    #[test]
+    fn every_builtin_and_the_one_user_cdma_self_test_clean() {
+        let r = WaveformRegistry::builtin();
+        let one_user = WaveformDescriptor {
+            carriers: 1,
+            ..WaveformDescriptor::sumts_cdma()
+        };
+        for d in [
+            WaveformDescriptor::sumts_cdma(),
+            WaveformDescriptor::mf_tdma(),
+            one_user,
+        ] {
+            for seed in 0..3 {
+                let report = r.self_test(&d, seed).expect("builtin loads");
+                assert!(report.clean(), "{} seed {seed}: {report:?}", d.name);
+                assert_eq!(report.carriers, d.carriers as u32);
+            }
+        }
     }
 
     #[test]

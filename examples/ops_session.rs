@@ -9,7 +9,7 @@
 //! ```
 
 use gsp_core::ops::run_ops_session;
-use gsp_core::waveform::ModemWaveform;
+use gsp_core::WaveformDescriptor;
 use gsp_fpga::device::FpgaDevice;
 use gsp_netproto::link::LinkConfig;
 use gsp_payload::equipment::standard_payload;
@@ -19,8 +19,7 @@ use gsp_payload::platform::{Telecommand, Telemetry};
 
 fn main() {
     let device = FpgaDevice::virtex_like_1m();
-    let tdma = ModemWaveform::mf_tdma();
-    let bitstream = tdma.bitstream_for(&device);
+    let bitstream = WaveformDescriptor::mf_tdma().bitstream_for(&device);
     println!("== operations session over the TC/TM link ==\n");
     println!(
         "uplinking: tdma.bit ({} bytes serialised) + 3 commands",

@@ -6,7 +6,7 @@
 //! cargo run -p gsp-examples --bin quickstart
 //! ```
 
-use gsp_core::waveform::ModemWaveform;
+use gsp_core::{WaveformDescriptor, WaveformRegistry};
 use gsp_fpga::device::FpgaDevice;
 use gsp_payload::chain::{run_mf_tdma_frame, ChainConfig};
 use gsp_payload::equipment::standard_payload;
@@ -33,8 +33,8 @@ fn main() {
 
     // 2. Ground prepares the MF-TDMA demodulator bitstream.
     let device = FpgaDevice::virtex_like_1m();
-    let tdma = ModemWaveform::mf_tdma();
-    let placement = tdma.place_on(&device).expect("personality fits");
+    let tdma = WaveformDescriptor::mf_tdma();
+    let placement = gsp_fpga::resources::place(tdma.gates(), &device).expect("personality fits");
     println!(
         "\nTDMA personality: {} gates -> {} CLBs, {} frames, {}%o utilisation",
         tdma.gates(),
@@ -67,10 +67,12 @@ fn main() {
     // 4. Validate (the §3.2 CRC auto-test) and self-test the waveform.
     let (crc_ok, crc) = obpc.validate(3).expect("validation runs");
     println!("\nvalidation service: CRC-24 = {crc:#08x}, matches golden = {crc_ok}");
-    let st = tdma.self_test(42);
+    let st = WaveformRegistry::builtin()
+        .self_test(&tdma, 42)
+        .expect("builtin personality loads");
     println!(
-        "waveform self-test: acquired = {}, bit errors = {}/{}",
-        st.acquired, st.bit_errors, st.bits
+        "waveform self-test: acquired = {}/{} carriers, bit errors = {}/{}",
+        st.acquired, st.carriers, st.bit_errors, st.info_bits
     );
 
     // 5. Pass an MF-TDMA frame through the whole receive chain.

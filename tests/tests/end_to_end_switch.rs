@@ -4,7 +4,6 @@
 //! traffic chain afterwards.
 
 use gsp_core::scenario::{waveform_switch, WaveformSwitchConfig};
-use gsp_core::waveform::ModemWaveform;
 use gsp_fpga::device::FpgaDevice;
 use gsp_netproto::scenarios::TransferProtocol;
 use gsp_payload::chain::{run_mf_tdma_frame, ChainConfig};
@@ -12,6 +11,7 @@ use gsp_payload::equipment::standard_payload;
 use gsp_payload::memory::OnboardMemory;
 use gsp_payload::obpc::{FaultInjection, Obpc};
 use gsp_payload::platform::{Platform, Telecommand, Telemetry};
+use gsp_waveform::WaveformDescriptor;
 
 #[test]
 fn flagship_scenario_all_variants_behave() {
@@ -58,8 +58,11 @@ fn telecommand_driven_switch_then_traffic() {
     // Drive the change purely through the platform TC/TM interface, then
     // verify the payload chain still moves packets.
     let device = FpgaDevice::virtex_like_1m();
-    let cdma = ModemWaveform::sumts_cdma();
-    let tdma = ModemWaveform::mf_tdma();
+    let cdma = WaveformDescriptor {
+        carriers: 1,
+        ..WaveformDescriptor::sumts_cdma()
+    };
+    let tdma = WaveformDescriptor::mf_tdma();
     let mut obpc = Obpc::new(OnboardMemory::new(8 << 20, true), standard_payload());
     let mut platform = Platform::new();
 
@@ -118,8 +121,11 @@ fn repeated_switches_are_stable() {
     // Ten back-and-forth reconfigurations: no state leaks, every cycle
     // validates, and interruption time stays bounded.
     let device = FpgaDevice::virtex_like_1m();
-    let cdma = ModemWaveform::sumts_cdma();
-    let tdma = ModemWaveform::mf_tdma();
+    let cdma = WaveformDescriptor {
+        carriers: 1,
+        ..WaveformDescriptor::sumts_cdma()
+    };
+    let tdma = WaveformDescriptor::mf_tdma();
     let mut obpc = Obpc::new(OnboardMemory::new(8 << 20, true), standard_payload());
     obpc.memory
         .store("cdma.bit", cdma.bitstream_for(&device).serialise().to_vec())

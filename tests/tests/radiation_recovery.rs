@@ -2,19 +2,19 @@
 //! machinery recovers it — read-back detection, partial-reconfiguration
 //! repair, scrubbing — while the OBPC's golden copy anchors everything.
 
-use gsp_core::waveform::ModemWaveform;
 use gsp_fpga::device::FpgaDevice;
 use gsp_fpga::mitigation::{detect_and_repair, ReadbackStrategy, Scrubber};
 use gsp_payload::equipment::standard_payload;
 use gsp_payload::memory::OnboardMemory;
 use gsp_payload::obpc::Obpc;
 use gsp_radiation::environment::{PoissonArrivals, RadiationEnvironment};
+use gsp_waveform::WaveformDescriptor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn obpc_with_tdma() -> Obpc {
     let device = FpgaDevice::virtex_like_1m();
-    let tdma = ModemWaveform::mf_tdma();
+    let tdma = WaveformDescriptor::mf_tdma();
     let mut obpc = Obpc::new(OnboardMemory::new(8 << 20, true), standard_payload());
     obpc.memory
         .store("tdma.bit", tdma.bitstream_for(&device).serialise().to_vec())
