@@ -5,6 +5,9 @@
 //! the paper: "at least one auto-test of the new configuration will be
 //! realized (e.g. CRC applied on the configuration)") and the read-back
 //! SEU detection of §4.3.
+//!
+//! [`Crc::compute_bytes`] is the workspace's only byte CRC: TM/TC frames,
+//! bitstream frames, read-back and housekeeping frames all use it.
 
 /// The four 25.212 CRC lengths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -21,7 +24,7 @@ pub enum CrcKind {
 
 impl CrcKind {
     /// Number of parity bits.
-    pub fn len(self) -> usize {
+    pub const fn len(self) -> usize {
         match self {
             CrcKind::Crc8 => 8,
             CrcKind::Crc12 => 12,
@@ -36,7 +39,7 @@ impl CrcKind {
     }
 
     /// Generator polynomial without the leading term, LSB = D⁰ coefficient.
-    fn poly(self) -> u32 {
+    const fn poly(self) -> u32 {
         match self {
             CrcKind::Crc8 => 0b1001_1011,
             CrcKind::Crc12 => 0b1000_0000_1111,
@@ -54,7 +57,7 @@ pub struct Crc {
 
 impl Crc {
     /// Creates an engine for the given polynomial.
-    pub fn new(kind: CrcKind) -> Self {
+    pub const fn new(kind: CrcKind) -> Self {
         Crc { kind }
     }
 
@@ -125,24 +128,39 @@ impl Crc {
     }
 
     /// Computes the CRC over a byte slice (MSB-first bit order) — the form
-    /// used on FPGA bitstream frames and protocol packets.
+    /// used on FPGA bitstream frames and protocol packets. Equal to
+    /// [`Crc::compute`] over the unpacked bits, read as an integer.
     pub fn compute_bytes(&self, data: &[u8]) -> u32 {
-        let l = self.kind.len();
-        let poly = self.kind.poly();
-        let mut reg: u32 = 0;
-        for &byte in data {
-            for i in (0..8).rev() {
-                let b = (byte >> i) & 1;
-                let fb = ((reg >> (l - 1)) as u8 ^ b) & 1;
-                reg <<= 1;
-                if fb == 1 {
-                    reg ^= poly;
-                }
-                reg &= (1u32 << l) - 1;
-            }
+        use CrcKind::*;
+        // One loop per polynomial, length and polynomial known at compile time.
+        match self.kind {
+            Crc8 => bytes_crc::<{ Crc8.len() }, { Crc8.poly() }>(data),
+            Crc12 => bytes_crc::<{ Crc12.len() }, { Crc12.poly() }>(data),
+            Crc16 => bytes_crc::<{ Crc16.len() }, { Crc16.poly() }>(data),
+            Crc24 => bytes_crc::<{ Crc24.len() }, { Crc24.poly() }>(data),
         }
-        reg
     }
+}
+
+/// Systematic division of `data` (MSB first) by the degree-`L` generator
+/// `POLY`, with the register in the top `L` bits of a `u32` so a whole byte
+/// enters at once: the same parity as feeding the bits one at a time.
+#[inline(always)]
+fn bytes_crc<const L: usize, const POLY: u32>(data: &[u8]) -> u32 {
+    const { assert!(8 <= L && L <= 32) };
+    let top_poly = POLY << (32 - L);
+    let mut reg: u32 = 0;
+    for &byte in data {
+        reg ^= u32::from(byte) << 24;
+        for _ in 0..8 {
+            reg = if reg & 0x8000_0000 != 0 {
+                (reg << 1) ^ top_poly
+            } else {
+                reg << 1
+            };
+        }
+    }
+    reg >> (32 - L)
 }
 
 #[cfg(test)]
@@ -236,6 +254,38 @@ mod tests {
     }
 
     #[test]
+    fn byte_crc_known_answers() {
+        // "123456789" is the standard check string: 0x31C3 is the
+        // CRC-16/XMODEM check value (same polynomial, zero init, no
+        // reflection); 0x23EF52 pins the 25.212 CRC-24.
+        assert_eq!(Crc::new(CrcKind::Crc16).compute_bytes(b"123456789"), 0x31C3);
+        assert_eq!(
+            Crc::new(CrcKind::Crc24).compute_bytes(b"123456789"),
+            0x23EF52
+        );
+    }
+
+    #[test]
+    fn byte_crc_reference_behaviour() {
+        let crc16 = Crc::new(CrcKind::Crc16);
+        let crc24 = Crc::new(CrcKind::Crc24);
+        assert_eq!(crc16.compute_bytes(&[]), 0);
+        assert_ne!(
+            crc16.compute_bytes(b"frame A"),
+            crc16.compute_bytes(b"frame B")
+        );
+        assert_ne!(
+            crc24.compute_bytes(b"frame A"),
+            crc24.compute_bytes(b"frame B")
+        );
+        // A single-bit flip always changes the CRC.
+        let base = crc16.compute_bytes(b"configuration");
+        let mut data = b"configuration".to_vec();
+        data[3] ^= 0x10;
+        assert_ne!(crc16.compute_bytes(&data), base);
+    }
+
+    #[test]
     fn byte_crc_differs_on_different_data() {
         let crc = Crc::new(CrcKind::Crc24);
         let a = crc.compute_bytes(b"configuration frame A");
@@ -245,16 +295,25 @@ mod tests {
 
     #[test]
     fn byte_crc_matches_bit_crc() {
-        let crc = Crc::new(CrcKind::Crc16);
-        let data = [0xA5u8, 0x3C, 0x77];
+        let data: Vec<u8> = (0..67u32).map(|i| (i * 37 % 251) as u8 ^ 0xA5).collect();
         let bits: Vec<u8> = data
             .iter()
             .flat_map(|&byte| (0..8).rev().map(move |i| (byte >> i) & 1))
             .collect();
-        let from_bits = crc
-            .compute(&bits)
-            .iter()
-            .fold(0u32, |acc, &b| (acc << 1) | b as u32);
-        assert_eq!(from_bits, crc.compute_bytes(&data));
+        for kind in [
+            CrcKind::Crc8,
+            CrcKind::Crc12,
+            CrcKind::Crc16,
+            CrcKind::Crc24,
+        ] {
+            let crc = Crc::new(kind);
+            for n in 0..=data.len() {
+                let from_bits = crc
+                    .compute(&bits[..8 * n])
+                    .iter()
+                    .fold(0u32, |acc, &b| (acc << 1) | b as u32);
+                assert_eq!(from_bits, crc.compute_bytes(&data[..n]), "{kind:?} {n}");
+            }
+        }
     }
 }

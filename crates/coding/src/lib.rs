@@ -6,15 +6,17 @@
 //! required quality of service". This crate implements that whole suite:
 //!
 //! * CRC attachment with the four 25.212 generator polynomials
-//!   (CRC-8/12/16/24) — also reused by the FPGA configuration validation
-//!   service of §3.2;
+//!   (CRC-8/12/16/24) — also the workspace's one byte CRC, used by the
+//!   FPGA configuration validation service of §3.2 and the TM/TC frames;
 //! * the K=9 convolutional codes at rates 1/2 and 1/3 with a soft-decision
 //!   Viterbi decoder (256 states, block decoding with tail termination);
 //! * the UMTS turbo code: a parallel concatenation of two 8-state RSC
 //!   encoders (feedback 13₈, feed-forward 15₈) with trellis termination and
 //!   a 25.212-family prime interleaver, decoded by an iterative
 //!   max-log-MAP (BCJR) decoder;
-//! * block/random interleavers and a simplified rate-matching stage.
+//! * block/random interleavers and a simplified rate-matching stage;
+//! * [`wire`], the length-checked cursor every decoder of untrusted bytes
+//!   in the workspace reads through.
 //!
 //! Interfaces are bit-vector (`&[u8]` of 0/1) on the encoder side and LLR
 //! (`&[f64]`, positive = bit 0 more likely) on the decoder side, matching
@@ -38,6 +40,7 @@ pub mod kernels;
 pub mod ratematch;
 pub mod turbo;
 pub mod viterbi;
+pub mod wire;
 
 pub use conv::{ConvCode, ConvEncoder};
 pub use crc::{Crc, CrcKind};

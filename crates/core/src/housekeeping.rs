@@ -16,6 +16,9 @@
 //! payload line — is rejected whole, like any other corrupted TM frame:
 //! the NCC keeps its previous picture rather than ingesting half of one.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use gsp_coding::wire::Reader;
 use gsp_coding::{Crc, CrcKind};
 use gsp_telemetry::Snapshot;
 
@@ -42,20 +45,16 @@ pub fn encode_frame(snapshot: &Snapshot) -> Vec<u8> {
 /// Returns `None` when the magic, declared length, CRC-24 or any payload
 /// line is wrong — a corrupted frame never yields a partial snapshot.
 pub fn decode_frame(frame: &[u8]) -> Option<Snapshot> {
-    if frame.len() < HK_OVERHEAD || frame[..2] != HK_MAGIC {
+    let (body, parity) = frame.split_at(frame.len().checked_sub(3)?);
+    let mut r = Reader::new(body);
+    let (magic, len, payload) = (r.bytes(HK_MAGIC.len())?, r.u32()?, r.rest());
+    if magic != HK_MAGIC
+        || len as usize != payload.len()
+        || Crc::new(CrcKind::Crc24).compute_bytes(body).to_be_bytes()[1..] != *parity
+    {
         return None;
     }
-    let len = u32::from_be_bytes([frame[2], frame[3], frame[4], frame[5]]) as usize;
-    if frame.len() != HK_OVERHEAD + len {
-        return None;
-    }
-    let (body, parity) = frame.split_at(frame.len() - 3);
-    let crc = Crc::new(CrcKind::Crc24).compute_bytes(body);
-    if crc.to_be_bytes()[1..] != *parity {
-        return None;
-    }
-    let payload = std::str::from_utf8(&body[6..]).ok()?;
-    Snapshot::from_json_lines(payload)
+    Snapshot::from_json_lines(std::str::from_utf8(payload).ok()?)
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //! simulated GEO link, is executed by the on-board processor controller,
 //! and every resulting [`Telemetry`] item returns the same way.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 use gsp_netproto::frames::{Frame, FrameMode, FrameService};
 use gsp_netproto::link::LinkConfig;
 use gsp_netproto::sim::{Agent, Io, Sim, SimStats};
@@ -23,18 +26,10 @@ fn put_bytes(b: &mut BytesMut, data: &[u8]) {
     b.put_slice(data);
 }
 
-fn take_bytes(data: &[u8], pos: &mut usize) -> Option<Vec<u8>> {
-    if *pos + 4 > data.len() {
-        return None;
-    }
-    let n = u32::from_be_bytes(data[*pos..*pos + 4].try_into().unwrap()) as usize;
-    *pos += 4;
-    if *pos + n > data.len() {
-        return None;
-    }
-    let out = data[*pos..*pos + n].to_vec();
-    *pos += n;
-    Some(out)
+/// Reads what [`put_bytes`] wrote: a `u32` length, then that many bytes.
+fn get_bytes(r: &mut Reader) -> Option<Vec<u8>> {
+    let n = r.u32()?;
+    Some(r.bytes(n as usize)?.to_vec())
 }
 
 /// Encodes a telecommand as a PDU.
@@ -69,28 +64,24 @@ pub fn encode_tc(tc: &Telecommand) -> Bytes {
 
 /// Decodes a telecommand PDU.
 pub fn decode_tc(data: &[u8]) -> Option<Telecommand> {
-    let mut pos = 1usize;
-    match *data.first()? {
-        1 => {
-            let name = String::from_utf8(take_bytes(data, &mut pos)?).ok()?;
-            let bytes = take_bytes(data, &mut pos)?;
-            Some(Telecommand::StoreBitstream { name, data: bytes })
-        }
-        2 => {
-            let equipment = u16::from_be_bytes(data.get(1..3)?.try_into().ok()?) as usize;
-            pos = 3;
-            let name = String::from_utf8(take_bytes(data, &mut pos)?).ok()?;
-            Some(Telecommand::Reconfigure { equipment, name })
-        }
-        3 => Some(Telecommand::Validate {
-            equipment: u16::from_be_bytes(data.get(1..3)?.try_into().ok()?) as usize,
+    let mut r = Reader::new(data);
+    match r.u8()? {
+        1 => Some(Telecommand::StoreBitstream {
+            name: String::from_utf8(get_bytes(&mut r)?).ok()?,
+            data: get_bytes(&mut r)?,
         }),
-        4 => {
-            let name = String::from_utf8(take_bytes(data, &mut pos)?).ok()?;
-            Some(Telecommand::DropBitstream { name })
-        }
+        2 => Some(Telecommand::Reconfigure {
+            equipment: usize::from(r.u16()?),
+            name: String::from_utf8(get_bytes(&mut r)?).ok()?,
+        }),
+        3 => Some(Telecommand::Validate {
+            equipment: usize::from(r.u16()?),
+        }),
+        4 => Some(Telecommand::DropBitstream {
+            name: String::from_utf8(get_bytes(&mut r)?).ok()?,
+        }),
         5 => Some(Telecommand::StatusRequest {
-            equipment: u16::from_be_bytes(data.get(1..3)?.try_into().ok()?) as usize,
+            equipment: usize::from(r.u16()?),
         }),
         _ => None,
     }
@@ -152,43 +143,34 @@ pub fn encode_tm(tm: &Telemetry) -> Bytes {
 
 /// Decodes a telemetry PDU.
 pub fn decode_tm(data: &[u8]) -> Option<Telemetry> {
-    let mut pos = 1usize;
-    match *data.first()? {
-        1 => {
-            let name = String::from_utf8(take_bytes(data, &mut pos)?).ok()?;
-            let bytes = u32::from_be_bytes(data.get(pos..pos + 4)?.try_into().ok()?) as usize;
-            Some(Telemetry::BitstreamStored { name, bytes })
-        }
+    let mut r = Reader::new(data);
+    match r.u8()? {
+        1 => Some(Telemetry::BitstreamStored {
+            name: String::from_utf8(get_bytes(&mut r)?).ok()?,
+            bytes: r.u32()? as usize,
+        }),
         2 => Some(Telemetry::ReconfigDone {
-            equipment: u16::from_be_bytes(data.get(1..3)?.try_into().ok()?) as usize,
-            crc24: u32::from_be_bytes(data.get(3..7)?.try_into().ok()?),
-            success: *data.get(7)? == 1,
-            interruption_ns: u64::from_be_bytes(data.get(8..16)?.try_into().ok()?),
+            equipment: usize::from(r.u16()?),
+            crc24: r.u32()?,
+            success: r.u8()? == 1,
+            interruption_ns: r.u64()?,
         }),
         3 => Some(Telemetry::ValidationReport {
-            equipment: u16::from_be_bytes(data.get(1..3)?.try_into().ok()?) as usize,
-            crc_ok: *data.get(3)? == 1,
-            crc24: u32::from_be_bytes(data.get(4..8)?.try_into().ok()?),
+            equipment: usize::from(r.u16()?),
+            crc_ok: r.u8()? == 1,
+            crc24: r.u32()?,
         }),
-        4 => {
-            let reason = String::from_utf8(take_bytes(data, &mut pos)?).ok()?;
-            Some(Telemetry::CommandFailed { reason })
-        }
-        5 => {
-            let equipment = u16::from_be_bytes(data.get(1..3)?.try_into().ok()?) as usize;
-            let running = *data.get(3)? == 1;
-            let has_design = *data.get(4)? == 1;
-            let id = u32::from_be_bytes(data.get(5..9)?.try_into().ok()?);
-            Some(Telemetry::Status {
-                equipment,
-                running,
-                design_id: has_design.then_some(id),
-            })
-        }
-        6 => {
-            let frame = take_bytes(data, &mut pos)?;
-            Some(Telemetry::Housekeeping { frame })
-        }
+        4 => Some(Telemetry::CommandFailed {
+            reason: String::from_utf8(get_bytes(&mut r)?).ok()?,
+        }),
+        5 => Some(Telemetry::Status {
+            equipment: usize::from(r.u16()?),
+            running: r.u8()? == 1,
+            design_id: (r.u8()? == 1).then_some(r.u32()?),
+        }),
+        6 => Some(Telemetry::Housekeeping {
+            frame: get_bytes(&mut r)?,
+        }),
         _ => None,
     }
 }

@@ -7,40 +7,15 @@
 //! auto-test of the new configuration will be realized (e.g. CRC applied on
 //! the configuration)").
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
+use gsp_coding::{Crc, CrcKind};
 
-/// CRC-16 with the 25.212 polynomial (D¹⁶+D¹²+D⁵+1), MSB-first over bytes.
-pub fn crc16(data: &[u8]) -> u16 {
-    const POLY: u32 = 0x1021;
-    let mut reg: u32 = 0;
-    for &byte in data {
-        for i in (0..8).rev() {
-            let b = ((byte >> i) & 1) as u32;
-            let fb = ((reg >> 15) & 1) ^ b;
-            reg = (reg << 1) & 0xFFFF;
-            if fb == 1 {
-                reg ^= POLY;
-            }
-        }
-    }
-    reg as u16
-}
-
-/// CRC-24 with the 25.212 polynomial (D²⁴+D²³+D⁶+D⁵+D+1), MSB-first.
-pub fn crc24(data: &[u8]) -> u32 {
-    const POLY: u32 = 0x80_0063;
-    let mut reg: u32 = 0;
-    for &byte in data {
-        for i in (0..8).rev() {
-            let b = ((byte >> i) & 1) as u32;
-            let fb = ((reg >> 23) & 1) ^ b;
-            reg = (reg << 1) & 0xFF_FFFF;
-            if fb == 1 {
-                reg ^= POLY;
-            }
-        }
-    }
-    reg
+/// Per-frame CRC-16 (D¹⁶+D¹²+D⁵+1), the read-back comparison baseline.
+pub(crate) fn frame_crc(frame: &[u8]) -> u16 {
+    Crc::new(CrcKind::Crc16).compute_bytes(frame) as u16
 }
 
 /// A configuration bitstream for a specific device geometry.
@@ -64,7 +39,7 @@ impl Bitstream {
         assert!(!frames.is_empty());
         let len = frames[0].len();
         assert!(frames.iter().all(|f| f.len() == len), "ragged frames");
-        let frame_crcs = frames.iter().map(|f| crc16(f)).collect();
+        let frame_crcs = frames.iter().map(|f| frame_crc(f)).collect();
         let global_crc = Self::global_crc_of(&frames);
         Bitstream {
             design_id,
@@ -110,11 +85,7 @@ impl Bitstream {
 
     /// Recomputes the global CRC over frame payloads.
     pub fn global_crc_of(frames: &[Vec<u8>]) -> u32 {
-        let mut all = Vec::with_capacity(frames.len() * frames[0].len());
-        for f in frames {
-            all.extend_from_slice(f);
-        }
-        crc24(&all)
+        Crc::new(CrcKind::Crc24).compute_bytes(&frames.concat())
     }
 
     /// Total payload size in bytes.
@@ -143,37 +114,45 @@ impl Bitstream {
     }
 
     /// Parses the wire format; validates structure and the global CRC.
+    /// The geometry fixes the rest at `n_frames·(frame_bytes+2)+4` bytes,
+    /// checked before allocating: shorter is `Truncated`, longer `BadGeometry`.
     pub fn deserialise(data: &[u8]) -> Result<Self, BitstreamError> {
         use BitstreamError::*;
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], BitstreamError> {
-            if *pos + n > data.len() {
-                return Err(Truncated);
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let design_id = u32::from_be_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let name_len = u16::from_be_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-        let name = String::from_utf8(take(&mut pos, name_len)?.to_vec()).map_err(|_| BadName)?;
-        let n_frames = u32::from_be_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let frame_bytes = u32::from_be_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+        let mut r = Reader::new(data);
+        let design_id = r.u32().ok_or(Truncated)?;
+        let name_len = r.u16().ok_or(Truncated)?;
+        let name = r.bytes(usize::from(name_len)).ok_or(Truncated)?;
+        let name = String::from_utf8(name.to_vec()).map_err(|_| BadName)?;
+        let n_frames = r.u32().ok_or(Truncated)? as usize;
+        let frame_bytes = r.u32().ok_or(Truncated)? as usize;
         if n_frames == 0 || frame_bytes == 0 || n_frames > 1 << 16 || frame_bytes > 1 << 20 {
             return Err(BadGeometry);
         }
-        let mut frames = Vec::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            frames.push(take(&mut pos, frame_bytes)?.to_vec());
+        let body_len = frame_bytes
+            .checked_add(2)
+            .and_then(|b| b.checked_mul(n_frames))
+            .and_then(|b| b.checked_add(4))
+            .ok_or(BadGeometry)?;
+        if r.rest().len() != body_len {
+            return Err(if r.rest().len() < body_len {
+                Truncated
+            } else {
+                BadGeometry
+            });
         }
+        let frame_area = r.bytes(n_frames * frame_bytes).ok_or(Truncated)?; // ≤ body_len: no overflow
+        let frames: Vec<Vec<u8>> = frame_area
+            .chunks_exact(frame_bytes)
+            .map(<[u8]>::to_vec)
+            .collect();
         let mut frame_crcs = Vec::with_capacity(n_frames);
         for _ in 0..n_frames {
-            frame_crcs.push(u16::from_be_bytes(take(&mut pos, 2)?.try_into().unwrap()));
+            frame_crcs.push(r.u16().ok_or(Truncated)?);
         }
-        let global_crc = u32::from_be_bytes(take(&mut pos, 4)?.try_into().unwrap());
+        let global_crc = r.u32().ok_or(Truncated)?;
         // Integrity checks.
-        for (i, f) in frames.iter().enumerate() {
-            if crc16(f) != frame_crcs[i] {
+        for (i, (f, &crc)) in frames.iter().zip(&frame_crcs).enumerate() {
+            if frame_crc(f) != crc {
                 return Err(FrameCrc { frame: i });
             }
         }
@@ -228,18 +207,6 @@ mod tests {
     use crate::device::FpgaDevice;
 
     #[test]
-    fn crc_reference_behaviour() {
-        assert_eq!(crc16(&[]), 0);
-        assert_ne!(crc16(b"frame A"), crc16(b"frame B"));
-        assert_ne!(crc24(b"frame A"), crc24(b"frame B"));
-        // Single-bit flip always changes the CRC.
-        let base = crc16(b"configuration");
-        let mut data = b"configuration".to_vec();
-        data[3] ^= 0x10;
-        assert_ne!(crc16(&data), base);
-    }
-
-    #[test]
     fn synthesise_geometry_matches_device() {
         let dev = FpgaDevice::small_100k();
         let bs = Bitstream::synthesise(7, &dev, 10);
@@ -290,6 +257,28 @@ mod tests {
         for cut in [3usize, 10, wire.len() / 2, wire.len() - 1] {
             assert!(Bitstream::deserialise(&wire[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn deserialise_checks_the_exact_length_before_allocating() {
+        // A 14-byte header declaring 65 536 frames of 1 MiB: short, and
+        // rejected before any frame slot is reserved.
+        let mut hdr = vec![0, 0, 0, 1, 0, 0];
+        hdr.extend_from_slice(&(1u32 << 16).to_be_bytes());
+        hdr.extend_from_slice(&(1u32 << 20).to_be_bytes());
+        assert_eq!(hdr.len(), 14);
+        assert_eq!(Bitstream::deserialise(&hdr), Err(BitstreamError::Truncated));
+    }
+
+    #[test]
+    fn deserialise_rejects_trailing_bytes() {
+        let dev = FpgaDevice::small_100k();
+        let mut wire = Bitstream::synthesise(1, &dev, 4).serialise().to_vec();
+        wire.push(0);
+        assert_eq!(
+            Bitstream::deserialise(&wire),
+            Err(BitstreamError::BadGeometry)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! operations so the payload's reconfiguration service can report the
 //! §3.1 service-interruption budget.
 
-use crate::bitstream::{crc16, Bitstream};
+use crate::bitstream::{frame_crc, Bitstream};
 use crate::device::FpgaDevice;
 use rand::Rng;
 
@@ -186,7 +186,7 @@ impl FpgaFabric {
     /// memorising the golden file ("calculating a CRC for each cell and
     /// comparing CRC values which is less gate consuming").
     pub fn readback_frame_crc(&self, frame: usize) -> Result<u16, FabricError> {
-        self.readback_frame(frame).map(crc16)
+        self.readback_frame(frame).map(frame_crc)
     }
 
     /// CRC-24 over the whole live configuration — the §3.2 validation

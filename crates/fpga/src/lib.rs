@@ -11,9 +11,8 @@
 //!   configurable and only a global reload is possible", so both kinds are
 //!   modelled);
 //! * [`bitstream`] — framed bitstreams with per-frame CRC-16 and a global
-//!   CRC-24 (the CRCs reuse `gsp-coding`'s 25.212 polynomials conceptually
-//!   but are implemented locally to keep this crate's dependency set
-//!   minimal);
+//!   CRC-24 (`gsp-coding`'s 25.212 byte CRC), parsed through the
+//!   workspace's one length-checked wire cursor;
 //! * [`fabric`] — the live device: power state, JTAG-like full
 //!   configuration, partial (per-frame) configuration, read-back, and a
 //!   functional model in which *essential* configuration bits determine

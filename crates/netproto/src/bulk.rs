@@ -6,10 +6,13 @@
 //! so, unlike TFTP, throughput scales with window size instead of paying
 //! one RTT per 512-byte block.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::ip::{IpAddr, IpPacket};
 use crate::sim::{Agent, Io};
 use crate::tcp::TcpConnection;
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 
 /// Simple integrity checksum over the file (FNV-1a 32).
 pub fn file_checksum(data: &[u8]) -> u32 {
@@ -111,31 +114,27 @@ impl BulkReceiver {
         }
     }
 
+    /// Parses `name_len u16 | name | size u32 | data | checksum u32`; a
+    /// partial envelope waits for more of the stream.
     fn try_parse(&mut self) {
-        if self.file.is_some() || self.buffer.len() < 2 {
+        if self.file.is_some() {
             return;
         }
-        let name_len = u16::from_be_bytes([self.buffer[0], self.buffer[1]]) as usize;
-        if self.buffer.len() < 2 + name_len + 4 {
+        let mut r = Reader::new(&self.buffer);
+        let Some(name_len) = r.u16() else {
             return;
-        }
+        };
+        let (Some(name), Some(size)) = (r.bytes(usize::from(name_len)), r.u32()) else {
+            return;
+        };
         if self.filename.is_none() {
-            self.filename =
-                Some(String::from_utf8_lossy(&self.buffer[2..2 + name_len]).into_owned());
+            self.filename = Some(String::from_utf8_lossy(name).into_owned());
         }
-        let size = u32::from_be_bytes(
-            self.buffer[2 + name_len..2 + name_len + 4]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let need = 2 + name_len + 4 + size + 4;
-        if self.buffer.len() < need {
+        let (Some(data), Some(want)) = (r.bytes(size as usize), r.u32()) else {
             return;
-        }
-        let data = self.buffer[2 + name_len + 4..2 + name_len + 4 + size].to_vec();
-        let want = u32::from_be_bytes(self.buffer[need - 4..need].try_into().unwrap());
-        if file_checksum(&data) == want {
-            self.file = Some(data);
+        };
+        if file_checksum(data) == want {
+            self.file = Some(data.to_vec());
         } else {
             self.checksum_failed = true;
         }

@@ -8,10 +8,12 @@
 //! for policy) — over UDP with an acknowledgement/retransmit wrapper (the
 //! express/question-response usage of §3.3).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::ip::{udp_packet, IpAddr, IpPacket, IpProto, UdpDatagram};
 use crate::sim::{Agent, Io};
-use crate::wire;
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 
 /// COPS-like port.
 pub const COPS_PORT: u16 = 3288;
@@ -40,15 +42,14 @@ impl PolicyDecision {
     }
 
     fn decode(raw: &[u8]) -> Option<Self> {
-        if raw.len() != 14 {
-            return None;
-        }
-        Some(PolicyDecision {
-            policy_id: wire::be_u32(raw, 0)?,
-            equipment: wire::be_u16(raw, 4)?,
-            design_id: wire::be_u32(raw, 6)?,
-            scrub_period_s: wire::be_u32(raw, 10)?,
-        })
+        let mut r = Reader::new(raw);
+        let d = PolicyDecision {
+            policy_id: r.u32()?,
+            equipment: r.u16()?,
+            design_id: r.u32()?,
+            scrub_period_s: r.u32()?,
+        };
+        r.rest().is_empty().then_some(d)
     }
 }
 
@@ -118,12 +119,10 @@ impl Agent for CopsPdp {
         let Some(udp) = UdpDatagram::decode(&ip.payload) else {
             return;
         };
-        if udp.payload.len() >= 6 && udp.payload[0] == OP_REPORT {
-            let Some(pid) = wire::be_u32(&udp.payload, 1) else {
-                return;
-            };
+        let mut r = Reader::new(&udp.payload);
+        if let (Some(OP_REPORT), Some(pid), Some(outcome)) = (r.u8(), r.u32(), r.u8()) {
             if pid == self.decision.policy_id {
-                self.report = Some(udp.payload[5] == 1);
+                self.report = Some(outcome == 1);
                 self.timer_gen += 1; // cancel retransmit
             }
         }
@@ -177,10 +176,11 @@ impl<F: FnMut(&PolicyDecision) -> bool> Agent for CopsPep<F> {
         let Some(udp) = UdpDatagram::decode(&ip.payload) else {
             return;
         };
-        if udp.payload.is_empty() || udp.payload[0] != OP_DECISION {
+        let mut r = Reader::new(&udp.payload);
+        if r.u8() != Some(OP_DECISION) {
             return;
         }
-        let Some(dec) = PolicyDecision::decode(&udp.payload[1..]) else {
+        let Some(dec) = PolicyDecision::decode(r.rest()) else {
             return;
         };
         if self.last_applied != Some(dec.policy_id) {

@@ -14,28 +14,18 @@
 //! Frames carry a CRC-16; the link simulator models corruption as loss,
 //! which is what a CRC-discarding receiver observes.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::sim::Io;
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
+use gsp_coding::{Crc, CrcKind};
 use gsp_telemetry::{Counter, Registry};
 use std::collections::VecDeque;
 
-/// CRC-16 (CCITT polynomial 0x1021, MSB-first) over the frame body — the
-/// frame error control field of the TC/TM transfer frame format.
-pub fn crc16(data: &[u8]) -> u16 {
-    const POLY: u32 = 0x1021;
-    let mut reg: u32 = 0;
-    for &byte in data {
-        for i in (0..8).rev() {
-            let b = ((byte >> i) & 1) as u32;
-            let fb = ((reg >> 15) & 1) ^ b;
-            reg = (reg << 1) & 0xFFFF;
-            if fb == 1 {
-                reg ^= POLY;
-            }
-        }
-    }
-    reg as u16
-}
+/// The frame error control field of the TC/TM transfer frame format:
+/// CRC-16 (polynomial 0x1021, MSB-first) over header and payload.
+const FECF: Crc = Crc::new(CrcKind::Crc16);
 
 /// Maximum payload bytes per transfer frame.
 pub const MAX_FRAME_PAYLOAD: usize = 1017;
@@ -68,8 +58,8 @@ fn encode_frame(vcid: u8, flags: u8, seq: u8, payload: &[u8]) -> Bytes {
     b.put_u8(seq);
     b.put_u16(payload.len() as u16);
     b.put_slice(payload);
-    let crc = crc16(&b);
-    b.put_u16(crc);
+    let crc = FECF.compute_bytes(&b);
+    b.put_u16(crc as u16);
     b.freeze()
 }
 
@@ -94,23 +84,17 @@ impl Frame {
 
     /// Parses and CRC-checks a frame. `None` = malformed/corrupt.
     pub fn decode(raw: &[u8]) -> Option<Frame> {
-        if raw.len() < FRAME_OVERHEAD {
+        let (body, fecf) = raw.split_at(raw.len().checked_sub(2)?);
+        if FECF.compute_bytes(body) != u32::from(Reader::new(fecf).u16()?) {
             return None;
         }
-        let body = &raw[..raw.len() - 2];
-        let crc = u16::from_be_bytes([raw[raw.len() - 2], raw[raw.len() - 1]]);
-        if crc16(body) != crc {
-            return None;
-        }
-        let len = u16::from_be_bytes([raw[3], raw[4]]) as usize;
-        if raw.len() != FRAME_OVERHEAD + len {
-            return None;
-        }
-        Some(Frame {
-            vcid: raw[0],
-            flags: raw[1],
-            seq: raw[2],
-            payload: Bytes::copy_from_slice(&raw[5..5 + len]),
+        let mut r = Reader::new(body);
+        let (vcid, flags, seq, len) = (r.u8()?, r.u8()?, r.u8()?, r.u16()?);
+        (r.rest().len() == usize::from(len)).then(|| Frame {
+            vcid,
+            flags,
+            seq,
+            payload: Bytes::copy_from_slice(r.rest()),
         })
     }
 

@@ -6,8 +6,10 @@
 //! is needed". Headers follow the real formats in spirit (version,
 //! protocol, ports, checksum) at reduced width.
 
-use crate::wire;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 
 /// Device addresses on the payload network.
 pub type IpAddr = u32;
@@ -82,22 +84,21 @@ impl IpPacket {
 
     /// Decodes and validates a packet.
     pub fn decode(raw: &[u8]) -> Option<IpPacket> {
-        if raw.len() < IP_HEADER || raw[0] != 4 {
+        let mut r = Reader::new(raw);
+        let header = r.bytes(IP_HEADER - 2)?;
+        if internet_checksum(header) != r.u16()? {
             return None;
         }
-        let len = u16::from_be_bytes([raw[2], raw[3]]) as usize;
-        if len != raw.len() {
-            return None;
-        }
-        let ck = u16::from_be_bytes([raw[12], raw[13]]);
-        if internet_checksum(&raw[..12]) != ck {
+        let mut h = Reader::new(header);
+        let (version, proto, len) = (h.u8()?, h.u8()?, h.u16()?);
+        if version != 4 || usize::from(len) != raw.len() {
             return None;
         }
         Some(IpPacket {
-            src: wire::be_u32(raw, 4)?,
-            dst: wire::be_u32(raw, 8)?,
-            proto: IpProto::from_code(raw[1])?,
-            payload: Bytes::copy_from_slice(raw.get(IP_HEADER..)?),
+            src: h.u32()?,
+            dst: h.u32()?,
+            proto: IpProto::from_code(proto)?,
+            payload: Bytes::copy_from_slice(r.rest()),
         })
     }
 }
@@ -145,17 +146,15 @@ impl UdpDatagram {
 
     /// Decodes a datagram.
     pub fn decode(raw: &[u8]) -> Option<UdpDatagram> {
-        if raw.len() < UDP_HEADER {
-            return None;
-        }
-        let len = u16::from_be_bytes([raw[4], raw[5]]) as usize;
-        if len != raw.len() {
+        let mut r = Reader::new(raw);
+        let (src_port, dst_port, len) = (r.u16()?, r.u16()?, r.u16()?);
+        if usize::from(len) != raw.len() {
             return None;
         }
         Some(UdpDatagram {
-            src_port: u16::from_be_bytes([raw[0], raw[1]]),
-            dst_port: u16::from_be_bytes([raw[2], raw[3]]),
-            payload: Bytes::copy_from_slice(&raw[UDP_HEADER..]),
+            src_port,
+            dst_port,
+            payload: Bytes::copy_from_slice(r.rest()),
         })
     }
 }

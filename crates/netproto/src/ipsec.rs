@@ -9,7 +9,10 @@
 //! packet layout, overhead, replay-window and key-mismatch behaviour the
 //! payload stack needs, nothing more (documented in DESIGN.md).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 
 /// ESP-like header/trailer overhead: spi(4) seq(4) tag(4).
 pub const ESP_OVERHEAD: usize = 12;
@@ -78,20 +81,17 @@ impl SecurityAssociation {
     /// Unwraps a protected payload. `None` on SPI mismatch, bad tag, or
     /// replay (sequence not newer than the highest seen).
     pub fn unprotect(&mut self, wire: &[u8]) -> Option<Vec<u8>> {
-        if wire.len() < ESP_OVERHEAD {
+        let cipher_len = wire.len().checked_sub(ESP_OVERHEAD)?;
+        let mut r = Reader::new(wire);
+        if r.u32()? != self.spi {
             return None;
         }
-        let spi = u32::from_be_bytes(wire[0..4].try_into().unwrap());
-        if spi != self.spi {
-            return None;
-        }
-        let seq = u32::from_be_bytes(wire[4..8].try_into().unwrap());
+        let seq = r.u32()?;
         if seq <= self.rx_high {
             return None; // replay
         }
-        let cipher = &wire[8..wire.len() - 4];
-        let tag = u32::from_be_bytes(wire[wire.len() - 4..].try_into().unwrap());
-        if self.tag(seq, cipher) != tag {
+        let cipher = r.bytes(cipher_len)?;
+        if self.tag(seq, cipher) != r.u32()? {
             return None;
         }
         self.rx_high = seq;

@@ -29,6 +29,9 @@
 //! a window closes mid-serialisation) frames are lost outright, and each
 //! window carries its own Doppler/elevation-derated channel.
 //!
+//! Every decoder reads through [`gsp_coding::wire::Reader`] and returns
+//! `None` on malformed input; frames carry [`gsp_coding::Crc`]'s CRC-16.
+//!
 //! ```
 //! use gsp_netproto::{simulate_transfer, LinkConfig, TransferProtocol};
 //!
@@ -55,7 +58,6 @@ pub mod scpsfp;
 pub mod sim;
 pub mod tcp;
 pub mod tftp;
-pub mod wire;
 
 pub use backoff::BackoffPolicy;
 pub use contact::{ContactSchedule, ContactWindow};

@@ -9,10 +9,12 @@
 //! No window ever stalls on the 250 ms RTT, and loss costs one repair
 //! round instead of a cwnd collapse.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::ip::{udp_packet, IpAddr, IpPacket, IpProto, UdpDatagram};
 use crate::sim::{Agent, Io};
-use crate::wire;
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 use std::collections::BTreeSet;
 
 /// Segment payload size.
@@ -135,26 +137,24 @@ impl Agent for ScpsFpSender {
         let Some(udp) = UdpDatagram::decode(&ip.payload) else {
             return;
         };
-        if udp.payload.is_empty() {
-            return;
-        }
-        match udp.payload[0] {
-            OP_NAK => {
-                let Some(n) = wire::be_u16(&udp.payload, 1) else {
+        let mut r = Reader::new(&udp.payload);
+        match r.u8() {
+            Some(OP_NAK) => {
+                let Some(n) = r.u16() else {
                     return;
                 };
                 self.repair_rounds += 1;
-                for k in 0..n as usize {
+                for _ in 0..n {
                     // A truncated NAK stops at the last whole index: the
                     // next EOF reprompt re-elicits whatever was cut off.
-                    let Some(idx) = wire::be_u32(&udp.payload, 3 + 4 * k) else {
+                    let Some(idx) = r.u32() else {
                         break;
                     };
                     self.send_segment(io, idx);
                 }
                 self.send_eof(io);
             }
-            OP_FIN => {
+            Some(OP_FIN) => {
                 self.done = true;
                 self.eof_timer_gen += 1;
             }
@@ -217,8 +217,9 @@ impl ScpsFpReceiver {
         if missing.is_empty() {
             if self.file.is_none() {
                 let mut out = Vec::with_capacity(self.expected_size);
-                for s in self.segments.iter().take(n as usize) {
-                    out.extend_from_slice(s.as_ref().unwrap());
+                // No segment below `n` is missing, so none is skipped.
+                for s in self.segments.iter().take(n as usize).flatten() {
+                    out.extend_from_slice(s);
                 }
                 out.truncate(self.expected_size);
                 self.file = Some(out);
@@ -257,15 +258,10 @@ impl Agent for ScpsFpReceiver {
         let Some(udp) = UdpDatagram::decode(&ip.payload) else {
             return;
         };
-        if udp.payload.is_empty() {
-            return;
-        }
-        match udp.payload[0] {
-            OP_DATA => {
-                // A successful u32 read at offset 1 guarantees the
-                // 5-byte header, so the slice below cannot be out of
-                // bounds.
-                let Some(idx) = wire::be_u32(&udp.payload, 1) else {
+        let mut r = Reader::new(&udp.payload);
+        match r.u8() {
+            Some(OP_DATA) => {
+                let Some(idx) = r.u32() else {
                     return;
                 };
                 let idx = idx as usize;
@@ -275,12 +271,10 @@ impl Agent for ScpsFpReceiver {
                 if idx >= self.segments.len() {
                     self.segments.resize(idx + 1, None);
                 }
-                self.segments[idx] = Some(udp.payload[5..].to_vec());
+                self.segments[idx] = Some(r.rest().to_vec());
             }
-            OP_EOF => {
-                let (Some(n), Some(size)) =
-                    (wire::be_u32(&udp.payload, 1), wire::be_u32(&udp.payload, 5))
-                else {
+            Some(OP_EOF) => {
+                let (Some(n), Some(size)) = (r.u32(), r.u32()) else {
                     return;
                 };
                 if n as usize > MAX_SEGMENTS {

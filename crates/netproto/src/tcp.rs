@@ -8,10 +8,12 @@
 //! mechanism…)"), cumulative ACKs, go-back-N retransmission on timeout,
 //! and a simplified FIN close.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::ip::{IpAddr, IpPacket, IpProto};
 use crate::sim::Io;
-use crate::wire;
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 use gsp_telemetry::{Counter, Registry};
 use std::collections::VecDeque;
 
@@ -55,17 +57,16 @@ impl Segment {
 
     /// Decodes a segment.
     pub fn decode(raw: &[u8]) -> Option<Segment> {
-        let len = wire::be_u16(raw, 13)? as usize;
-        if raw.len() != TCP_HEADER + len {
-            return None;
-        }
-        Some(Segment {
-            src_port: wire::be_u16(raw, 0)?,
-            dst_port: wire::be_u16(raw, 2)?,
-            seq: wire::be_u32(raw, 4)?,
-            ack: wire::be_u32(raw, 8)?,
-            flags: wire::byte(raw, 12)?,
-            payload: Bytes::copy_from_slice(raw.get(TCP_HEADER..)?),
+        let mut r = Reader::new(raw);
+        let (src_port, dst_port) = (r.u16()?, r.u16()?);
+        let (seq, ack, flags, len) = (r.u32()?, r.u32()?, r.u8()?, r.u16()?);
+        (r.rest().len() == usize::from(len)).then(|| Segment {
+            src_port,
+            dst_port,
+            seq,
+            ack,
+            flags,
+            payload: Bytes::copy_from_slice(r.rest()),
         })
     }
 }

@@ -7,10 +7,13 @@
 //! the set-up or the test phases." Experiment E4 quantifies exactly that
 //! over the GEO link.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::backoff::BackoffPolicy;
 use crate::ip::{udp_packet, IpAddr, IpPacket, IpProto, UdpDatagram};
 use crate::sim::{Agent, Io};
 use bytes::{BufMut, Bytes, BytesMut};
+use gsp_coding::wire::Reader;
 use gsp_telemetry::{Counter, Registry};
 
 /// TFTP data block size (RFC 1350).
@@ -233,11 +236,10 @@ impl Agent for TftpWriter {
         let Some(udp) = UdpDatagram::decode(&ip.payload) else {
             return;
         };
-        if udp.payload.len() < 4 {
+        let mut r = Reader::new(&udp.payload);
+        let (Some(op), Some(blk)) = (r.u16(), r.u16()) else {
             return;
-        }
-        let op = u16::from_be_bytes([udp.payload[0], udp.payload[1]]);
-        let blk = u16::from_be_bytes([udp.payload[2], udp.payload[3]]);
+        };
         if op == OP_ACK && blk == self.block {
             if self.block == self.total_blocks() {
                 self.done = true;
@@ -313,16 +315,15 @@ impl Agent for TftpServer {
         let Some(udp) = UdpDatagram::decode(&ip.payload) else {
             return;
         };
-        if udp.dst_port != TFTP_PORT || udp.payload.len() < 2 {
+        if udp.dst_port != TFTP_PORT {
             return;
         }
-        let op = u16::from_be_bytes([udp.payload[0], udp.payload[1]]);
-        match op {
-            OP_WRQ => {
+        let mut r = Reader::new(&udp.payload);
+        match r.u16() {
+            Some(OP_WRQ) => {
                 if self.filename.is_none() {
-                    let rest = &udp.payload[2..];
-                    let name_end = rest.iter().position(|&b| b == 0).unwrap_or(rest.len());
-                    self.filename = Some(String::from_utf8_lossy(&rest[..name_end]).into_owned());
+                    let name = r.rest().split(|&b| b == 0).next().unwrap_or_default();
+                    self.filename = Some(String::from_utf8_lossy(name).into_owned());
                     self.expected_block = 1;
                 }
                 // (Re-)acknowledge the request.
@@ -334,12 +335,11 @@ impl Agent for TftpServer {
                     msg_ack(0),
                 ));
             }
-            OP_DATA => {
-                if udp.payload.len() < 4 {
+            Some(OP_DATA) => {
+                let Some(blk) = r.u16() else {
                     return;
-                }
-                let blk = u16::from_be_bytes([udp.payload[2], udp.payload[3]]);
-                let data = &udp.payload[4..];
+                };
+                let data = r.rest();
                 if blk == self.expected_block {
                     self.received.extend_from_slice(data);
                     self.expected_block += 1;

@@ -7,6 +7,7 @@
 use crate::switch::{BasebandPacket, PacketSwitch};
 use gsp_channel::twta::SalehTwta;
 use gsp_coding::bits::{pack_bits, unpack_bits_into};
+use gsp_coding::wire::Reader;
 use gsp_coding::{ConvCode, ConvEncoder, Crc, CrcKind, ViterbiDecoder};
 use gsp_dsp::Cpx;
 use gsp_modem::framing::BurstFormat;
@@ -203,16 +204,13 @@ impl GroundReceiver {
             return None;
         };
         let bytes = pack_bits(info);
-        if bytes.len() < DownlinkConfig::HEADER_BYTES {
-            return None;
-        }
-        let source = u16::from_be_bytes([bytes[0], bytes[1]]);
-        let beam = bytes[2];
-        let len = (bytes[3] as usize).min(self.config.packet_bytes);
+        let mut r = Reader::new(&bytes);
+        let (source, beam, len) = (r.u16()?, r.u8()?, r.u8()?);
+        let len = usize::from(len).min(self.config.packet_bytes);
         Some(DownlinkPacket {
             source,
             beam,
-            data: bytes[4..4 + len].to_vec(),
+            data: r.bytes(len)?.to_vec(),
         })
     }
 }

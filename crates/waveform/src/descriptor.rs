@@ -8,6 +8,9 @@
 //! "configure from validated profile" rule: a corrupted or truncated
 //! upload is rejected *before* the running carrier is touched.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use gsp_coding::wire::Reader;
 use gsp_fpga::bitstream::Bitstream;
 use gsp_fpga::device::FpgaDevice;
 use gsp_modem::complexity::ModemPersonality;
@@ -147,32 +150,30 @@ impl WaveformDescriptor {
     /// Parses and validates a wire form; every failure names the field
     /// that broke so the ground segment's reject telemetry is useful.
     pub fn from_wire(wire: &[u8]) -> Result<Self, DescriptorError> {
+        use DescriptorError::*;
         // 4 magic + 20 fixed fields + empty name + 4 checksum.
         if wire.len() < 28 {
-            return Err(DescriptorError::Truncated);
+            return Err(Truncated);
         }
-        let (body, sum_bytes) = wire.split_at(wire.len() - 4);
-        let sum = u32::from_be_bytes(sum_bytes.try_into().expect("4 checksum bytes"));
-        if fletcher32(body) != sum {
-            return Err(DescriptorError::Checksum);
+        let (body, sum) = wire.split_at(wire.len() - 4);
+        if Reader::new(sum).u32() != Some(fletcher32(body)) {
+            return Err(Checksum);
         }
-        if &body[..MAGIC.len()] != MAGIC {
-            return Err(DescriptorError::BadMagic);
+        let mut r = Reader::new(body);
+        if r.bytes(MAGIC.len()) != Some(&MAGIC[..]) {
+            return Err(BadMagic);
         }
-        let f = &body[MAGIC.len()..];
-        let be16 = |i: usize| u16::from_be_bytes([f[i], f[i + 1]]);
-        let version = (be16(0), be16(2));
-        let kind = WaveformKind::from_code(f[4]).ok_or(DescriptorError::UnknownKind(f[4]))?;
-        let carriers = be16(5);
-        let info_bits = be16(7);
-        let esn0_cdb = i16::from_be_bytes([f[9], f[10]]);
-        let frame_ns = u64::from_be_bytes(f[11..19].try_into().expect("8 frame_ns bytes"));
-        let name_len = f[19] as usize;
-        if f.len() != 20 + name_len {
-            return Err(DescriptorError::Truncated);
+        let version = (r.u16().ok_or(Truncated)?, r.u16().ok_or(Truncated)?);
+        let code = r.u8().ok_or(Truncated)?;
+        let kind = WaveformKind::from_code(code).ok_or(UnknownKind(code))?;
+        let (carriers, info_bits) = (r.u16().ok_or(Truncated)?, r.u16().ok_or(Truncated)?);
+        let (esn0_cdb, frame_ns) = (r.i16().ok_or(Truncated)?, r.u64().ok_or(Truncated)?);
+        let name_len = r.u8().ok_or(Truncated)?;
+        if r.rest().len() != usize::from(name_len) {
+            return Err(Truncated);
         }
-        let name = std::str::from_utf8(&f[20..20 + name_len])
-            .map_err(|_| DescriptorError::BadName)?
+        let name = std::str::from_utf8(r.rest())
+            .map_err(|_| BadName)?
             .to_string();
         let d = WaveformDescriptor {
             name,

@@ -1,13 +1,20 @@
-//! Fuzz-style robustness tests for every `gsp-netproto` frame decoder
-//! (satellite of the ground-contact PR).
+//! Fuzz-style robustness tests for the decoders of untrusted bytes:
+//! every `gsp-netproto` frame decoder and the payload's uplink and
+//! downlink records.
 //!
 //! Two layers:
 //!
 //! 1. **Pure decoders** — `Frame::decode`, `tcp::Segment::decode`,
-//!    `IpPacket::decode`, `UdpDatagram::decode` — fed random byte
-//!    soup, truncated prefixes of valid encodings, and single-byte
-//!    mutations. The contract is error-not-panic: malformed input
-//!    yields `None`, never an out-of-bounds slice or unwrap.
+//!    `IpPacket::decode`, `UdpDatagram::decode`,
+//!    `SecurityAssociation::unprotect`, `housekeeping::decode_frame`,
+//!    `ops::decode_tc`/`decode_tm`, `Bitstream::deserialise` and
+//!    `WaveformDescriptor::from_wire` — fed random byte soup, every
+//!    strict prefix of valid encodings, and single-bit mutations. The
+//!    contract is error-not-panic: malformed input yields `None` (or the
+//!    decoder's error), never an out-of-bounds slice or unwrap. A flipped
+//!    housekeeping frame is always rejected (its CRC-24 catches every
+//!    single-bit error); a flipped TC/TM PDU, which has no CRC of its own
+//!    (the N1 frame carries it), either decodes or is rejected.
 //!
 //! 2. **Agents in a live `Sim`** — TFTP server/writer, SCPS-FP
 //!    sender/receiver, COPS PDP/PEP — facing a `Blaster` peer that
@@ -21,17 +28,125 @@
 //! pass, the resumed transfer ends byte-exact.
 
 use bytes::Bytes;
+use gsp_core::{housekeeping, ops};
 use gsp_fdir::recovery::ReconfigUplink;
+use gsp_fpga::bitstream::{Bitstream, BitstreamError};
 use gsp_netproto::cops::{CopsPdp, CopsPep, PolicyDecision, COPS_PORT};
 use gsp_netproto::frames::Frame;
 use gsp_netproto::ip::{udp_packet, IpPacket, UdpDatagram, ADDR_NCC, ADDR_OBPC};
+use gsp_netproto::ipsec::SecurityAssociation;
 use gsp_netproto::scpsfp::{ScpsFpReceiver, ScpsFpSender, SCPS_PORT};
 use gsp_netproto::tcp::Segment;
 use gsp_netproto::tftp::{TftpServer, TftpWriter, TFTP_PORT};
 use gsp_netproto::{Agent, BackoffPolicy, ContactSchedule, ContactWindow, Io, LinkConfig, Sim};
+use gsp_payload::platform::{Telecommand, Telemetry};
+use gsp_telemetry::Registry;
+use gsp_waveform::WaveformDescriptor;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- pure decoders
+
+const SPI: u32 = 0x1001;
+const KEY: u64 = 0xDEAD_BEEF_CAFE_F00D;
+
+/// A housekeeping frame whose metrics are drawn from `seed`.
+fn hk_frame(seed: &[u8]) -> Vec<u8> {
+    let reg = Registry::new();
+    reg.counter("payload.frames").add(seed.len() as u64);
+    reg.gauge("payload.workers")
+        .set(f64::from(seed.first().copied().unwrap_or(0)));
+    let h = reg.histogram_ns("payload.demod.ns");
+    for &b in seed.iter().take(16) {
+        h.record(1_000 * u64::from(b) + 1);
+    }
+    housekeeping::encode_frame(&reg.snapshot())
+}
+
+fn name_of(data: &[u8]) -> String {
+    String::from_utf8_lossy(data).chars().take(12).collect()
+}
+
+/// One encoded telecommand of every shape, its fields drawn from `data`.
+fn tc_pdus(data: &[u8]) -> Vec<Bytes> {
+    let name = name_of(data);
+    [
+        Telecommand::StoreBitstream {
+            name: name.clone(),
+            data: data.to_vec(),
+        },
+        Telecommand::Reconfigure {
+            equipment: data.len(),
+            name: name.clone(),
+        },
+        Telecommand::Validate { equipment: 3 },
+        Telecommand::DropBitstream { name },
+        Telecommand::StatusRequest { equipment: 0 },
+    ]
+    .iter()
+    .map(ops::encode_tc)
+    .collect()
+}
+
+/// One encoded telemetry item of every shape, its fields drawn from
+/// `data`.
+fn tm_pdus(data: &[u8]) -> Vec<Bytes> {
+    let name = name_of(data);
+    [
+        Telemetry::BitstreamStored {
+            name: name.clone(),
+            bytes: data.len(),
+        },
+        Telemetry::ReconfigDone {
+            equipment: 3,
+            crc24: 0xABCDEF,
+            success: true,
+            interruption_ns: data.len() as u64,
+        },
+        Telemetry::ValidationReport {
+            equipment: 1,
+            crc_ok: true,
+            crc24: 7,
+        },
+        Telemetry::CommandFailed { reason: name },
+        Telemetry::Status {
+            equipment: 2,
+            running: true,
+            design_id: Some(0x07D6),
+        },
+        Telemetry::Housekeeping {
+            frame: data.to_vec(),
+        },
+    ]
+    .iter()
+    .map(ops::encode_tm)
+    .collect()
+}
+
+/// A bitstream of 8-byte frames cut from `data` (zero-padded; at least
+/// one frame).
+fn bitstream_of(data: &[u8]) -> Bitstream {
+    let mut frames: Vec<Vec<u8>> = data
+        .chunks(8)
+        .map(|c| {
+            let mut f = c.to_vec();
+            f.resize(8, 0);
+            f
+        })
+        .collect();
+    if frames.is_empty() {
+        frames.push(vec![0; 8]);
+    }
+    Bitstream::new(data.len() as u32, "fuzz-device", frames)
+}
+
+/// A descriptor whose carrier count and name are drawn from `data`.
+fn descriptor_of(data: &[u8]) -> WaveformDescriptor {
+    WaveformDescriptor {
+        name: format!("wf-{}", data.len()),
+        carriers: 1 + (data.len() % 64) as u16,
+        ..WaveformDescriptor::mf_tdma()
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -44,6 +159,16 @@ proptest! {
         let _ = Segment::decode(&raw);
         let _ = IpPacket::decode(&raw);
         let _ = UdpDatagram::decode(&raw);
+        let _ = housekeeping::decode_frame(&raw);
+        let _ = ops::decode_tc(&raw);
+        let _ = ops::decode_tm(&raw);
+        let _ = Bitstream::deserialise(&raw);
+        let _ = WaveformDescriptor::from_wire(&raw);
+        let _ = SecurityAssociation::new(SPI, KEY).unprotect(&raw);
+        // An SA whose SPI matches the soup reaches the sequence and tag
+        // checks.
+        let spi = raw.iter().take(4).fold(0u32, |a, &b| (a << 8) | u32::from(b));
+        let _ = SecurityAssociation::new(spi, KEY).unprotect(&raw);
     }
 
     /// Every strict prefix of a valid frame must be rejected (the
@@ -73,12 +198,33 @@ proptest! {
         pos in 0usize..4096,
         bit in 0u8..8,
     ) {
-        let frame = Frame { vcid: 3, flags: 0, seq: 9, payload: Bytes::from(payload) };
-        let mut bytes = frame.encode().to_vec();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= 1 << bit;
+        let flip = |mut bytes: Vec<u8>| {
+            let at = pos % bytes.len();
+            bytes[at] ^= 1 << bit;
+            bytes
+        };
+        let frame = Frame { vcid: 3, flags: 0, seq: 9, payload: Bytes::from(payload.clone()) };
+        let bytes = flip(frame.encode().to_vec());
         if let Some(f) = Frame::decode(&bytes) {
             prop_assert_eq!(f.encode().len(), bytes.len());
+        }
+
+        // CRC-24 catches every single-bit error in a housekeeping frame.
+        prop_assert_eq!(housekeeping::decode_frame(&flip(hk_frame(&payload))), None);
+
+        // A TC/TM PDU has no CRC of its own: a flip may decode to another
+        // command, but the decoder never reads past what it was given.
+        for pdu in tc_pdus(&payload) {
+            let bytes = flip(pdu.to_vec());
+            if let Some(tc) = ops::decode_tc(&bytes) {
+                prop_assert!(ops::encode_tc(&tc).len() <= bytes.len());
+            }
+        }
+        for pdu in tm_pdus(&payload) {
+            let bytes = flip(pdu.to_vec());
+            if let Some(tm) = ops::decode_tm(&bytes) {
+                prop_assert!(ops::encode_tm(&tm).len() <= bytes.len());
+            }
         }
     }
 
@@ -101,9 +247,39 @@ proptest! {
         prop_assert_eq!(Segment::decode(&enc).as_ref(), Some(&seg));
         prop_assert_eq!(Segment::decode(&enc[..cut % enc.len()]), None);
 
-        let pkt = udp_packet(ADDR_NCC, ADDR_OBPC, 5, 6, Bytes::from(payload));
+        let pkt = udp_packet(ADDR_NCC, ADDR_OBPC, 5, 6, Bytes::from(payload.clone()));
         prop_assert!(IpPacket::decode(&pkt).is_some());
         prop_assert_eq!(IpPacket::decode(&pkt[..cut % pkt.len()]), None);
+
+        let mut tx = SecurityAssociation::new(SPI, KEY);
+        let mut rx = SecurityAssociation::new(SPI, KEY);
+        let esp = tx.protect(&payload);
+        prop_assert_eq!(rx.unprotect(&esp[..cut % esp.len()]), None);
+        prop_assert_eq!(rx.unprotect(&esp), Some(payload.clone()));
+
+        let hk = hk_frame(&payload);
+        prop_assert!(housekeeping::decode_frame(&hk).is_some());
+        prop_assert_eq!(housekeeping::decode_frame(&hk[..cut % hk.len()]), None);
+
+        for pdu in tc_pdus(&payload) {
+            prop_assert_eq!(ops::decode_tc(&pdu[..cut % pdu.len()]), None);
+        }
+        for pdu in tm_pdus(&payload) {
+            prop_assert_eq!(ops::decode_tm(&pdu[..cut % pdu.len()]), None);
+        }
+
+        let bs = bitstream_of(&payload);
+        let wire = bs.serialise();
+        prop_assert_eq!(Bitstream::deserialise(&wire).as_ref(), Ok(&bs));
+        prop_assert_eq!(
+            Bitstream::deserialise(&wire[..cut % wire.len()]),
+            Err(BitstreamError::Truncated)
+        );
+
+        let d = descriptor_of(&payload);
+        let wire = d.to_wire();
+        prop_assert_eq!(WaveformDescriptor::from_wire(&wire).as_ref(), Ok(&d));
+        prop_assert!(WaveformDescriptor::from_wire(&wire[..cut % wire.len()]).is_err());
     }
 }
 
