@@ -61,11 +61,6 @@ impl Crc {
         Crc { kind }
     }
 
-    /// The CRC length in bits.
-    pub fn parity_len(&self) -> usize {
-        self.kind.len()
-    }
-
     /// Computes the parity bits (MSB first, i.e. D^{L−1} coefficient first)
     /// for the message bits, per the 25.212 systematic-division definition.
     pub fn compute(&self, bits: &[u8]) -> Vec<u8> {

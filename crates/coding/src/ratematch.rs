@@ -54,16 +54,6 @@ impl RateMatcher {
         RateMatcher { n_in, n_out, map }
     }
 
-    /// Input length.
-    pub fn input_len(&self) -> usize {
-        self.n_in
-    }
-
-    /// Output length.
-    pub fn output_len(&self) -> usize {
-        self.n_out
-    }
-
     /// Applies the pattern to coded bits (or symbols).
     pub fn apply<T: Copy>(&self, input: &[T], out: &mut Vec<T>) {
         assert_eq!(input.len(), self.n_in);

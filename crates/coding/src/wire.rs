@@ -59,6 +59,12 @@ impl<'a> Reader<'a> {
     pub fn rest(&self) -> &'a [u8] {
         self.rest
     }
+
+    /// `Some` only when every byte has been read: a decoder ends with
+    /// this so a padded or spliced PDU is refused, not half-read.
+    pub fn finish(self) -> Option<()> {
+        self.rest.is_empty().then_some(())
+    }
 }
 
 #[cfg(test)]
@@ -78,6 +84,7 @@ mod tests {
         assert_eq!(r.u64(), Some(0x100));
         assert_eq!(r.bytes(1), Some(&[0xAA][..]));
         assert!(r.rest().is_empty());
+        assert_eq!(r.finish(), Some(()));
         assert_eq!(Reader::new(&raw[1..]).u32(), Some(0x0203_0405));
     }
 
@@ -97,5 +104,6 @@ mod tests {
         assert_eq!(r.u8(), None);
         assert_eq!(r.bytes(0), Some(&[][..]));
         assert_eq!(Reader::new(&[]).u8(), None);
+        assert_eq!(Reader::new(&raw).finish(), None);
     }
 }

@@ -65,26 +65,28 @@ pub fn encode_tc(tc: &Telecommand) -> Bytes {
 /// Decodes a telecommand PDU.
 pub fn decode_tc(data: &[u8]) -> Option<Telecommand> {
     let mut r = Reader::new(data);
-    match r.u8()? {
-        1 => Some(Telecommand::StoreBitstream {
+    let tc = match r.u8()? {
+        1 => Telecommand::StoreBitstream {
             name: String::from_utf8(get_bytes(&mut r)?).ok()?,
             data: get_bytes(&mut r)?,
-        }),
-        2 => Some(Telecommand::Reconfigure {
+        },
+        2 => Telecommand::Reconfigure {
             equipment: usize::from(r.u16()?),
             name: String::from_utf8(get_bytes(&mut r)?).ok()?,
-        }),
-        3 => Some(Telecommand::Validate {
+        },
+        3 => Telecommand::Validate {
             equipment: usize::from(r.u16()?),
-        }),
-        4 => Some(Telecommand::DropBitstream {
+        },
+        4 => Telecommand::DropBitstream {
             name: String::from_utf8(get_bytes(&mut r)?).ok()?,
-        }),
-        5 => Some(Telecommand::StatusRequest {
+        },
+        5 => Telecommand::StatusRequest {
             equipment: usize::from(r.u16()?),
-        }),
-        _ => None,
-    }
+        },
+        _ => return None,
+    };
+    r.finish()?;
+    Some(tc)
 }
 
 /// Encodes a telemetry item as a PDU.
@@ -144,35 +146,37 @@ pub fn encode_tm(tm: &Telemetry) -> Bytes {
 /// Decodes a telemetry PDU.
 pub fn decode_tm(data: &[u8]) -> Option<Telemetry> {
     let mut r = Reader::new(data);
-    match r.u8()? {
-        1 => Some(Telemetry::BitstreamStored {
+    let tm = match r.u8()? {
+        1 => Telemetry::BitstreamStored {
             name: String::from_utf8(get_bytes(&mut r)?).ok()?,
             bytes: r.u32()? as usize,
-        }),
-        2 => Some(Telemetry::ReconfigDone {
+        },
+        2 => Telemetry::ReconfigDone {
             equipment: usize::from(r.u16()?),
             crc24: r.u32()?,
             success: r.u8()? == 1,
             interruption_ns: r.u64()?,
-        }),
-        3 => Some(Telemetry::ValidationReport {
+        },
+        3 => Telemetry::ValidationReport {
             equipment: usize::from(r.u16()?),
             crc_ok: r.u8()? == 1,
             crc24: r.u32()?,
-        }),
-        4 => Some(Telemetry::CommandFailed {
+        },
+        4 => Telemetry::CommandFailed {
             reason: String::from_utf8(get_bytes(&mut r)?).ok()?,
-        }),
-        5 => Some(Telemetry::Status {
+        },
+        5 => Telemetry::Status {
             equipment: usize::from(r.u16()?),
             running: r.u8()? == 1,
             design_id: (r.u8()? == 1).then_some(r.u32()?),
-        }),
-        6 => Some(Telemetry::Housekeeping {
+        },
+        6 => Telemetry::Housekeeping {
             frame: get_bytes(&mut r)?,
-        }),
-        _ => None,
-    }
+        },
+        _ => return None,
+    };
+    r.finish()?;
+    Some(tm)
 }
 
 /// The NCC end of the operations link.
@@ -317,9 +321,9 @@ mod tests {
         Obpc::new(OnboardMemory::new(8 << 20, true), standard_payload())
     }
 
-    #[test]
-    fn tc_tm_codecs_roundtrip() {
-        let tcs = vec![
+    /// One telecommand of every kind.
+    fn sample_tcs() -> Vec<Telecommand> {
+        vec![
             Telecommand::StoreBitstream {
                 name: "a.bit".into(),
                 data: vec![1, 2, 3, 255],
@@ -331,11 +335,12 @@ mod tests {
             Telecommand::Validate { equipment: 4 },
             Telecommand::DropBitstream { name: "x".into() },
             Telecommand::StatusRequest { equipment: 0 },
-        ];
-        for tc in tcs {
-            assert_eq!(decode_tc(&encode_tc(&tc)), Some(tc));
-        }
-        let tms = vec![
+        ]
+    }
+
+    /// One telemetry item of every kind (and both `Status` shapes).
+    fn sample_tms() -> Vec<Telemetry> {
+        vec![
             Telemetry::BitstreamStored {
                 name: "a.bit".into(),
                 bytes: 12345,
@@ -367,9 +372,36 @@ mod tests {
             Telemetry::Housekeeping {
                 frame: crate::housekeeping::encode_frame(&Default::default()),
             },
-        ];
-        for tm in tms {
+        ]
+    }
+
+    #[test]
+    fn tc_tm_codecs_roundtrip() {
+        for tc in sample_tcs() {
+            assert_eq!(decode_tc(&encode_tc(&tc)), Some(tc));
+        }
+        for tm in sample_tms() {
             assert_eq!(decode_tm(&encode_tm(&tm)), Some(tm));
+        }
+    }
+
+    #[test]
+    fn pdus_with_trailing_bytes_are_refused() {
+        assert_eq!(decode_tc(&[3, 0, 4, 0xFF, 0xEE]), None);
+        let report = encode_tm(&Telemetry::ValidationReport {
+            equipment: 3,
+            crc_ok: true,
+            crc24: 7,
+        });
+        assert_eq!(report.len(), 8);
+        assert_eq!(decode_tm(&[&report[..], &[0]].concat()), None);
+        for tc in sample_tcs() {
+            let padded = [&encode_tc(&tc)[..], &[0]].concat();
+            assert_eq!(decode_tc(&padded), None, "{tc:?}");
+        }
+        for tm in sample_tms() {
+            let padded = [&encode_tm(&tm)[..], &[0]].concat();
+            assert_eq!(decode_tm(&padded), None, "{tm:?}");
         }
     }
 

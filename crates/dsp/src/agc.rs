@@ -44,12 +44,6 @@ impl Agc {
             .clamp(self.min_gain, self.max_gain)
     }
 
-    /// Current power estimate.
-    #[inline]
-    pub fn power_estimate(&self) -> f64 {
-        self.power
-    }
-
     /// Processes one sample: updates the estimate and returns the scaled
     /// sample.
     #[inline]

@@ -53,12 +53,6 @@ impl Nco {
         self.phase = wrap_angle(self.phase + dphi);
     }
 
-    /// Adjusts the per-sample step by `dstep` radians (frequency corrections).
-    #[inline]
-    pub fn adjust_step(&mut self, dstep: f64) {
-        self.step += dstep;
-    }
-
     /// Produces the next oscillator sample.
     #[inline]
     pub fn tick(&mut self) -> Cpx {

@@ -284,7 +284,7 @@ impl CdmaReceiver {
         let (peak_idx, &peak) = powers
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())?;
+            .max_by(|a, b| a.1.total_cmp(b.1))?;
         let guard = self.config.sps;
         let mut floor = 0.0;
         let mut n_floor = 0usize;
@@ -411,6 +411,17 @@ mod tests {
             "peak/floor {}",
             res.acquisition.metric
         );
+    }
+
+    #[test]
+    fn a_nan_sample_does_not_panic_the_receiver() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let cfg = config();
+        let tx = CdmaTransmitter::new(cfg.clone());
+        let mut rx = CdmaReceiver::new(cfg.clone());
+        let mut wave = tx.transmit(&random_bits(cfg.payload_bits(), &mut rng));
+        wave[40] = Cpx::new(f64::NAN, 0.0);
+        let _ = rx.demodulate(&wave, 64);
     }
 
     #[test]

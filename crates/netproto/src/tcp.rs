@@ -120,7 +120,6 @@ pub struct TcpConnection {
     // Receive side.
     rcv_nxt: u32,
     delivered: Vec<u8>,
-    peer_fin: bool,
 }
 
 impl TcpConnection {
@@ -183,7 +182,6 @@ impl TcpConnection {
             tel_timeouts: Counter::noop(),
             rcv_nxt: 0,
             delivered: Vec::new(),
-            peer_fin: false,
         }
     }
 
@@ -209,11 +207,6 @@ impl TcpConnection {
         std::mem::take(&mut self.delivered)
     }
 
-    /// `true` when the peer closed and all its data was delivered.
-    pub fn peer_closed(&self) -> bool {
-        self.peer_fin
-    }
-
     /// `true` when the connection tear-down completed.
     pub fn is_done(&self) -> bool {
         self.state == TcpState::Done
@@ -222,11 +215,6 @@ impl TcpConnection {
     /// `true` once established.
     pub fn is_established(&self) -> bool {
         self.state == TcpState::Established
-    }
-
-    /// All submitted data acknowledged?
-    pub fn send_drained(&self) -> bool {
-        self.snd_buf.is_empty()
     }
 
     fn emit(&self, io: &mut Io, seg: Segment) {
@@ -444,7 +432,6 @@ impl TcpConnection {
                     }
                 }
                 if seg.flags & FLAG_FIN != 0 {
-                    self.peer_fin = true;
                     self.rcv_nxt = seg.seq.wrapping_add(1);
                     let fin_ack = Segment {
                         src_port: self.local_port,

@@ -72,15 +72,6 @@ impl TransponderSim {
         self.engine.set_telemetry(registry);
     }
 
-    /// The uplink engine, mutably — the hot-swap controller's hook for
-    /// quiescing the carrier at a frame boundary and replaying buffered
-    /// ingress ([`PipelineEngine::quiesce`] /
-    /// [`PipelineEngine::preload_ingress`]) on a transponder it does not
-    /// own outright.
-    pub fn engine_mut(&mut self) -> &mut PipelineEngine {
-        &mut self.engine
-    }
-
     /// Runs one frame through the whole regenerative transponder.
     pub fn run_frame(&mut self, seed: u64) -> TransponderReport {
         let cfg = &self.cfg;

@@ -67,23 +67,6 @@ pub struct LatchupOutcome {
     pub survived_s: f64,
 }
 
-impl LatchupOutcome {
-    /// Records this outcome's counters — `radiation.latchup.events`,
-    /// `radiation.latchup.recovered` and `radiation.latchup.burnouts` —
-    /// on `registry`. Purely additive: the outcome is not modified.
-    pub fn record_telemetry(&self, registry: &gsp_telemetry::Registry) {
-        registry
-            .counter("radiation.latchup.events")
-            .add(self.events);
-        registry
-            .counter("radiation.latchup.recovered")
-            .add(self.recovered);
-        registry
-            .counter("radiation.latchup.burnouts")
-            .add(self.burned_out as u64);
-    }
-}
-
 /// Replays an explicit latch-up event sequence: `(arrival_s, burnout)`
 /// pairs over a `window_s` mission. This is the accounting core of
 /// [`simulate_mission`], split out so detection/power-cycle bookkeeping

@@ -561,11 +561,6 @@ impl TrafficEngine {
         self.switch.note_edac_correction(beam);
     }
 
-    /// EDAC corrections recorded against `beam`'s switch queue memory.
-    pub fn switch_edac_corrected(&self, beam: usize) -> u64 {
-        self.switch.edac_corrected(beam)
-    }
-
     /// Routes one granted packet under the current outage postures:
     /// healthy beam → straight into the switch; outaged beam → reroute to
     /// the backup if the class qualifies and the backup is up, shed

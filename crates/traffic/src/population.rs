@@ -198,11 +198,6 @@ impl Population {
         self.aggregates.len()
     }
 
-    /// The QoS class of the aggregate at `position`.
-    pub fn aggregate_class(&self, position: usize) -> usize {
-        self.aggregates[position].class
-    }
-
     /// The distinct global uplink beams served here, ascending.
     pub fn home_beams(&self) -> Vec<u64> {
         let mut beams: Vec<u64> = self

@@ -1,7 +1,8 @@
-//! The [`Waveform`] component trait and its STRS-style lifecycle.
+//! The STRS-style lifecycle of a [`Waveform`](crate::Waveform): its
+//! states, its errors and the report of one processed frame.
 //!
 //! STRS structures a radio application as a component the infrastructure
-//! drives through a fixed life: *instantiate* (the factory call),
+//! drives through a fixed life: *instantiate* (the registry load),
 //! *configure* (allocate and parameterise the processing state),
 //! *run* (enter the live state), *deactivate* (quiesce at a frame
 //! boundary, state preserved), *teardown* (release everything). The
@@ -9,8 +10,6 @@
 //! is an error, never a silent no-op, because the hot-swap controller
 //! leans on the transitions to prove the old personality is still
 //! rollback-able until the new one has earned its confidence window.
-
-use crate::descriptor::WaveformDescriptor;
 
 /// Where a component is in its life.
 ///
@@ -20,7 +19,7 @@ use crate::descriptor::WaveformDescriptor;
 /// state and can resume exactly where it stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LifecycleState {
-    /// Factory-built; descriptor accepted, no processing state yet.
+    /// Registry-loaded; descriptor accepted, no processing state yet.
     Instantiated,
     /// Processing state allocated and parameterised.
     Configured,
@@ -85,66 +84,5 @@ impl WaveformFrameReport {
     /// Every carrier acquired, zero errors, zero CRC failures.
     pub fn clean(&self) -> bool {
         self.acquired == self.carriers && self.bit_errors == 0 && self.crc_failures == 0
-    }
-}
-
-/// A lifecycle-managed waveform component.
-///
-/// Instantiation is the registry factory call; everything after is a
-/// method. `step` must be a pure function of the component state and
-/// `(seed, tick)` — no wall clock, no ambient randomness — which is what
-/// lets a rolled-back swap replay buffered ticks and land bitwise on the
-/// never-swapped history.
-pub trait Waveform {
-    /// The descriptor this component was instantiated from.
-    fn descriptor(&self) -> &WaveformDescriptor;
-
-    /// Current lifecycle state.
-    fn state(&self) -> LifecycleState;
-
-    /// `Instantiated → Configured`: allocate and parameterise the
-    /// processing state. Returns the modelled configuration cost in
-    /// simulated nanoseconds (charged to the swap window).
-    fn configure(&mut self) -> Result<u64, WaveformError>;
-
-    /// `Configured | Deactivated → Running`: take (or re-take, on
-    /// rollback) the carrier.
-    fn run(&mut self) -> Result<(), WaveformError>;
-
-    /// Process one frame. `Running` only. Deterministic in
-    /// `(seed, tick)` given the component's state history.
-    fn step(&mut self, seed: u64, tick: u64) -> Result<WaveformFrameReport, WaveformError>;
-
-    /// Accept ingress handed over from the personality being replaced
-    /// (the old switch's undrained queues). Returns how many packets the
-    /// component accepted; the controller counts the rest as dropped, so
-    /// a personality that cannot absorb a handover shows up in the
-    /// voice-drop metric instead of silently losing traffic.
-    fn absorb_ingress(&mut self, packets: &[gsp_payload::switch::BasebandPacket]) -> u64;
-
-    /// Drain any buffered ingress for handover to a successor. Called on
-    /// a `Deactivated` component by the swap commit path.
-    fn drain_ingress(&mut self) -> Vec<gsp_payload::switch::BasebandPacket>;
-
-    /// `Running → Deactivated`: quiesce at the frame boundary, keep all
-    /// processing state for a possible rollback.
-    fn deactivate(&mut self) -> Result<(), WaveformError>;
-
-    /// Any non-running state `→ TornDown`: release the processing state.
-    /// Returns the modelled teardown cost in simulated nanoseconds.
-    fn teardown(&mut self) -> Result<u64, WaveformError>;
-}
-
-/// Shared transition guard: returns `Ok(())` iff `from` may perform
-/// `op`-labelled moves to the target implied by the caller.
-pub(crate) fn guard(
-    from: LifecycleState,
-    allowed: &[LifecycleState],
-    op: &'static str,
-) -> Result<(), WaveformError> {
-    if allowed.contains(&from) {
-        Ok(())
-    } else {
-        Err(WaveformError::BadTransition { from, op })
     }
 }

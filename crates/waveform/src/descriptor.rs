@@ -189,7 +189,7 @@ impl WaveformDescriptor {
     }
 
     /// Parameter sanity independent of any registry: a descriptor that
-    /// passes still needs a factory willing to build it.
+    /// passes still needs a registered personality willing to build it.
     pub fn sanity_check(&self) -> Result<(), DescriptorError> {
         if self.name.is_empty() {
             return Err(DescriptorError::BadName);

@@ -21,7 +21,8 @@
 //! configure/teardown costs, comes out per swap in
 //! [`SwapReport::interruption_ms`].
 
-use crate::component::{LifecycleState, Waveform, WaveformFrameReport};
+use crate::adapters::Waveform;
+use crate::component::WaveformFrameReport;
 use crate::descriptor::WaveformDescriptor;
 use crate::registry::{LoadError, WaveformRegistry};
 use gsp_fdir::recovery::{ReconfigUplink, UplinkOutcome};
@@ -157,17 +158,37 @@ pub struct StepOutcome {
 /// with (and never perturb) the real tick seeds.
 const TRIAL_SALT: u64 = 0x7121_A15A_17ED_5EED;
 
+/// Where the controller is in a swap. `Committed` and `RolledBack` are
+/// idle states whose outcome the swap report records.
+enum Swap {
+    /// No swap armed or open.
+    Idle,
+    /// Validated descriptor waiting for the command's quiesce tick.
+    Armed {
+        cmd: SwapCommand,
+        target: WaveformDescriptor,
+    },
+    /// Carrier quiesced; the incoming personality runs trial frames.
+    Window(Window),
+}
+
+/// An open swap window.
+struct Window {
+    cmd: SwapCommand,
+    /// The personality on trial, configured and running.
+    incoming: Waveform,
+    /// Real frame ticks that arrived while the carrier was quiesced.
+    buffered: Vec<u64>,
+    /// Clean trial frames so far.
+    clean_trials: u32,
+}
+
 /// The controller. Owns the active personality outright; during a swap
-/// it also owns the standby (incoming — or, after rollback, none).
+/// window it also owns the incoming one.
 pub struct HotSwapController {
     registry: WaveformRegistry,
-    active: Box<dyn Waveform>,
-    standby: Option<Box<dyn Waveform>>,
-    target: Option<WaveformDescriptor>,
-    command: Option<SwapCommand>,
-    phase: SwapPhase,
-    buffered: Vec<u64>,
-    trials_done: u32,
+    active: Waveform,
+    swap: Swap,
     report: SwapReport,
 }
 
@@ -179,18 +200,11 @@ impl HotSwapController {
         registry: WaveformRegistry,
         initial: &WaveformDescriptor,
     ) -> Result<Self, LoadError> {
-        let mut active = registry.load(initial)?;
-        active.configure().map_err(LoadError::Factory)?;
-        active.run().map_err(LoadError::Factory)?;
+        let (active, _) = registry.bring_up(initial)?;
         Ok(HotSwapController {
             registry,
             active,
-            standby: None,
-            target: None,
-            command: None,
-            phase: SwapPhase::Idle,
-            buffered: Vec::new(),
-            trials_done: 0,
+            swap: Swap::Idle,
             report: SwapReport::default(),
         })
     }
@@ -201,14 +215,15 @@ impl HotSwapController {
         &self.active.descriptor().name
     }
 
-    /// Lifecycle state of the active personality.
-    pub fn active_state(&self) -> LifecycleState {
-        self.active.state()
-    }
-
     /// Controller phase.
     pub fn phase(&self) -> SwapPhase {
-        self.phase
+        match self.swap {
+            Swap::Armed { .. } => SwapPhase::Armed,
+            Swap::Window(_) => SwapPhase::Window,
+            Swap::Idle if self.report.committed => SwapPhase::Committed,
+            Swap::Idle if self.report.rolled_back => SwapPhase::RolledBack,
+            Swap::Idle => SwapPhase::Idle,
+        }
     }
 
     /// The last (or in-flight) swap's report.
@@ -220,10 +235,7 @@ impl HotSwapController {
     /// the registry, and arms the swap for `cmd.at_tick`. The carrier is
     /// live throughout; a refused command leaves no trace on it.
     pub fn command_swap(&mut self, cmd: SwapCommand, seed: u64) -> Result<(), SwapError> {
-        if !matches!(
-            self.phase,
-            SwapPhase::Idle | SwapPhase::Committed | SwapPhase::RolledBack
-        ) {
+        if !matches!(self.swap, Swap::Idle) {
             return Err(SwapError::Busy);
         }
         let uplink = cmd.uplink.upload(&cmd.wire, seed);
@@ -231,15 +243,14 @@ impl HotSwapController {
             return Err(SwapError::Delivery(Box::new(uplink)));
         }
         // Validate all the way to an instantiated component, then drop
-        // it: the real instantiation happens at the armed boundary so a
+        // it: the real bring-up happens at the armed boundary so a
         // long-armed swap cannot hold duplicate processing state.
-        let target = {
-            let wf = self
-                .registry
-                .load_wire(&cmd.wire)
-                .map_err(SwapError::Rejected)?;
-            wf.descriptor().clone()
-        };
+        let target = self
+            .registry
+            .load_wire(&cmd.wire)
+            .map_err(SwapError::Rejected)?
+            .descriptor()
+            .clone();
         self.report = SwapReport {
             from: self.active.descriptor().name.clone(),
             to: target.name.clone(),
@@ -247,11 +258,7 @@ impl HotSwapController {
             armed_at: cmd.at_tick,
             ..SwapReport::default()
         };
-        self.target = Some(target);
-        self.command = Some(cmd);
-        self.phase = SwapPhase::Armed;
-        self.buffered.clear();
-        self.trials_done = 0;
+        self.swap = Swap::Armed { cmd, target };
         Ok(())
     }
 
@@ -260,133 +267,107 @@ impl HotSwapController {
     /// rollback. Outside a window the active personality simply runs the
     /// frame.
     pub fn step(&mut self, seed: u64, tick: u64, fault: bool) -> StepOutcome {
-        if self.phase == SwapPhase::Armed
-            && tick >= self.command.as_ref().expect("armed command").at_tick
-        {
-            self.open_window();
-        }
-        if self.phase != SwapPhase::Window {
-            let report = self.run_tick(seed, tick);
-            return StepOutcome {
-                reports: vec![report],
-                phase: self.phase,
-            };
-        }
+        let mut w = match std::mem::replace(&mut self.swap, Swap::Idle) {
+            Swap::Armed { cmd, target } if tick >= cmd.at_tick => self.open_window(cmd, &target),
+            Swap::Window(w) => w,
+            idle_or_armed => {
+                self.swap = idle_or_armed;
+                let report = self.run_tick(seed, tick);
+                return StepOutcome {
+                    reports: vec![report],
+                    phase: self.phase(),
+                };
+            }
+        };
 
         // Inside the window: the carrier is quiesced, this tick buffers.
-        self.buffered.push(tick);
+        w.buffered.push(tick);
         self.report.window_ticks += 1;
-        self.report.frames_in_flight = self.report.frames_in_flight.max(self.buffered.len() as u32);
-        let cmd = self.command.as_ref().expect("window command");
-        let confidence = cmd.confidence_frames;
-        let abort_after = cmd.abort_after;
+        self.report.frames_in_flight = self.report.frames_in_flight.max(w.buffered.len() as u32);
 
-        if fault {
-            let reports = self.rollback(seed);
-            return StepOutcome {
-                reports,
-                phase: self.phase,
-            };
-        }
-
-        // One trial frame per tick on the incoming personality, from the
-        // salted seed stream.
-        let trial_idx = self.report.trials as usize;
-        let standby = self.standby.as_mut().expect("incoming in window");
-        let trial = standby
-            .step(frame_seed(seed ^ TRIAL_SALT, trial_idx), tick)
-            .expect("incoming runs trials");
-        self.report.trials += 1;
-        if trial.clean() {
-            self.trials_done += 1;
+        let reports = if fault {
+            self.rollback(w, seed)
         } else {
-            self.report.trial_failures += 1;
-        }
-
-        if self.trials_done >= confidence {
-            let reports = self.commit(seed);
-            return StepOutcome {
-                reports,
-                phase: self.phase,
-            };
-        }
-        if self.report.window_ticks >= abort_after as u64 {
-            let reports = self.rollback(seed);
-            return StepOutcome {
-                reports,
-                phase: self.phase,
-            };
-        }
+            // One trial frame per tick on the incoming personality, from
+            // the salted seed stream.
+            let trial_idx = self.report.trials as usize;
+            let trial = w
+                .incoming
+                .step(frame_seed(seed ^ TRIAL_SALT, trial_idx), tick)
+                .expect("incoming runs trials");
+            self.report.trials += 1;
+            if trial.clean() {
+                w.clean_trials += 1;
+            } else {
+                self.report.trial_failures += 1;
+            }
+            if w.clean_trials >= w.cmd.confidence_frames {
+                self.commit(w, seed)
+            } else if self.report.window_ticks >= w.cmd.abort_after as u64 {
+                self.rollback(w, seed)
+            } else {
+                self.swap = Swap::Window(w);
+                Vec::new()
+            }
+        };
         StepOutcome {
-            reports: Vec::new(),
-            phase: self.phase,
+            reports,
+            phase: self.phase(),
         }
     }
 
     /// Quiesce the carrier and bring the incoming personality into its
     /// confidence window.
-    fn open_window(&mut self) {
-        let target = self.target.as_ref().expect("armed target");
+    fn open_window(&mut self, cmd: SwapCommand, target: &WaveformDescriptor) -> Window {
         self.active.deactivate().expect("active quiesces");
-        let mut incoming = self
+        let (incoming, configure_ns) = self
             .registry
-            .load(target)
+            .bring_up(target)
             .expect("descriptor validated at command time");
-        let configure_ns = incoming
-            .configure()
-            .expect("validated descriptor configures");
-        incoming.run().expect("configured incoming runs");
         self.report.interruption_ns += configure_ns;
-        self.standby = Some(incoming);
-        self.phase = SwapPhase::Window;
+        Window {
+            cmd,
+            incoming,
+            buffered: Vec::new(),
+            clean_trials: 0,
+        }
     }
 
     /// Commit: hand over switch residue, tear down the old personality,
     /// replay the buffered backlog through the new one.
-    fn commit(&mut self, seed: u64) -> Vec<WaveformFrameReport> {
-        let mut incoming = self.standby.take().expect("incoming at commit");
+    fn commit(&mut self, mut w: Window, seed: u64) -> Vec<WaveformFrameReport> {
         let residue = self.active.drain_ingress();
         self.report.handover_packets = residue.len() as u64;
-        let absorbed = incoming.absorb_ingress(&residue);
+        let absorbed = w.incoming.absorb_ingress(&residue);
         self.report.handover_dropped = self.report.handover_packets - absorbed;
         let teardown_ns = self.active.teardown().expect("deactivated old tears down");
         self.report.interruption_ns += teardown_ns;
-        self.active = incoming;
-        self.finish_window(true);
-        self.replay(seed)
+        self.active = w.incoming;
+        self.close_window(true, w.buffered, seed)
     }
 
     /// Rollback: tear down the incoming personality, re-run the old one,
     /// replay the buffered backlog through it.
-    fn rollback(&mut self, seed: u64) -> Vec<WaveformFrameReport> {
-        let mut incoming = self.standby.take().expect("incoming at rollback");
-        incoming.deactivate().ok();
-        let teardown_ns = incoming.teardown().expect("incoming tears down");
+    fn rollback(&mut self, mut w: Window, seed: u64) -> Vec<WaveformFrameReport> {
+        w.incoming.deactivate().ok();
+        let teardown_ns = w.incoming.teardown().expect("incoming tears down");
         self.report.interruption_ns += teardown_ns;
         self.active.run().expect("old personality re-runs");
-        self.finish_window(false);
-        self.replay(seed)
+        self.close_window(false, w.buffered, seed)
     }
 
-    fn finish_window(&mut self, committed: bool) {
+    /// Records the swap's outcome and replays the buffered `backlog`, in
+    /// tick order, through whichever personality now owns the carrier.
+    fn close_window(
+        &mut self,
+        committed: bool,
+        backlog: Vec<u64>,
+        seed: u64,
+    ) -> Vec<WaveformFrameReport> {
         let frame_ns = self.active.descriptor().frame_ns;
         self.report.interruption_ns += self.report.window_ticks * frame_ns;
         self.report.committed = committed;
         self.report.rolled_back = !committed;
-        self.phase = if committed {
-            SwapPhase::Committed
-        } else {
-            SwapPhase::RolledBack
-        };
-        self.target = None;
-        self.command = None;
-        self.trials_done = 0;
-    }
-
-    /// Replays the buffered backlog, in tick order, through whichever
-    /// personality now owns the carrier.
-    fn replay(&mut self, seed: u64) -> Vec<WaveformFrameReport> {
-        let backlog = std::mem::take(&mut self.buffered);
         self.report.replayed_frames = backlog.len() as u32;
         backlog
             .into_iter()

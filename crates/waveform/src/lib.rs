@@ -3,7 +3,7 @@
 //! The paper's thesis is a *generic* payload whose personality is
 //! exchanged in orbit. This crate makes that exchange a first-class,
 //! measured service instead of a narrative: waveforms are registry-loaded
-//! components with an STRS-style lifecycle, and a hot-swap controller
+//! personalities with an STRS-style lifecycle, and a hot-swap controller
 //! exchanges them on a live transponder while traffic is offered and
 //! faults are injected — buffering ingress across the swap window and
 //! rolling back to the previous personality when a fault lands mid-swap.
@@ -11,15 +11,17 @@
 //! * [`descriptor`] — the self-describing, checksummed wire form a ground
 //!   segment uploads over the N3 stack; validation happens before any
 //!   component is instantiated;
-//! * [`component`] — the [`Waveform`] trait and its lifecycle state
-//!   machine (`instantiate → configure → run → deactivate → teardown`),
-//!   with per-frame processing as a pure function of `(seed, tick)`;
+//! * [`component`] — the STRS lifecycle state machine
+//!   (`instantiate → configure → run → deactivate → teardown`), its
+//!   errors and the personality-neutral frame report;
+//! * [`adapters`] — the [`Waveform`]: one personality that walks that
+//!   lifecycle over the existing `gsp-modem` CDMA chain or the
+//!   `gsp-payload` [`PipelineEngine`](gsp_payload::pipeline::PipelineEngine),
+//!   as its descriptor's kind says, with per-frame processing a pure
+//!   function of `(seed, tick)`;
 //! * [`registry`] — name/version lookup from validated descriptors to
-//!   factories; the built-in set registers the S-UMTS CDMA and MF-TDMA
-//!   personalities;
-//! * [`adapters`] — those two built-ins: thin lifecycle wrappers around
-//!   the existing `gsp-modem` CDMA chain and the `gsp-payload`
-//!   [`PipelineEngine`](gsp_payload::pipeline::PipelineEngine);
+//!   instantiated personalities: the fixed table of the S-UMTS CDMA and
+//!   MF-TDMA builds every payload ships;
 //! * [`hotswap`] — the [`HotSwapController`]:
 //!   TFTP download + validate while the carrier is still up, frame-
 //!   boundary quiesce, teardown/bring-up with a confidence window,
@@ -43,7 +45,8 @@ pub mod descriptor;
 pub mod hotswap;
 pub mod registry;
 
-pub use component::{LifecycleState, Waveform, WaveformError, WaveformFrameReport};
+pub use adapters::Waveform;
+pub use component::{LifecycleState, WaveformError, WaveformFrameReport};
 pub use descriptor::{DescriptorError, WaveformDescriptor, WaveformKind};
 pub use hotswap::{HotSwapController, StepOutcome, SwapCommand, SwapPhase, SwapReport};
 pub use registry::WaveformRegistry;

@@ -1,39 +1,35 @@
-//! The waveform component registry: name/version lookup from validated
-//! descriptors to instantiated components.
+//! The waveform registry: name/version lookup from validated
+//! descriptors to instantiated [`Waveform`]s.
 //!
-//! The registry is the STRS configuration-manager role: it owns the set
-//! of factories the payload ships (or has had uploaded), and it is the
-//! *only* way a descriptor becomes a live component. Loading validates
-//! in three stages — wire checksum and field ranges
+//! The registry is the STRS configuration-manager role: it lists the
+//! personalities the payload ships, and it is the *only* way a
+//! descriptor becomes a live component. Loading validates in three
+//! stages — wire checksum and field ranges
 //! ([`WaveformDescriptor::from_wire`]), name/version resolution against
-//! the registered set, then the factory's own buildability check — so a
-//! hostile or corrupt upload fails closed long before a carrier is
+//! the registered set, then the personality's own buildability check —
+//! so a hostile or corrupt upload fails closed long before a carrier is
 //! quiesced.
 
-use crate::adapters::{CdmaWaveform, MfTdmaWaveform};
-use crate::component::{Waveform, WaveformError, WaveformFrameReport};
-use crate::descriptor::{DescriptorError, WaveformDescriptor};
+use crate::adapters::Waveform;
+use crate::component::{WaveformError, WaveformFrameReport};
+use crate::descriptor::{DescriptorError, WaveformDescriptor, WaveformKind};
 
-/// Builds a component from an already-validated descriptor.
-pub type WaveformFactory = fn(&WaveformDescriptor) -> Result<Box<dyn Waveform>, WaveformError>;
+/// The registered personalities: name, version, and the chain kind a
+/// descriptor under that name must build.
+const BUILTIN: [(&str, (u16, u16), WaveformKind); 2] = [
+    ("sumts-cdma", (1, 0), WaveformKind::Cdma),
+    ("mf-tdma", (2, 0), WaveformKind::MfTdma),
+];
 
-struct Entry {
-    name: &'static str,
-    version: (u16, u16),
-    factory: WaveformFactory,
-}
-
-/// A name/version-indexed set of waveform factories.
-pub struct WaveformRegistry {
-    entries: Vec<Entry>,
-}
+/// The name/version-indexed set of personalities a payload ships.
+pub struct WaveformRegistry(());
 
 /// Why a load was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LoadError {
     /// The wire form failed validation before lookup was attempted.
     Descriptor(DescriptorError),
-    /// No factory is registered under the requested name.
+    /// No personality is registered under the requested name.
     UnknownName(String),
     /// The name exists but no registered version is compatible
     /// (exact major, registered minor ≥ requested minor).
@@ -43,7 +39,8 @@ pub enum LoadError {
         /// What the registry ships under that name.
         available: (u16, u16),
     },
-    /// The factory refused the (otherwise valid) parameters.
+    /// The personality refused the (otherwise valid) parameters, or a
+    /// lifecycle call on it failed.
     Factory(WaveformError),
 }
 
@@ -68,66 +65,44 @@ impl std::fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 impl WaveformRegistry {
-    /// An empty registry (for payloads that upload everything).
-    pub fn new() -> Self {
-        WaveformRegistry {
-            entries: Vec::new(),
-        }
-    }
-
     /// The registry every payload ships: the S-UMTS CDMA and MF-TDMA
     /// personalities.
     pub fn builtin() -> Self {
-        let mut r = WaveformRegistry::new();
-        r.register("sumts-cdma", (1, 0), |d| {
-            Ok(Box::new(CdmaWaveform::instantiate(d)?))
-        });
-        r.register("mf-tdma", (2, 0), |d| {
-            Ok(Box::new(MfTdmaWaveform::instantiate(d)?))
-        });
-        r
+        WaveformRegistry(())
     }
 
-    /// Registers (or re-registers, replacing) `factory` under
-    /// `name`/`version`.
-    pub fn register(&mut self, name: &'static str, version: (u16, u16), factory: WaveformFactory) {
-        self.entries.retain(|e| e.name != name);
-        self.entries.push(Entry {
-            name,
-            version,
-            factory,
-        });
-    }
-
-    /// Registered `(name, version)` pairs, in registration order.
-    pub fn catalogue(&self) -> Vec<(&'static str, (u16, u16))> {
-        self.entries.iter().map(|e| (e.name, e.version)).collect()
-    }
-
-    /// Full load path: parse + validate `wire`, resolve the factory,
+    /// Full load path: parse + validate `wire`, resolve the name,
     /// instantiate. The returned component is in the `Instantiated`
     /// state.
-    pub fn load_wire(&self, wire: &[u8]) -> Result<Box<dyn Waveform>, LoadError> {
+    pub fn load_wire(&self, wire: &[u8]) -> Result<Waveform, LoadError> {
         let d = WaveformDescriptor::from_wire(wire).map_err(LoadError::Descriptor)?;
         self.load(&d)
     }
 
     /// Resolves and instantiates an already-parsed descriptor.
-    pub fn load(&self, d: &WaveformDescriptor) -> Result<Box<dyn Waveform>, LoadError> {
+    pub fn load(&self, d: &WaveformDescriptor) -> Result<Waveform, LoadError> {
         d.sanity_check().map_err(LoadError::Descriptor)?;
-        let entry = self
-            .entries
+        let &(_, version, kind) = BUILTIN
             .iter()
-            .find(|e| e.name == d.name)
+            .find(|(name, ..)| *name == d.name)
             .ok_or_else(|| LoadError::UnknownName(d.name.clone()))?;
-        let compatible = entry.version.0 == d.version.0 && entry.version.1 >= d.version.1;
+        let compatible = version.0 == d.version.0 && version.1 >= d.version.1;
         if !compatible {
             return Err(LoadError::IncompatibleVersion {
                 requested: d.version,
-                available: entry.version,
+                available: version,
             });
         }
-        (entry.factory)(d).map_err(LoadError::Factory)
+        Waveform::instantiate(d, kind).map_err(LoadError::Factory)
+    }
+
+    /// Loads `d`, configures it and runs it. Returns the running
+    /// component and its modelled configure cost.
+    pub(crate) fn bring_up(&self, d: &WaveformDescriptor) -> Result<(Waveform, u64), LoadError> {
+        let mut wf = self.load(d)?;
+        let configure_ns = wf.configure().map_err(LoadError::Factory)?;
+        wf.run().map_err(LoadError::Factory)?;
+        Ok((wf, configure_ns))
     }
 
     /// Self-tests the personality `d` names: loads it on a clean,
@@ -143,16 +118,8 @@ impl WaveformRegistry {
             esn0_cdb: i16::MIN,
             ..d.clone()
         };
-        let mut wf = self.load(&clean)?;
-        wf.configure().map_err(LoadError::Factory)?;
-        wf.run().map_err(LoadError::Factory)?;
+        let (mut wf, _) = self.bring_up(&clean)?;
         wf.step(seed, 0).map_err(LoadError::Factory)
-    }
-}
-
-impl Default for WaveformRegistry {
-    fn default() -> Self {
-        WaveformRegistry::builtin()
     }
 }
 

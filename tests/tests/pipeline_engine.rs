@@ -5,7 +5,7 @@
 use gsp_modem::tdma::TimingRecoveryKind;
 use gsp_payload::chain::{run_mf_tdma_frame, ChainConfig};
 use gsp_payload::pipeline::{run_frames, PipelineEngine};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn configs() -> Vec<ChainConfig> {
     vec![
@@ -110,14 +110,26 @@ fn batched_run_frames_reports_consistent_counters() {
     assert!(stats.tx_ns > 0 && stats.demux_ns > 0 && stats.demod_ns > 0);
 }
 
+/// The 25th percentile of `times` (the better quartile for a duration).
+fn better_quartile(mut times: Vec<Duration>) -> Duration {
+    times.sort_unstable();
+    times[(times.len() - 1) / 4]
+}
+
 #[test]
 fn parallel_fanout_speeds_up_multiframe_batches() {
     // Wall-clock comparison of the same batch, serial vs fan-out. Timing
     // asserts only make sense where the parallelism exists: on a box with
     // ≥ 4 cores the per-carrier receive fan-out must deliver a clear
-    // speedup (the ISSUE bar is 2× on 4 cores; 1.5× here leaves margin
+    // speedup (the design bar is 2× on 4 cores; 1.5× here leaves margin
     // for CI noise). On fewer cores only the no-pathological-slowdown
     // bound is checked, since threads cannot beat serial on one core.
+    //
+    // A co-tenant on a shared host only ever slows a batch down, so the
+    // two engines run in interleaved rounds (alternating which goes
+    // first) and each side is judged by its better quartile of rounds: a
+    // slow window then lands on both sides or on rounds that do not
+    // count, instead of on the one batch of one side.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -125,25 +137,38 @@ fn parallel_fanout_speeds_up_multiframe_batches() {
         esn0_db: Some(14.0),
         ..ChainConfig::default()
     };
-    let frames = 6;
+    let (rounds, frames) = (8, 4);
     let mut serial = PipelineEngine::with_workers(cfg.clone(), 1);
     let mut parallel = PipelineEngine::with_workers(cfg.clone(), cores);
     // Warm-up: fault in code paths and allocations on both engines.
     serial.run_frame(0);
     parallel.run_frame(0);
 
-    let t0 = Instant::now();
-    let a = serial.run_frames(frames, 5);
-    let serial_t = t0.elapsed();
-    let t1 = Instant::now();
-    let b = parallel.run_frames(frames, 5);
-    let parallel_t = t1.elapsed();
-    assert_eq!(a, b, "speed must not change results");
+    let (mut serial_ts, mut parallel_ts) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        let seed = 5 + round as u64;
+        let timed = |engine: &mut PipelineEngine, times: &mut Vec<Duration>| {
+            let t0 = Instant::now();
+            let report = engine.run_frames(frames, seed);
+            times.push(t0.elapsed());
+            report
+        };
+        let (a, b) = if round % 2 == 0 {
+            let a = timed(&mut serial, &mut serial_ts);
+            (a, timed(&mut parallel, &mut parallel_ts))
+        } else {
+            let b = timed(&mut parallel, &mut parallel_ts);
+            (timed(&mut serial, &mut serial_ts), b)
+        };
+        assert_eq!(a, b, "speed must not change results (round {round})");
+    }
 
+    let serial_t = better_quartile(serial_ts);
+    let parallel_t = better_quartile(parallel_ts);
     let speedup = serial_t.as_secs_f64() / parallel_t.as_secs_f64().max(1e-9);
     eprintln!(
-        "pipeline fan-out: {cores} cores, serial {serial_t:?}, \
-         parallel {parallel_t:?}, speedup {speedup:.2}x"
+        "pipeline fan-out: {cores} cores, {rounds} rounds of {frames} frames, \
+         better-quartile serial {serial_t:?}, parallel {parallel_t:?}, speedup {speedup:.2}x"
     );
     if cores >= 4 {
         assert!(
