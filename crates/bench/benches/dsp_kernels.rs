@@ -1,5 +1,7 @@
 //! DSP substrate throughput: FIR filtering, FFT, polyphase channelizer,
-//! half-band decimation — the per-sample cost floor of the Fig. 2 chain.
+//! half-band decimation — the per-sample cost floor of the Fig. 2 chain —
+//! and the burst matched filter and code search of the demodulators, on
+//! each kernel backend.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gsp_dsp::beamform::{Dbfn, UniformLinearArray};
@@ -7,6 +9,8 @@ use gsp_dsp::channelizer::PolyphaseChannelizer;
 use gsp_dsp::fft::Fft;
 use gsp_dsp::filter::{FirFilter, FirKernel};
 use gsp_dsp::halfband::{design_halfband, HalfBandDecimator};
+use gsp_dsp::kernels::{for_backend, simd_available, Backend};
+use gsp_dsp::pulse::RrcPulse;
 use gsp_dsp::window::Window;
 use gsp_dsp::Cpx;
 
@@ -29,6 +33,87 @@ fn bench_fir(c: &mut Criterion) {
                 out.clear();
                 f.process(&x, &mut out);
                 out.len()
+            });
+        });
+    }
+    g.finish();
+}
+
+/// The backends this host can run.
+fn backends() -> Vec<Backend> {
+    let mut v = vec![Backend::Scalar];
+    if simd_available() {
+        v.push(Backend::Simd);
+    }
+    v
+}
+
+/// One burst through the matched filter, in the two demodulators' shapes:
+/// the CDMA receiver (49-tap RRC at 4 samples/chip over an 80-symbol SF-16
+/// burst, 5168 samples, no flush) and the TDMA burst demodulator (65-tap
+/// RRC, 600 samples plus a 65-sample flush). `streaming` is the
+/// per-sample delay line the block kernel replaced.
+fn bench_matched_filter(c: &mut Criterion) {
+    let mut g = c.benchmark_group("matched_filter");
+    for (name, pulse, n, tail) in [
+        (
+            "cdma-49tap-5168",
+            RrcPulse::new(0.22, 4, 6),
+            5168usize,
+            0usize,
+        ),
+        ("tdma-65tap-600", RrcPulse::new(0.35, 4, 8), 600, 65),
+    ] {
+        let kernel = pulse.kernel();
+        let x = test_signal(n);
+        g.throughput(Throughput::Elements((n + tail) as u64));
+        g.bench_function(format!("{name}/streaming"), |b| {
+            let mut f = FirFilter::new(kernel.clone());
+            let mut out = Vec::with_capacity(n + tail);
+            b.iter(|| {
+                f.reset();
+                out.clear();
+                f.process(&x, &mut out);
+                out.extend((0..tail).map(|_| f.push(Cpx::ZERO)));
+                out.len()
+            });
+        });
+        for backend in backends() {
+            let k = kernel.clone().with_kernels(for_backend(backend));
+            g.bench_function(format!("{name}/block-{backend:?}"), |b| {
+                let (mut scratch, mut out) = (Vec::new(), Vec::new());
+                b.iter(|| {
+                    k.filter_block(&x, tail, &mut scratch, &mut out);
+                    out.len()
+                });
+            });
+        }
+    }
+    g.finish();
+}
+
+/// The CDMA code search: 128 chips at stride 4 (samples per chip) over 64
+/// candidate offsets, the waveform plane's acquisition window.
+fn bench_code_search(c: &mut Criterion) {
+    let mut g = c.benchmark_group("code_search");
+    let (window, chips, stride) = (64usize, 128usize, 4usize);
+    let y = test_signal(window + (chips - 1) * stride);
+    let code: Vec<Cpx> = (0..chips)
+        .map(|k| {
+            Cpx::new(
+                if k % 3 == 0 { -1.0 } else { 1.0 },
+                if k % 5 < 2 { -1.0 } else { 1.0 },
+            )
+        })
+        .collect();
+    g.throughput(Throughput::Elements((window * chips) as u64));
+    for backend in backends() {
+        let kernels = for_backend(backend);
+        g.bench_function(format!("128chip-64off/{backend:?}"), |b| {
+            let mut powers = vec![0.0; window];
+            b.iter(|| {
+                kernels.corr_power_strided(&y, &code, stride, &mut powers);
+                powers[0]
             });
         });
     }
@@ -117,6 +202,8 @@ fn bench_dbfn(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_fir,
+    bench_matched_filter,
+    bench_code_search,
     bench_fft,
     bench_channelizer,
     bench_halfband,

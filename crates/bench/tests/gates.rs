@@ -121,6 +121,44 @@ fn every_committed_artefact_passes_its_gates() {
     }
 }
 
+/// `perf_gate`'s drift check of bench `name` against its committed
+/// artefact, under whichever kernel backend the process selected — so the
+/// suite, run once per forced backend, pins artefact identity per backend.
+/// One test per bench keeps the debug-profile run parallel; `payload` has
+/// none because its artefact is all wall-clock (`Drift::Measured`).
+fn drift_holds(name: &str) {
+    let bench = bench::find(name).expect("bench");
+    let doc = Artefact::parse(&committed(name)).expect("committed parses");
+    if let Err(e) = bench.check_drift(&doc) {
+        panic!("{}: {e}", bench.file());
+    }
+}
+
+#[test]
+fn drift_traffic() {
+    drift_holds("traffic");
+}
+
+#[test]
+fn drift_fdir() {
+    drift_holds("fdir");
+}
+
+#[test]
+fn drift_constellation() {
+    drift_holds("constellation");
+}
+
+#[test]
+fn drift_waveform() {
+    drift_holds("waveform");
+}
+
+#[test]
+fn drift_ground() {
+    drift_holds("ground");
+}
+
 #[test]
 fn ratchets_fail_just_past_their_factor() {
     // Payload frame p50: committed 1622703 ns, limit 1.5x = 2434054.5.

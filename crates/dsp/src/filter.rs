@@ -1,9 +1,11 @@
 //! FIR filtering: design (windowed-sinc) and execution (streaming and block).
 //!
-//! The demodulators run the matched filter sample-by-sample through
-//! [`FirFilter`], which keeps a circular delay line; batch paths (the
-//! channelizer, benches) use [`FirKernel::filter_block`] which writes into a
-//! caller-provided output buffer.
+//! Both demodulators run their matched filter over a whole burst with
+//! [`FirKernel::filter_block`], one call of the output-parallel
+//! [`CpxKernels::fir_block`](crate::kernels::CpxKernels::fir_block) kernel
+//! into caller-held buffers. [`FirFilter`] keeps a circular delay line for
+//! sample-by-sample use (the payload front end's wideband composer, tests);
+//! with the scalar backend its outputs equal `filter_block`'s bit for bit.
 
 use crate::complex::Cpx;
 use crate::kernels::{self, CpxKernelHandle};
@@ -17,8 +19,10 @@ use crate::window::Window;
 #[derive(Clone, Debug)]
 pub struct FirKernel {
     taps: Vec<f64>,
-    /// `taps` reversed — the layout the block-convolution window dot wants.
-    taps_rev: Vec<f64>,
+    /// Every tap twice, `[h0, h0, h1, h1, …]` — the layout
+    /// [`CpxKernels::axpy_real`](crate::kernels::CpxKernels::axpy_real)
+    /// loads two complex samples' worth of taps from.
+    taps2: Vec<f64>,
     kernels: CpxKernelHandle,
 }
 
@@ -26,10 +30,10 @@ impl FirKernel {
     /// Wraps raw coefficients.
     pub fn from_taps(taps: Vec<f64>) -> Self {
         assert!(!taps.is_empty(), "FIR needs at least one tap");
-        let taps_rev = taps.iter().rev().copied().collect();
+        let taps2 = taps.iter().flat_map(|&h| [h, h]).collect();
         FirKernel {
             taps,
-            taps_rev,
+            taps2,
             kernels: kernels::active(),
         }
     }
@@ -104,26 +108,33 @@ impl FirKernel {
         acc.abs()
     }
 
-    /// Full (non-causal tail included) block convolution:
-    /// `out[n] = Σ_k h[k]·x[n-k]`, with `out.len() == x.len()`.
+    /// Block convolution of a whole burst from an all-zero history:
+    /// `out[n] = Σ_k h[k]·x[n−k]` for `n < x.len() + tail`, i.e. the input
+    /// followed by `tail` zero samples that flush the convolution tail.
     ///
-    /// The transient at the start corresponds to an all-zero history.
-    /// `out` is pre-sized once and written by index (the write-into-slab
-    /// convention): a reused buffer of sufficient capacity makes repeated
-    /// calls allocation-free.
-    pub fn filter_block(&self, x: &[Cpx], out: &mut Vec<Cpx>) {
-        out.clear();
-        out.resize(x.len(), Cpx::ZERO);
+    /// Equals [`FirFilter::reset`], [`FirFilter::process`]`(x)` and `tail`
+    /// pushes of zero under the scalar backend bit for bit (ascending `k`
+    /// from `+0`), on every backend — the kernel is bitwise-tier.
+    /// `scratch` receives the zero-padded input and `out` the result; both
+    /// are cleared first, so reused buffers of sufficient capacity make
+    /// repeated calls allocation-free.
+    pub fn filter_block(&self, x: &[Cpx], tail: usize, scratch: &mut Vec<Cpx>, out: &mut Vec<Cpx>) {
         let t = self.taps.len();
-        for (n, y) in out.iter_mut().enumerate() {
-            // Σ_k h[k]·x[n−k] expressed as an ascending window against the
-            // reversed taps, so the backend dot kernel sees two forward
-            // slices: x[n−kmax..=n] · taps_rev[t−1−kmax..].
-            let kmax = n.min(t - 1);
-            *y = self
-                .kernels
-                .dot_real(&x[n - kmax..=n], &self.taps_rev[t - 1 - kmax..], Cpx::ZERO);
-        }
+        scratch.clear();
+        scratch.resize(t - 1, Cpx::ZERO);
+        scratch.extend_from_slice(x);
+        scratch.resize(t - 1 + x.len() + tail, Cpx::ZERO);
+        out.clear();
+        out.resize(x.len() + tail, Cpx::ZERO);
+        self.kernels.fir_block(scratch, &self.taps, out);
+    }
+
+    /// Accumulates the scaled impulse response onto `dst`:
+    /// `dst[k] += s·h[k]`, `dst.len() == self.len()`. Bitwise identical on
+    /// every backend.
+    #[inline]
+    pub fn add_scaled(&self, dst: &mut [Cpx], s: Cpx) {
+        self.kernels.axpy_real(dst, s, &self.taps2);
     }
 }
 
@@ -231,17 +242,40 @@ mod tests {
 
     #[test]
     fn streaming_matches_block() {
-        let kernel = FirKernel::lowpass(21, 0.15, Window::Hann);
-        let x: Vec<Cpx> = (0..200)
+        use crate::kernels::{for_backend, simd_available, Backend};
+        let x: Vec<Cpx> = (0..203)
             .map(|i| Cpx::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
             .collect();
-        let mut block = Vec::new();
-        kernel.filter_block(&x, &mut block);
-        let mut f = FirFilter::new(kernel);
-        let mut stream = Vec::new();
-        f.process(&x, &mut stream);
-        for (a, b) in block.iter().zip(&stream) {
-            assert!((*a - *b).abs() < 1e-10);
+        let mut backends = vec![Backend::Scalar];
+        if simd_available() {
+            backends.push(Backend::Simd);
+        }
+        for taps in [1usize, 2, 21, 49] {
+            let kernel = if taps < 3 {
+                FirKernel::from_taps((0..taps).map(|k| 0.5 - k as f64 * 0.3).collect())
+            } else {
+                FirKernel::lowpass(taps, 0.15, Window::Hann)
+            };
+            for tail in [0usize, 1, taps] {
+                let mut f =
+                    FirFilter::new(kernel.clone().with_kernels(for_backend(Backend::Scalar)));
+                let mut stream = Vec::new();
+                f.process(&x, &mut stream);
+                stream.extend((0..tail).map(|_| f.push(Cpx::ZERO)));
+                for &b in &backends {
+                    let (mut scratch, mut block) = (Vec::new(), Vec::new());
+                    let k = kernel.clone().with_kernels(for_backend(b));
+                    k.filter_block(&x, tail, &mut scratch, &mut block);
+                    assert_eq!(block.len(), stream.len());
+                    for (n, (a, s)) in block.iter().zip(&stream).enumerate() {
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (s.re.to_bits(), s.im.to_bits()),
+                            "{b:?} taps={taps} tail={tail} n={n}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -1,10 +1,13 @@
 //! Pluggable compute kernels for the complex-baseband hot loops.
 //!
-//! Three inner loops dominate the DSP side of the Fig. 2 chain: the real-tap
-//! complex MAC behind every FIR (matched filters, polyphase branches), the
-//! fused correlate-and-energy step of the unique-word search, and the radix-2
-//! FFT butterfly pass of the channelizer DEMUX. Each is expressed once as a
-//! [`CpxKernels`] trait method with two implementations:
+//! The inner loops of the DSP side of the Fig. 2 chain and the Fig. 3 CDMA
+//! modem: the real-tap complex MAC behind every FIR (streaming filters,
+//! polyphase branches), the block matched filter of both demodulators, the
+//! pulse-shaping accumulate of both modulators, the fused
+//! correlate-and-energy step of the unique-word search, the strided code
+//! correlation of CDMA acquisition, and the radix-2 FFT butterfly pass of the
+//! channelizer DEMUX. Each is expressed once as a [`CpxKernels`] trait method
+//! with two implementations:
 //!
 //! * [`ScalarCpxKernels`] — portable sequential code, the equivalence
 //!   reference. Its summation order is part of its contract (left to right,
@@ -13,10 +16,14 @@
 //!   samples per 256-bit vector, selected only on hosts where
 //!   [`gsp_kernels::simd_available`] holds.
 //!
-//! Equivalence contract (DESIGN.md §11): [`CpxKernels::butterflies`] is
-//! **bitwise identical** across backends — the SIMD complex multiply
-//! performs the same two multiplies and one add/sub per component, in the
-//! same order, with no FMA contraction. The dot/energy reductions
+//! Equivalence contract (DESIGN.md §11): [`CpxKernels::butterflies`],
+//! [`CpxKernels::fir_block`], [`CpxKernels::corr_power_strided`] and
+//! [`CpxKernels::axpy_real`] are **bitwise identical** across backends — the
+//! SIMD code performs the same multiplies and adds per component, in the
+//! same order, with no FMA contraction. The block kernels earn this by
+//! vectorising across *outputs* rather than across the summed terms: each
+//! lane owns one output and accumulates it in the scalar order. The
+//! dot/energy reductions
 //! ([`CpxKernels::dot_real`], [`CpxKernels::corr_energy`]) reassociate the
 //! sum into lane partials and are therefore only **tolerance-bounded**
 //! (relative error ≤ a few ulp × `len`); callers that require bitwise
@@ -65,6 +72,36 @@ pub trait CpxKernels: Send + Sync + std::fmt::Debug {
     /// `data.len()` must be a power of two ≥ 2 and
     /// `twiddles.len() == data.len() / 2`.
     fn butterflies(&self, data: &mut [Cpx], twiddles: &[Cpx], conj: bool);
+
+    /// Block FIR over a zero-padded input:
+    /// `out[n] = Σ_{k ascending} h[k]·x[n + t − 1 − k]` with `t = h.len()`,
+    /// so `x` carries `t − 1` samples of history in front of the sample
+    /// aligned with `out[0]`. Every output sums from `+0` in ascending `k`
+    /// — the order of a streaming delay line under the scalar
+    /// [`CpxKernels::dot_real`].
+    ///
+    /// **Bitwise identical across backends**: SIMD lanes hold whole outputs
+    /// (two per vector), never partial sums of one output.
+    /// `x.len() == out.len() + h.len() − 1` required, `h` non-empty.
+    fn fir_block(&self, x: &[Cpx], h: &[f64], out: &mut [Cpx]);
+
+    /// Strided correlation power:
+    /// `out[d] = |Σ_{k ascending} y[d + k·stride]·conj(c[k])|²`, each sum
+    /// from `+0` — one coherent correlation per candidate offset `d`.
+    ///
+    /// **Bitwise identical across backends**: SIMD lanes hold the offsets
+    /// `d, d+1`, each summed in the scalar order. Requires
+    /// `y.len() ≥ out.len() + (c.len() − 1)·stride` when neither `out` nor
+    /// `c` is empty.
+    fn corr_power_strided(&self, y: &[Cpx], c: &[Cpx], stride: usize, out: &mut [f64]);
+
+    /// Scaled accumulate against real taps: `dst[k] += s·h[k]`, with the
+    /// taps given duplicated as `h2 = [h0, h0, h1, h1, …]` so one vector
+    /// load covers two complex samples. `h2.len() == 2·dst.len()` required.
+    ///
+    /// **Bitwise identical across backends**: one multiply and one add per
+    /// component, in the scalar order.
+    fn axpy_real(&self, dst: &mut [Cpx], s: Cpx, h2: &[f64]);
 }
 
 /// Portable scalar backend — the equivalence reference.
@@ -120,6 +157,59 @@ impl CpxKernels for ScalarCpxKernels {
             len <<= 1;
         }
     }
+
+    fn fir_block(&self, x: &[Cpx], h: &[f64], out: &mut [Cpx]) {
+        let t = h.len();
+        assert!(t > 0, "fir_block needs at least one tap");
+        assert_eq!(x.len(), out.len() + t - 1, "fir_block length mismatch");
+        // Four outputs at a time: each has its own accumulator, summed in
+        // ascending k exactly as alone, and the four chains overlap.
+        let done = out.len() / 4 * 4;
+        let mut blocks = out.chunks_exact_mut(4);
+        for (i, y) in blocks.by_ref().enumerate() {
+            let mut acc = [Cpx::ZERO; 4];
+            for (k, &hk) in h.iter().enumerate() {
+                let w: &[Cpx; 4] = x[4 * i + t - 1 - k..][..4].try_into().unwrap();
+                for (a, s) in acc.iter_mut().zip(w) {
+                    *a += s.scale(hk);
+                }
+            }
+            y.copy_from_slice(&acc);
+        }
+        for (y, w) in blocks.into_remainder().iter_mut().zip(x[done..].windows(t)) {
+            let mut acc = Cpx::ZERO;
+            for (&hk, s) in h.iter().zip(w.iter().rev()) {
+                acc += s.scale(hk);
+            }
+            *y = acc;
+        }
+    }
+
+    fn corr_power_strided(&self, y: &[Cpx], c: &[Cpx], stride: usize, out: &mut [f64]) {
+        check_strided(y, c, stride, out);
+        for (d, p) in out.iter_mut().enumerate() {
+            let mut acc = Cpx::ZERO;
+            for (k, ck) in c.iter().enumerate() {
+                acc += y[d + k * stride].mul_conj(*ck);
+            }
+            *p = acc.norm_sqr();
+        }
+    }
+
+    fn axpy_real(&self, dst: &mut [Cpx], s: Cpx, h2: &[f64]) {
+        assert_eq!(h2.len(), 2 * dst.len(), "axpy_real length mismatch");
+        for (d, &h) in dst.iter_mut().zip(h2.iter().step_by(2)) {
+            *d += s.scale(h);
+        }
+    }
+}
+
+/// The length precondition of [`CpxKernels::corr_power_strided`].
+fn check_strided(y: &[Cpx], c: &[Cpx], stride: usize, out: &[f64]) {
+    assert!(
+        out.is_empty() || c.is_empty() || y.len() >= out.len() + (c.len() - 1) * stride,
+        "corr_power_strided input too short"
+    );
 }
 
 /// AVX2 backend. Not publicly constructible: obtain it through
@@ -140,10 +230,11 @@ mod avx2 {
     //!
     //! No FMA is used anywhere: each component is produced by the same
     //! multiply/add/sub sequence as the scalar code so that per-lane results
-    //! round identically (the butterfly pass is bitwise-equal across
-    //! backends; the reductions differ only in summation order).
+    //! round identically (the butterfly pass and the output-parallel block
+    //! kernels are bitwise-equal across backends; the reductions differ only
+    //! in summation order).
 
-    use super::Cpx;
+    use super::{Cpx, CpxKernels, ScalarCpxKernels};
     use core::arch::x86_64::*;
 
     /// # Safety
@@ -258,6 +349,136 @@ mod avx2 {
             len <<= 1;
         }
     }
+
+    /// Accumulator vectors per block of the output-parallel kernels. Each
+    /// is updated once per term, so its add chain is latency-bound; eight
+    /// independent chains keep both add ports busy.
+    const ACCS: usize = 8;
+    /// Outputs per block: two complex outputs per accumulator.
+    const BLOCK: usize = 2 * ACCS;
+
+    /// # Safety
+    /// Caller must ensure AVX2 is available and the `fir_block` length
+    /// contract holds.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fir_block(x: &[Cpx], h: &[f64], out: &mut [Cpx]) {
+        let t = h.len();
+        let n = out.len();
+        let xs = x.as_ptr() as *const f64;
+        let os = out.as_mut_ptr() as *mut f64;
+        // Lane layout: accumulator j holds [re(n0+2j), im(n0+2j),
+        // re(n0+2j+1), im(n0+2j+1)]; tap k reads the two consecutive inputs
+        // x[n0 + 2j + t − 1 − k ..][..2] and adds h[k]·x to each component.
+        let mut n0 = 0;
+        while n0 + BLOCK <= n {
+            let mut acc = [_mm256_setzero_pd(); ACCS];
+            for (k, &hk) in h.iter().enumerate() {
+                let hv = _mm256_set1_pd(hk);
+                let p = xs.add(2 * (n0 + t - 1 - k));
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_pd(*a, _mm256_mul_pd(_mm256_loadu_pd(p.add(4 * j)), hv));
+                }
+            }
+            for (j, a) in acc.iter().enumerate() {
+                _mm256_storeu_pd(os.add(2 * n0 + 4 * j), *a);
+            }
+            n0 += BLOCK;
+        }
+        while n0 + 2 <= n {
+            let mut a = _mm256_setzero_pd();
+            for (k, &hk) in h.iter().enumerate() {
+                let p = xs.add(2 * (n0 + t - 1 - k));
+                a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(p), _mm256_set1_pd(hk)));
+            }
+            _mm256_storeu_pd(os.add(2 * n0), a);
+            n0 += 2;
+        }
+        // The odd last output, in the same order.
+        ScalarCpxKernels.fir_block(&x[n0..], h, &mut out[n0..]);
+    }
+
+    /// `acc + y·conj(c)` per complex lane, with `cr = [c.re; 4]` and
+    /// `nci = [−c.im; 4]`: re = yr·cr + yi·ci, im = yi·cr − yr·ci, the
+    /// scalar `mul_conj` (negating a factor negates the product exactly,
+    /// and addsub subtracts on even lanes, adds on odd).
+    #[inline(always)]
+    unsafe fn mac_conj(acc: __m256d, yv: __m256d, cr: __m256d, nci: __m256d) -> __m256d {
+        let yswap = _mm256_permute_pd(yv, 0b0101); // [yi0, yr0, yi1, yr1]
+        let prod = _mm256_addsub_pd(_mm256_mul_pd(yv, cr), _mm256_mul_pd(yswap, nci));
+        _mm256_add_pd(acc, prod)
+    }
+
+    /// `[re0² + im0², ·, re1² + im1², ·]` — the scalar `norm_sqr` per lane.
+    #[inline(always)]
+    unsafe fn norm_sqr2(a: __m256d, out: *mut f64) {
+        let sq = _mm256_mul_pd(a, a);
+        let mut l = [0.0f64; 4];
+        _mm256_storeu_pd(l.as_mut_ptr(), _mm256_hadd_pd(sq, sq));
+        *out = l[0];
+        *out.add(1) = l[2];
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 is available and the `corr_power_strided`
+    /// length contract holds.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn corr_power_strided(y: &[Cpx], c: &[Cpx], stride: usize, out: &mut [f64]) {
+        let n = out.len();
+        let ys = y.as_ptr() as *const f64;
+        let os = out.as_mut_ptr();
+        // Lane layout: accumulator j holds the complex sums of offsets
+        // d0+2j and d0+2j+1; chip k reads y[d0 + 2j + k·stride ..][..2].
+        let mut d0 = 0;
+        while d0 + BLOCK <= n {
+            let mut acc = [_mm256_setzero_pd(); ACCS];
+            for (k, ck) in c.iter().enumerate() {
+                let cr = _mm256_set1_pd(ck.re);
+                let nci = _mm256_set1_pd(-ck.im);
+                let p = ys.add(2 * (d0 + k * stride));
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = mac_conj(*a, _mm256_loadu_pd(p.add(4 * j)), cr, nci);
+                }
+            }
+            for (j, a) in acc.iter().enumerate() {
+                norm_sqr2(*a, os.add(d0 + 2 * j));
+            }
+            d0 += BLOCK;
+        }
+        while d0 + 2 <= n {
+            let mut a = _mm256_setzero_pd();
+            for (k, ck) in c.iter().enumerate() {
+                let p = ys.add(2 * (d0 + k * stride));
+                a = mac_conj(
+                    a,
+                    _mm256_loadu_pd(p),
+                    _mm256_set1_pd(ck.re),
+                    _mm256_set1_pd(-ck.im),
+                );
+            }
+            norm_sqr2(a, os.add(d0));
+            d0 += 2;
+        }
+        // The odd last offset, in the same order.
+        ScalarCpxKernels.corr_power_strided(&y[d0..], c, stride, &mut out[d0..]);
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 is available and
+    /// `h2.len() == 2 * dst.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn axpy_real(dst: &mut [Cpx], s: Cpx, h2: &[f64]) {
+        let n = dst.len();
+        let ds = dst.as_mut_ptr() as *mut f64;
+        let sv = _mm256_setr_pd(s.re, s.im, s.re, s.im);
+        let pairs = n / 2;
+        for i in 0..pairs {
+            // [d0.re, d0.im, d1.re, d1.im] += [s.re, s.im, s.re, s.im]·[h0, h0, h1, h1]
+            let p = ds.add(4 * i);
+            let hv = _mm256_loadu_pd(h2.as_ptr().add(4 * i));
+            _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), _mm256_mul_pd(sv, hv)));
+        }
+        ScalarCpxKernels.axpy_real(&mut dst[2 * pairs..], s, &h2[4 * pairs..]);
+    }
 }
 
 impl CpxKernels for SimdCpxKernels {
@@ -301,6 +522,47 @@ impl CpxKernels for SimdCpxKernels {
     fn butterflies(&self, data: &mut [Cpx], twiddles: &[Cpx], conj: bool) {
         ScalarCpxKernels.butterflies(data, twiddles, conj)
     }
+
+    #[cfg(target_arch = "x86_64")]
+    fn fir_block(&self, x: &[Cpx], h: &[f64], out: &mut [Cpx]) {
+        assert!(!h.is_empty(), "fir_block needs at least one tap");
+        assert_eq!(
+            x.len(),
+            out.len() + h.len() - 1,
+            "fir_block length mismatch"
+        );
+        // SAFETY: the handle implies AVX2 support; lengths checked above.
+        unsafe { avx2::fir_block(x, h, out) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn corr_power_strided(&self, y: &[Cpx], c: &[Cpx], stride: usize, out: &mut [f64]) {
+        check_strided(y, c, stride, out);
+        // SAFETY: the handle implies AVX2 support; lengths checked above.
+        unsafe { avx2::corr_power_strided(y, c, stride, out) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn axpy_real(&self, dst: &mut [Cpx], s: Cpx, h2: &[f64]) {
+        assert_eq!(h2.len(), 2 * dst.len(), "axpy_real length mismatch");
+        // SAFETY: the handle implies AVX2 support; lengths checked above.
+        unsafe { avx2::axpy_real(dst, s, h2) }
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn fir_block(&self, x: &[Cpx], h: &[f64], out: &mut [Cpx]) {
+        ScalarCpxKernels.fir_block(x, h, out)
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn corr_power_strided(&self, y: &[Cpx], c: &[Cpx], stride: usize, out: &mut [f64]) {
+        ScalarCpxKernels.corr_power_strided(y, c, stride, out)
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn axpy_real(&self, dst: &mut [Cpx], s: Cpx, h2: &[f64]) {
+        ScalarCpxKernels.axpy_real(dst, s, h2)
+    }
 }
 
 /// The handle for a specific backend. Panics when `Backend::Simd` is
@@ -327,7 +589,14 @@ pub fn active() -> CpxKernelHandle {
 /// Registers this crate's kernels on `reg` with the process-wide selection.
 pub fn register(reg: &mut KernelRegistry) {
     let sel = selection();
-    for name in ["dsp.dot_real", "dsp.corr_energy", "dsp.fft_butterflies"] {
+    for name in [
+        "dsp.dot_real",
+        "dsp.corr_energy",
+        "dsp.fft_butterflies",
+        "dsp.fir_block",
+        "dsp.corr_power_strided",
+        "dsp.axpy_real",
+    ] {
         reg.register(name, sel.backend, sel.reason);
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! The crate depends only on `std` and the dependency-free `gsp-kernels`
 //! backend selector; stochastic behaviour lives in `gsp-channel` and above.
-//! Hot inner loops (FIR MAC, UW correlation, FFT butterflies) dispatch
-//! through the pluggable scalar/SIMD backends of [`kernels`].
+//! Hot inner loops (FIR MAC, block matched filter, pulse shaping, UW and
+//! code correlation, FFT butterflies) dispatch through the pluggable
+//! scalar/SIMD backends of [`kernels`].
 //!
 //! ```
 //! use gsp_dsp::prelude::*;

@@ -81,18 +81,18 @@ impl RrcPulse {
 /// appending shaped samples to `out`.
 ///
 /// Output length is `symbols.len() * sps + taps - 1` samples (the full
-/// convolution tail is emitted so a burst decays cleanly).
+/// convolution tail is emitted so a burst decays cleanly). Each symbol adds
+/// its scaled pulse through [`FirKernel::add_scaled`], so the result is
+/// identical on every kernel backend.
 pub fn shape_symbols(symbols: &[Cpx], kernel: &FirKernel, sps: usize, out: &mut Vec<Cpx>) {
-    let taps = kernel.taps();
-    let n_out = symbols.len() * sps + taps.len() - 1;
+    let t = kernel.len();
+    let n_out = symbols.len() * sps + t - 1;
     let start = out.len();
     out.resize(start + n_out, Cpx::ZERO);
     let dst = &mut out[start..];
     for (s_idx, &sym) in symbols.iter().enumerate() {
         let base = s_idx * sps;
-        for (k, &h) in taps.iter().enumerate() {
-            dst[base + k] += sym.scale(h);
-        }
+        kernel.add_scaled(&mut dst[base..base + t], sym);
     }
 }
 
@@ -171,6 +171,38 @@ mod tests {
         shape_symbols(&[Cpx::ONE, Cpx::ONE], &kernel, p.sps, &mut both);
         for i in 0..both.len() {
             assert!((both[i].re - (one[i].re + two[i].re)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn shaping_equals_the_per_tap_loop_on_every_backend() {
+        use crate::kernels::{for_backend, simd_available, Backend};
+        let syms: Vec<Cpx> = (0..37)
+            .map(|i| Cpx::new((i as f64 * 0.9).sin(), -(i as f64 * 0.4).cos()))
+            .collect();
+        let kernel = RrcPulse::new(0.22, 4, 6).kernel();
+        let mut want = vec![Cpx::ZERO; syms.len() * 4 + kernel.len() - 1];
+        for (i, &sym) in syms.iter().enumerate() {
+            for (k, &h) in kernel.taps().iter().enumerate() {
+                want[i * 4 + k] += sym.scale(h);
+            }
+        }
+        let mut backends = vec![Backend::Scalar];
+        if simd_available() {
+            backends.push(Backend::Simd);
+        }
+        for b in backends {
+            let mut got = Vec::new();
+            shape_symbols(
+                &syms,
+                &kernel.clone().with_kernels(for_backend(b)),
+                4,
+                &mut got,
+            );
+            let bits = |v: &[Cpx]| -> Vec<(u64, u64)> {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{b:?}");
         }
     }
 

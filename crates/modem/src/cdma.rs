@@ -17,7 +17,7 @@
 use crate::carrier::{data_aided_phase, derotate};
 use crate::psk::Modulation;
 use gsp_dsp::codes::{OvsfTree, ScramblingCode};
-use gsp_dsp::filter::{FirFilter, FirKernel};
+use gsp_dsp::filter::FirKernel;
 use gsp_dsp::measure::snr_estimate_m2m4;
 use gsp_dsp::pulse::{shape_symbols, RrcPulse};
 use gsp_dsp::Cpx;
@@ -202,7 +202,7 @@ struct CdmaRxTelemetry {
 #[derive(Clone, Debug)]
 pub struct CdmaReceiver {
     config: CdmaConfig,
-    matched: FirFilter,
+    matched: FirKernel,
     chips: Vec<Cpx>,
     /// Coherent acquisition window, in chips.
     pub acq_chips: usize,
@@ -210,14 +210,23 @@ pub struct CdmaReceiver {
     pub acq_threshold: f64,
     /// First-order DLL gain (chips per normalised error per symbol).
     pub dll_gain: f64,
+    /// Zero-padded matched-filter input.
+    padded: Vec<Cpx>,
+    /// Matched-filter output, the signal every later stage reads.
     filtered: Vec<Cpx>,
+    /// `filtered` as the acquisition search reads it: the samples
+    /// [`CdmaReceiver::sample_at`] can return, then zeros to the end of the
+    /// search window.
+    search: Vec<Cpx>,
+    /// Correlation power per candidate offset.
+    powers: Vec<f64>,
     tel: CdmaRxTelemetry,
 }
 
 impl CdmaReceiver {
     /// Builds the receiver.
     pub fn new(config: CdmaConfig) -> Self {
-        let matched = FirFilter::new(config.kernel());
+        let matched = config.kernel();
         let chips = config.spreading_chips();
         CdmaReceiver {
             config,
@@ -226,7 +235,10 @@ impl CdmaReceiver {
             acq_chips: 128,
             acq_threshold: 12.0,
             dll_gain: 0.04,
+            padded: Vec::new(),
             filtered: Vec::new(),
+            search: Vec::new(),
+            powers: Vec::new(),
             tel: CdmaRxTelemetry::default(),
         }
     }
@@ -246,7 +258,10 @@ impl CdmaReceiver {
         };
     }
 
-    /// Linear interpolation of the filtered signal at fractional position.
+    /// Linear interpolation of the filtered signal at fractional position
+    /// (the DLL's early/prompt/late reads). Positions whose right neighbour
+    /// lies past the buffer — including the last sample itself — read as
+    /// zero.
     #[inline]
     fn sample_at(&self, pos: f64) -> Cpx {
         let i = pos.floor() as isize;
@@ -268,19 +283,35 @@ impl CdmaReceiver {
     /// `acq_threshold` times the mean power of the other cells (a guard
     /// zone of ±`sps` samples around the peak is excluded from the floor
     /// estimate, since the chip pulse spreads the peak).
-    fn acquire_filtered(&self, search_window: usize) -> Option<Acquisition> {
+    ///
+    /// Offsets and `sps` are integers here, so every read is an exact
+    /// gather: one [`CpxKernels::corr_power_strided`] call over a copy of
+    /// `filtered` that keeps [`CdmaReceiver::sample_at`]'s edge (index
+    /// `len − 1` and beyond read as zero). On finite input the powers equal
+    /// a `sample_at` search bit for bit. They differ only where a read
+    /// position holds an infinite sample or sits left of a non-finite one:
+    /// `sample_at` interpolates with weight 0 and turns that read into NaN,
+    /// while the gather returns the sample itself.
+    ///
+    /// [`CpxKernels::corr_power_strided`]: gsp_dsp::kernels::CpxKernels::corr_power_strided
+    fn acquire_filtered(&mut self, search_window: usize) -> Option<Acquisition> {
         self.tel.acq_attempts.inc();
         let n_acq = self.acq_chips.min(self.config.burst_chips());
-        let sps = self.config.sps as f64;
-        let mut powers = Vec::with_capacity(search_window);
-        for d in 0..search_window {
-            let mut acc = Cpx::ZERO;
-            for (k, c) in self.chips[..n_acq].iter().enumerate() {
-                let y = self.sample_at(d as f64 + k as f64 * sps);
-                acc += y.mul_conj(*c);
-            }
-            powers.push(acc.norm_sqr());
-        }
+        let sps = self.config.sps;
+        let need = search_window + n_acq.saturating_sub(1) * sps;
+        let valid = self.filtered.len().saturating_sub(1).min(need);
+        self.search.clear();
+        self.search.extend_from_slice(&self.filtered[..valid]);
+        self.search.resize(need, Cpx::ZERO);
+        self.powers.clear();
+        self.powers.resize(search_window, 0.0);
+        self.matched.kernel_backend().corr_power_strided(
+            &self.search,
+            &self.chips[..n_acq],
+            sps,
+            &mut self.powers,
+        );
+        let powers = &self.powers;
         let (peak_idx, &peak) = powers
             .iter()
             .enumerate()
@@ -311,17 +342,15 @@ impl CdmaReceiver {
     /// Public acquisition entry point on raw samples (runs the matched
     /// filter first). Used by the acquisition-performance experiment (E9).
     pub fn acquire(&mut self, samples: &[Cpx], search_window: usize) -> Option<Acquisition> {
-        self.matched.reset();
-        self.filtered.clear();
-        self.matched.process(samples, &mut self.filtered);
+        self.matched
+            .filter_block(samples, 0, &mut self.padded, &mut self.filtered);
         self.acquire_filtered(search_window)
     }
 
     /// Full burst demodulation.
     pub fn demodulate(&mut self, samples: &[Cpx], search_window: usize) -> Option<CdmaDemodResult> {
-        self.matched.reset();
-        self.filtered.clear();
-        self.matched.process(samples, &mut self.filtered);
+        self.matched
+            .filter_block(samples, 0, &mut self.padded, &mut self.filtered);
         let acq = self.acquire_filtered(search_window)?;
 
         let cfg = &self.config;
@@ -422,6 +451,59 @@ mod tests {
         let mut wave = tx.transmit(&random_bits(cfg.payload_bits(), &mut rng));
         wave[40] = Cpx::new(f64::NAN, 0.0);
         let _ = rx.demodulate(&wave, 64);
+    }
+
+    /// The serial search as it read the signal before the strided kernel:
+    /// one interpolated `sample_at` per (offset, chip) pair.
+    fn sample_at_search(rx: &CdmaReceiver, search_window: usize) -> Vec<f64> {
+        let n_acq = rx.acq_chips.min(rx.config.burst_chips());
+        let sps = rx.config.sps as f64;
+        (0..search_window)
+            .map(|d| {
+                let mut acc = Cpx::ZERO;
+                for (k, c) in rx.chips[..n_acq].iter().enumerate() {
+                    acc += rx.sample_at(d as f64 + k as f64 * sps).mul_conj(*c);
+                }
+                acc.norm_sqr()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn strided_search_equals_the_sample_at_search() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let cfg = config();
+        let tx = CdmaTransmitter::new(cfg.clone());
+        let mut wave = tx.transmit(&random_bits(cfg.payload_bits(), &mut rng));
+        AwgnChannel::from_esn0_db(0.0).apply(&mut wave, &mut rng);
+        let mut rx = CdmaReceiver::new(cfg);
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        // The full burst, the same with a run of signed zeros in the
+        // filtered signal (`sample_at` turns -0 into +0, the gather keeps
+        // it), then windows that read past the end of a short input and of
+        // one shorter than the filter, where both read zeros.
+        for (len, window, zeros) in [
+            (wave.len(), 96, false),
+            (wave.len(), 96, true),
+            (600, 200, false),
+            (30, 9, false),
+            (0, 5, false),
+        ] {
+            rx.matched
+                .filter_block(&wave[..len], 0, &mut rx.padded, &mut rx.filtered);
+            if zeros {
+                for (i, s) in rx.filtered[100..160].iter_mut().enumerate() {
+                    *s = [
+                        Cpx::new(-0.0, 0.0),
+                        Cpx::new(0.0, -0.0),
+                        Cpx::new(-0.0, -0.0),
+                    ][i % 3];
+                }
+            }
+            rx.acquire_filtered(window);
+            let want = sample_at_search(&rx, window);
+            assert_eq!(bits(&rx.powers), bits(&want), "len {len} window {window}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::carrier::{derotate, frequency_estimate_da, viterbi_viterbi_qpsk};
 use crate::framing::{detect_unique_word_with, BurstFormat, UwDetection};
 use crate::timing::{GardnerLoop, OerderMeyrEstimator};
-use gsp_dsp::filter::{FirFilter, FirKernel};
+use gsp_dsp::filter::FirKernel;
 use gsp_dsp::kernels::{self, CpxKernelHandle};
 use gsp_dsp::measure::snr_estimate_m2m4;
 use gsp_dsp::pulse::{shape_symbols, RrcPulse};
@@ -155,8 +155,10 @@ struct TdmaDemodTelemetry {
 #[derive(Clone, Debug)]
 pub struct TdmaBurstDemodulator {
     config: TdmaConfig,
-    matched: FirFilter,
+    matched: FirKernel,
     // Reused buffers (hot path: one call per slot per carrier per frame).
+    /// Zero-padded matched-filter input.
+    padded: Vec<Cpx>,
     filtered: Vec<Cpx>,
     symbol_buf: Vec<Cpx>,
     /// Pass-1 (static-phase) corrected payload symbols.
@@ -180,10 +182,11 @@ impl TdmaBurstDemodulator {
     /// handle (matched filter MAC + UW correlator) — the per-instance
     /// override used by cross-backend tests and benches.
     pub fn with_kernels(config: TdmaConfig, kernels: CpxKernelHandle) -> Self {
-        let matched = FirFilter::new(config.kernel().with_kernels(kernels));
+        let matched = config.kernel().with_kernels(kernels);
         TdmaBurstDemodulator {
             config,
             matched,
+            padded: Vec::new(),
             filtered: Vec::new(),
             symbol_buf: Vec::new(),
             static_buf: Vec::new(),
@@ -220,9 +223,8 @@ impl TdmaBurstDemodulator {
         if q < 12 {
             return 0.0;
         }
-        let thetas: Vec<f64> = (0..QUARTERS)
-            .map(|i| viterbi_viterbi_qpsk(&symbols[i * q..(i + 1) * q]))
-            .collect();
+        let thetas: [f64; QUARTERS] =
+            std::array::from_fn(|i| viterbi_viterbi_qpsk(&symbols[i * q..(i + 1) * q]));
         // Consecutive diffs wrapped into the π/2-ambiguous band, summed.
         let quarter_band = std::f64::consts::FRAC_PI_2;
         thetas
@@ -421,14 +423,9 @@ impl TdmaBurstDemodulator {
         //    tail so a burst whose end coincides with the slot edge (or
         //    lost a few samples to channel interpolation) keeps its last
         //    symbols observable.
-        self.matched.reset();
-        self.filtered.clear();
-        self.matched.process(samples, &mut self.filtered);
-        let tail = self.matched.kernel().len();
-        for _ in 0..tail {
-            let y = self.matched.push(Cpx::ZERO);
-            self.filtered.push(y);
-        }
+        let tail = self.matched.len();
+        self.matched
+            .filter_block(samples, tail, &mut self.padded, &mut self.filtered);
 
         // 2. Timing recovery → symbol-rate stream.
         self.symbol_buf.clear();

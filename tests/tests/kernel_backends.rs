@@ -3,11 +3,14 @@
 //!
 //! The kernel layer's contract (DESIGN.md §11) has two tiers:
 //!
-//! * **bitwise** — FFT butterflies and every trellis kernel (Viterbi
-//!   branch metrics + ACS, max-log-MAP forward/backward/extrinsic)
-//!   produce identical bit patterns on both backends, so anything
-//!   downstream of them (decoded bits, path metrics, survivor decisions)
-//!   is backend-invariant by construction;
+//! * **bitwise** — FFT butterflies, the block FIR (both demodulators'
+//!   matched filter), the strided correlation power (CDMA acquisition),
+//!   the scaled accumulate (pulse shaping) and every trellis kernel
+//!   (Viterbi branch metrics + ACS, max-log-MAP
+//!   forward/backward/extrinsic) produce identical bit patterns on both
+//!   backends, so anything downstream of them (matched-filter samples,
+//!   decoded bits, path metrics, survivor decisions) is
+//!   backend-invariant by construction;
 //! * **tolerance-bounded** — `dot_real` and `corr_energy` reassociate
 //!   their sums into SIMD lane partials, so they agree to rounding, not
 //!   bit patterns.
@@ -16,7 +19,8 @@
 //! AVX2 the tests reduce to scalar self-consistency instead of failing.
 //! The proptest inputs deliberately include lengths that are not
 //! multiples of the 4-lane vector width, so the tail paths are pinned
-//! too.
+//! too, and the bitwise-tier inputs include runs of `+0.0` and `-0.0`,
+//! where a reordered sum would first show a different sign of zero.
 
 use gsp_coding::kernels as trellis_kernels;
 use gsp_coding::{ConvCode, TurboCode, TurboDecoder, ViterbiDecoder};
@@ -41,6 +45,43 @@ fn both_backends() -> Option<(
         cpx_kernels::for_backend(Backend::Scalar),
         cpx_kernels::for_backend(Backend::Simd),
     ))
+}
+
+/// A sample generator element: selector `0..=2` yields a signed zero
+/// (`+0+0j`, `-0-0j`, `-0+0j`), anything else the drawn finite value, so
+/// consecutive selections form runs of zeros of either sign.
+type CpxDraw = (u8, f64, f64);
+
+fn cpx_draws(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<CpxDraw>> {
+    proptest::collection::vec((0u8..6, -1.0f64..1.0, -1.0f64..1.0), n)
+}
+
+fn to_cpx(draws: &[CpxDraw]) -> Vec<Cpx> {
+    draws
+        .iter()
+        .map(|&(sel, re, im)| match sel {
+            0 => Cpx::new(0.0, 0.0),
+            1 => Cpx::new(-0.0, -0.0),
+            2 => Cpx::new(-0.0, 0.0),
+            _ => Cpx::new(re, im),
+        })
+        .collect()
+}
+
+/// Real taps with `+0.0` / `-0.0` mixed in.
+fn to_taps(draws: &[(u8, f64)]) -> Vec<f64> {
+    draws
+        .iter()
+        .map(|&(sel, h)| match sel {
+            0 => 0.0,
+            1 => -0.0,
+            _ => h,
+        })
+        .collect()
+}
+
+fn cpx_bits(v: &[Cpx]) -> Vec<(u64, u64)> {
+    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
 }
 
 proptest! {
@@ -111,6 +152,69 @@ proptest! {
                 prop_assert_eq!(x.re.to_bits(), y.re.to_bits());
                 prop_assert_eq!(x.im.to_bits(), y.im.to_bits());
             }
+        }
+    }
+
+    /// Block FIR (the matched filter): SIMD lanes hold whole outputs, so
+    /// every output equals the scalar ascending-tap sum bit for bit, for
+    /// output counts on and off the 16-output block and 2-output pair grid.
+    #[test]
+    fn fir_block_is_bitwise_identical(
+        xs in cpx_draws(0..90),
+        hs in proptest::collection::vec((0u8..5, -1.0f64..1.0), 1..30),
+    ) {
+        let x = to_cpx(&xs);
+        let h = to_taps(&hs);
+        let h = &h[..h.len().min(x.len() + 1)];
+        let mut a = vec![Cpx::ZERO; x.len() + 1 - h.len()];
+        let mut b = a.clone();
+        if let Some((scalar, simd)) = both_backends() {
+            scalar.fir_block(&x, h, &mut a);
+            simd.fir_block(&x, h, &mut b);
+            prop_assert_eq!(cpx_bits(&a), cpx_bits(&b));
+        }
+    }
+
+    /// Strided correlation power (the CDMA code search), at the
+    /// chip-spaced stride 4 and the dense stride 1.
+    #[test]
+    fn corr_power_strided_is_bitwise_identical(
+        cs in cpx_draws(0..40),
+        offsets in 0usize..40,
+        extra in 0usize..3,
+        wide in 0usize..2,
+        ys in cpx_draws(250..260),
+    ) {
+        let stride = [1usize, 4][wide];
+        let c = to_cpx(&cs);
+        // Exactly as long as the last offset reads, plus 0–2 spare samples.
+        let need = offsets + c.len().saturating_sub(1) * stride + extra;
+        let y = &to_cpx(&ys)[..need];
+        let mut a = vec![0.0f64; offsets];
+        let mut b = a.clone();
+        if let Some((scalar, simd)) = both_backends() {
+            scalar.corr_power_strided(y, &c, stride, &mut a);
+            simd.corr_power_strided(y, &c, stride, &mut b);
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&a), bits(&b));
+        }
+    }
+
+    /// Scaled accumulate (pulse shaping) over duplicated taps.
+    #[test]
+    fn axpy_real_is_bitwise_identical(
+        ds in cpx_draws(0..67),
+        hs in proptest::collection::vec((0u8..5, -1.0f64..1.0), 67),
+        s in (0u8..6, -1.0f64..1.0, -1.0f64..1.0),
+    ) {
+        let mut a = to_cpx(&ds);
+        let mut b = a.clone();
+        let h2: Vec<f64> = to_taps(&hs[..a.len()]).iter().flat_map(|&h| [h, h]).collect();
+        let s = to_cpx(&[s])[0];
+        if let Some((scalar, simd)) = both_backends() {
+            scalar.axpy_real(&mut a, s, &h2);
+            simd.axpy_real(&mut b, s, &h2);
+            prop_assert_eq!(cpx_bits(&a), cpx_bits(&b));
         }
     }
 
@@ -211,6 +315,9 @@ fn registry_and_forced_handles_are_consistent() {
         "dsp.dot_real",
         "dsp.corr_energy",
         "dsp.fft_butterflies",
+        "dsp.fir_block",
+        "dsp.corr_power_strided",
+        "dsp.axpy_real",
         "coding.viterbi_bm",
         "coding.viterbi_acs",
         "coding.map_forward",
