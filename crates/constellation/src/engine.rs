@@ -4,11 +4,11 @@
 //!
 //! 1. **Ingress** — each satellite receives the ISL packets launched
 //!    toward it *last* frame (one-frame link latency).
-//! 2. **Step** — every satellite runs [`crate::Satellite::step`]. With
-//!    `shard_threads > 1` the coordinator round-trips each `Box<Satellite>`
-//!    to its dedicated shard thread over bounded SPSC channels (the same
-//!    job-queue discipline as the pipeline worker pool); with 1 thread it
-//!    steps them inline. Both backends produce bitwise-identical reports.
+//! 2. **Step** — every satellite runs [`crate::Satellite::step`]: the
+//!    coordinator sends each `Box<Satellite>` by value through the
+//!    payload's [`Pool`] and receives every one back in send order. With
+//!    `shard_threads <= 1` the pool steps them inline; the reports are
+//!    bitwise identical at any thread count.
 //! 3. **Merge** — ISL egress is pushed onto the per-destination link
 //!    queues in **fixed ascending satellite order** (dead destinations
 //!    rerouted via [`RoutingTable::route_sat`]); queues are bounded by
@@ -20,17 +20,16 @@
 //!    switch is evacuated and — together with any ISL ingress buffered
 //!    behind the freeze — forwarded over links to the beams' new owners.
 //!
-//! Shard threads never share state and the merge order never depends on
-//! thread timing, so a run is a pure function of
+//! Satellites never share state while stepping and the merge order never
+//! depends on thread timing, so a run is a pure function of
 //! `(config, seed, frames, fault script)` — the determinism tests assert
 //! byte-identical reports across shard-thread counts.
 
 use gsp_fdir::Health;
+use gsp_payload::pool::Pool;
 use gsp_payload::switch::BasebandPacket;
 use gsp_telemetry::Registry;
 use gsp_traffic::ClassCounters;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::routing::RoutingTable;
@@ -113,42 +112,19 @@ impl ConstellationReport {
     }
 }
 
-/// A frame job round-tripped to a shard thread: the satellite (by value),
-/// the frame tick, and its ISL ingress.
-enum Job {
-    Step {
-        sat: Box<Satellite>,
-        tick: u64,
-        isl_in: Vec<BasebandPacket>,
-    },
-}
+/// A satellite's trip through the pool: the satellite (by value), the
+/// frame tick and its ISL ingress out, its step output back.
+type Trip = (Box<Satellite>, u64, Vec<BasebandPacket>, SatelliteStep);
 
-/// A shard thread's reply: the satellite back, plus its step output.
-struct Reply {
-    sat: Box<Satellite>,
-    out: SatelliteStep,
-}
-
-/// One shard thread's channel endpoints (coordinator side).
-struct Shard {
-    jobs: SyncSender<Job>,
-    replies: Receiver<Reply>,
-    handle: Option<JoinHandle<()>>,
-}
-
-enum Backend {
-    /// Step satellites inline, in index order (the bitwise reference).
-    Serial,
-    /// Dedicated shard threads; satellite `i` is pinned to shard
-    /// `i · threads / n_sats` (contiguous chunks).
-    Pool(Vec<Shard>),
+fn step_satellite((sat, tick, isl_in, out): &mut Trip) {
+    *out = sat.step(*tick, std::mem::take(isl_in));
 }
 
 /// The constellation coordinator; see the module docs for the superstep.
 pub struct ConstellationEngine {
     cfg: ConstellationConfig,
     routing: RoutingTable,
-    /// `None` only transiently while a satellite is out on a shard.
+    /// `None` only while a satellite is out on the pool.
     sats: Vec<Option<Box<Satellite>>>,
     /// Per-destination ISL queues; filled this frame, drained next.
     links: Vec<Vec<BasebandPacket>>,
@@ -156,7 +132,7 @@ pub struct ConstellationEngine {
     isl_dropped: Vec<u64>,
     quarantines: Vec<QuarantineEvent>,
     tick: u64,
-    backend: Backend,
+    pool: Pool<Trip>,
     /// Wall-clock ns in the coordinator's serial merge/reconverge span.
     coord_ns: u64,
 }
@@ -178,44 +154,6 @@ impl ConstellationEngine {
         let sats: Vec<Option<Box<Satellite>>> = (0..cfg.satellites)
             .map(|i| Some(Box::new(Satellite::new(i, &cfg, seed, registry))))
             .collect();
-        let threads = cfg.shard_threads.min(cfg.satellites);
-        let backend = if threads <= 1 {
-            Backend::Serial
-        } else {
-            Backend::Pool(
-                (0..threads)
-                    .map(|w| {
-                        // Bounded queues sized for the worst-case chunk so
-                        // the coordinator can enqueue a whole frame
-                        // without blocking.
-                        let cap = cfg.satellites.div_ceil(threads);
-                        let (job_tx, job_rx) = sync_channel::<Job>(cap);
-                        let (reply_tx, reply_rx) = sync_channel::<Reply>(cap);
-                        let handle = std::thread::Builder::new()
-                            .name(format!("gsp-shard-{w}"))
-                            .spawn(move || {
-                                while let Ok(Job::Step {
-                                    mut sat,
-                                    tick,
-                                    isl_in,
-                                }) = job_rx.recv()
-                                {
-                                    let out = sat.step(tick, isl_in);
-                                    if reply_tx.send(Reply { sat, out }).is_err() {
-                                        return;
-                                    }
-                                }
-                            })
-                            .expect("spawn shard thread");
-                        Shard {
-                            jobs: job_tx,
-                            replies: reply_rx,
-                            handle: Some(handle),
-                        }
-                    })
-                    .collect(),
-            )
-        };
         ConstellationEngine {
             routing: RoutingTable::new(cfg.satellites, cfg.traffic.beams, cfg.gateways),
             sats,
@@ -223,7 +161,7 @@ impl ConstellationEngine {
             isl_dropped: vec![0; cfg.traffic.n_classes()],
             quarantines: Vec::new(),
             tick: 0,
-            backend,
+            pool: Pool::new(cfg.shard_threads.min(cfg.satellites), step_satellite),
             coord_ns: 0,
             cfg,
         }
@@ -259,39 +197,19 @@ impl ConstellationEngine {
     pub fn run_frame(&mut self) {
         let tick = self.tick;
         let n = self.cfg.satellites;
-        // 1. Ingress: what was launched last frame arrives now.
-        let ingress: Vec<Vec<BasebandPacket>> =
-            (0..n).map(|s| std::mem::take(&mut self.links[s])).collect();
-
-        // 2. Step every satellite (threaded or inline).
+        // 1–2. Ingress and step: each satellite leaves with what was
+        // launched toward it last frame, and comes back in send order.
+        for s in 0..n {
+            let sat = self.sats[s].take().expect("satellite present");
+            let isl_in = std::mem::take(&mut self.links[s]);
+            let out = SatelliteStep::default();
+            self.pool.send((sat, tick, isl_in, out));
+        }
         let mut outs: Vec<SatelliteStep> = Vec::with_capacity(n);
-        match &self.backend {
-            Backend::Serial => {
-                for (s, isl_in) in ingress.into_iter().enumerate() {
-                    let sat = self.sats[s].as_mut().expect("satellite present");
-                    outs.push(sat.step(tick, isl_in));
-                }
-            }
-            Backend::Pool(shards) => {
-                for (s, isl_in) in ingress.into_iter().enumerate() {
-                    let sat = self.sats[s].take().expect("satellite present");
-                    let shard = s * shards.len() / n;
-                    shards[shard]
-                        .jobs
-                        .send(Job::Step { sat, tick, isl_in })
-                        .expect("shard thread alive");
-                }
-                // Each shard processes its jobs FIFO, so collecting in
-                // ascending satellite order matches each shard's reply
-                // order exactly.
-                for s in 0..n {
-                    let shard = s * shards.len() / n;
-                    let reply = shards[shard].replies.recv().expect("shard thread alive");
-                    debug_assert_eq!(reply.sat.idx(), s, "shard replies out of order");
-                    self.sats[s] = Some(reply.sat);
-                    outs.push(reply.out);
-                }
-            }
+        for s in 0..n {
+            let (sat, _, _, out) = self.pool.recv();
+            self.sats[s] = Some(sat);
+            outs.push(out);
         }
 
         // 3–4. The coordinator's serial span: merge egress in fixed
@@ -439,24 +357,6 @@ impl ConstellationEngine {
             quarantines: self.quarantines.clone(),
             delivered_per_gateway: per_gateway,
             terminals_total: self.cfg.terminals_total(),
-        }
-    }
-}
-
-impl Drop for ConstellationEngine {
-    fn drop(&mut self) {
-        if let Backend::Pool(shards) = &mut self.backend {
-            let mut handles = Vec::new();
-            for shard in shards.iter_mut() {
-                // Replace the sender with a dangling one so the job
-                // channel closes and the thread's recv() errors out.
-                let (dangling, _) = sync_channel(1);
-                drop(std::mem::replace(&mut shard.jobs, dangling));
-                handles.extend(shard.handle.take());
-            }
-            for h in handles {
-                let _ = h.join();
-            }
         }
     }
 }

@@ -5,9 +5,9 @@
 //! obvious next step for capacity — if the payload is software, a
 //! **constellation** of them is a data-parallel program. It shards the
 //! single-payload stack (traffic engine, transponder pipeline, telemetry,
-//! FDIR supervision) into N satellites × M transponders, each satellite
-//! owned by a dedicated shard thread, joined by inter-satellite links and
-//! a beam-to-gateway routing table:
+//! FDIR supervision) into N satellites × M transponders, stepped in
+//! parallel on a pool of shard threads, joined by inter-satellite links
+//! and a beam-to-gateway routing table:
 //!
 //! * [`satellite`] — one spacecraft: a [`gsp_traffic::TrafficEngine`]
 //!   homed at the satellite's global beams, an optional
@@ -18,9 +18,9 @@
 //!   satellite → ground gateway, with deterministic round-robin
 //!   reconvergence when a satellite dies.
 //! * [`engine`] — the coordinator: a bulk-synchronous frame clock that
-//!   round-trips each `Box<Satellite>` to its shard thread over bounded
-//!   SPSC queues (the pipeline worker-pool discipline, one level up),
-//!   merges ISL egress in fixed satellite order onto bounded one-frame-
+//!   sends each `Box<Satellite>` by value through
+//!   [`gsp_payload::pool::Pool`] (the pipeline's worker pool, one level
+//!   up) and receives them back in order, merges ISL egress in fixed satellite order onto bounded one-frame-
 //!   latency links, migrates beam populations between satellites at
 //!   frame boundaries (terminal handover), and reacts to FDIR
 //!   quarantines by migrating a whole satellite out while routing
@@ -29,12 +29,12 @@
 //! ## Determinism contract
 //!
 //! A constellation run is a pure function of `(config, seed, frames,
-//! fault script)` — shard threads never share state, link merges happen
-//! in fixed satellite order, ISL routing is a pure hash of immutable
+//! fault script)` — satellites never share state while stepping, link
+//! merges happen in fixed satellite order, ISL routing is a pure hash of immutable
 //! packet fields, and every per-aggregate RNG stream is derived from the
 //! constellation seed via SplitMix64. Reports are **bitwise identical**
-//! across `shard_threads` ∈ {1, 2, …}; the serial backend is the
-//! reference.
+//! across `shard_threads` ∈ {1, 2, …}; the inline single-thread run is
+//! the reference.
 
 #![deny(missing_docs)]
 
@@ -55,9 +55,9 @@ use gsp_traffic::TrafficConfig;
 pub struct ConstellationConfig {
     /// Satellites in the constellation (N).
     pub satellites: usize,
-    /// Dedicated shard threads stepping the satellites; `<= 1` steps
-    /// them inline (the bitwise reference), and values above
-    /// `satellites` are clamped.
+    /// Pool threads stepping the satellites; `<= 1` steps them inline
+    /// (the bitwise reference), and values above `satellites` are
+    /// clamped.
     pub shard_threads: usize,
     /// The per-satellite traffic scenario (beams, classes, offered
     /// load, terminals per aggregate).

@@ -6,9 +6,9 @@
 //! chain), and a one-equipment FDIR [`Supervisor`] watching the whole
 //! spacecraft — behind a single [`Satellite::step`] entry point the
 //! constellation coordinator calls once per frame. The struct is `Send`
-//! and owned by value, so the coordinator can round-trip it to a
-//! dedicated shard thread each frame (the same `Box`-passing discipline
-//! as the pipeline worker pool).
+//! and owned by value, so the coordinator sends it through the payload's
+//! worker pool each frame, the same pool and the same by-value discipline
+//! as the pipeline's carrier lanes.
 //!
 //! ## Freeze-on-fault
 //!

@@ -32,6 +32,15 @@ fn get_bytes(r: &mut Reader) -> Option<Vec<u8>> {
     Some(r.bytes(n as usize)?.to_vec())
 }
 
+/// Reads a bool byte: `0` or `1`, anything else refused.
+fn get_bool(r: &mut Reader) -> Option<bool> {
+    match r.u8()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
 /// Encodes a telecommand as a PDU.
 pub fn encode_tc(tc: &Telecommand) -> Bytes {
     let mut b = BytesMut::new();
@@ -143,7 +152,9 @@ pub fn encode_tm(tm: &Telemetry) -> Bytes {
     b.freeze()
 }
 
-/// Decodes a telemetry PDU.
+/// Decodes a telemetry PDU. Only the canonical encoding is accepted: a
+/// bool byte other than 0 or 1, or a non-zero `design_id` word after an
+/// absent flag, is refused.
 pub fn decode_tm(data: &[u8]) -> Option<Telemetry> {
     let mut r = Reader::new(data);
     let tm = match r.u8()? {
@@ -154,12 +165,12 @@ pub fn decode_tm(data: &[u8]) -> Option<Telemetry> {
         2 => Telemetry::ReconfigDone {
             equipment: usize::from(r.u16()?),
             crc24: r.u32()?,
-            success: r.u8()? == 1,
+            success: get_bool(&mut r)?,
             interruption_ns: r.u64()?,
         },
         3 => Telemetry::ValidationReport {
             equipment: usize::from(r.u16()?),
-            crc_ok: r.u8()? == 1,
+            crc_ok: get_bool(&mut r)?,
             crc24: r.u32()?,
         },
         4 => Telemetry::CommandFailed {
@@ -167,8 +178,12 @@ pub fn decode_tm(data: &[u8]) -> Option<Telemetry> {
         },
         5 => Telemetry::Status {
             equipment: usize::from(r.u16()?),
-            running: r.u8()? == 1,
-            design_id: (r.u8()? == 1).then_some(r.u32()?),
+            running: get_bool(&mut r)?,
+            design_id: match (get_bool(&mut r)?, r.u32()?) {
+                (true, id) => Some(id),
+                (false, 0) => None,
+                (false, _) => return None,
+            },
         },
         6 => Telemetry::Housekeeping {
             frame: get_bytes(&mut r)?,
@@ -402,6 +417,41 @@ mod tests {
         for tm in sample_tms() {
             let padded = [&encode_tm(&tm)[..], &[0]].concat();
             assert_eq!(decode_tm(&padded), None, "{tm:?}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_tm_pdus_are_refused() {
+        let done = Telemetry::ReconfigDone {
+            equipment: 3,
+            crc24: 0xABCDEF,
+            success: true,
+            interruption_ns: 5,
+        };
+        let mut pdu = encode_tm(&done).to_vec();
+        assert_eq!(pdu[7], 1, "success byte");
+        pdu[7] = 3;
+        assert_eq!(decode_tm(&pdu), None);
+
+        let report = Telemetry::ValidationReport {
+            equipment: 3,
+            crc_ok: false,
+            crc24: 7,
+        };
+        let mut pdu = encode_tm(&report).to_vec();
+        pdu[3] = 2;
+        assert_eq!(decode_tm(&pdu), None);
+
+        let status = Telemetry::Status {
+            equipment: 2,
+            running: false,
+            design_id: None,
+        };
+        let pdu = encode_tm(&status).to_vec();
+        for (at, byte) in [(3, 0x80), (4, 2), (8, 1)] {
+            let mut bad = pdu.clone();
+            bad[at] = byte;
+            assert_eq!(decode_tm(&bad), None, "byte {at} = {byte:#x}");
         }
     }
 

@@ -20,8 +20,11 @@
 //! * [`chain`] — the full Fig. 2 receive chain, driven end-to-end with
 //!   synthetic MF-TDMA traffic (experiment F2);
 //! * [`pipeline`] — the reusable chain engine: long-lived per-carrier
-//!   state, the per-carrier DEMOD→DECOD→CRC fan-out across a scoped
-//!   worker pool, and per-stage counters;
+//!   state, per-carrier Tx synthesis and DEMOD→DECOD→CRC stepped on the
+//!   worker pool with cross-frame pipelining, and per-stage counters;
+//! * [`pool`] — the one worker pool: persistent threads stepping work
+//!   items that travel by value and come back in send order (the
+//!   pipeline's lanes here, the constellation's satellites one level up);
 //! * [`txchain`] — the Tx part of Fig. 2: per-beam downlink chains (CRC +
 //!   convolutional coding + QPSK burst + TWTA) and the matching ground
 //!   receiver, closing the regenerative loop;
@@ -39,6 +42,7 @@ pub mod obpc;
 pub mod partition;
 pub mod pipeline;
 pub mod platform;
+pub mod pool;
 pub mod scheduler;
 pub mod switch;
 pub mod transponder;

@@ -1,6 +1,6 @@
 //! The reusable Fig. 2 pipeline engine: per-carrier Tx synthesis and
-//! DEMOD → DECOD → CRC fanned across a **persistent worker pool**, with
-//! cross-frame software pipelining.
+//! DEMOD → DECOD → CRC stepped on one [`Pool`], with cross-frame software
+//! pipelining.
 //!
 //! [`crate::chain::run_mf_tdma_frame`] builds the whole chain from scratch
 //! for every frame. This module keeps all of that state alive in a
@@ -9,27 +9,28 @@
 //! * each active carrier owns a **Tx lane** (encoder, modulator,
 //!   upconversion resampler with NCO) and an **Rx lane** (burst
 //!   demodulator, Viterbi decoder, CRC) that persist across frames;
-//! * with `workers > 1` the lanes live inside long-lived pool threads
-//!   (spawned once in [`PipelineEngine::with_workers`], joined on drop)
-//!   fed over bounded SPSC job queues — not re-spawned per frame behind a
-//!   join barrier, which is what kept the old sweep flat;
+//! * a lane half travels to the pool *by value*, together with the frame
+//!   I/O it works on, and comes back in send order. Between public calls
+//!   every lane is home in the engine. With `workers > 1` the pool's
+//!   threads are spawned once in [`PipelineEngine::with_workers`] and
+//!   joined on drop; with one worker the pool steps each half inline;
 //! * both halves are parallel: Tx burst synthesis *and* the per-carrier
 //!   receive chain run on the pool, with only bit drawing, carrier
 //!   summation, ADC noise, the polyphase DEMUX and switch ingress left on
 //!   the engine thread;
-//! * [`PipelineEngine::run_frames`] pipelines across frames: frame
-//!   `i+1`'s Tx synthesis is dispatched *before* frame `i`'s receive
-//!   jobs, so workers always have queued work while the engine thread
-//!   runs the serial stages — steady-state throughput approaches
-//!   `max(serial_ns, parallel_ns / workers)` per frame instead of their
-//!   sum;
+//! * every run follows one FIFO schedule. Per frame `i`: receive
+//!   Tx(`i`), send Tx(`i+1`), sum, noise and DEMUX frame `i`, receive
+//!   Rx(`i-1`) and retire it, then send Rx(`i`). While the engine runs
+//!   frame `i`'s serial stages the pool holds Rx(`i-1`) and Tx(`i+1`), so
+//!   steady-state throughput approaches `max(serial_ns, parallel_ns /
+//!   workers)` per frame instead of their sum. A single frame is the
+//!   one-frame case of the same schedule;
 //! * per-stage counters accumulate in [`PipelineStats`].
 //!
 //! # Determinism
 //!
 //! A frame's [`ChainReport`] is **bitwise identical** for any worker
-//! count, including the serial `workers == 1` path, and whether frames
-//! are run one at a time or as a pipelined batch:
+//! count, and whether frames are run one at a time or as a batch:
 //!
 //! * everything that consumes randomness — information bits and ADC
 //!   noise — runs serially on one per-frame `StdRng` on the engine
@@ -38,14 +39,16 @@
 //!   the engine sums those buffers into the composite serially in carrier
 //!   order, so the float additions happen in exactly the serial order no
 //!   matter which worker finished first;
-//! * lanes are bound to workers in fixed carrier-order chunks (the same
-//!   `ceil(lanes / workers)` chunking for every run), each worker owns
-//!   its lanes' state outright, and job/result buffers ping-pong by lane
-//!   index — scheduling can reorder *completion*, never *content*;
+//! * each lane half is home before it is sent again, so it runs its
+//!   frames in frame order on whichever worker holds it, touching only
+//!   its own state and the frame I/O. The pool returns items in send
+//!   order, so results land by position — scheduling can reorder
+//!   *completion*, never *content*;
 //! * the switch ingests CRC-clean packets serially in carrier order, and
 //!   all counters are folded in frame order when a frame retires.
 
 use crate::chain::{CarrierOutcome, ChainConfig, ChainReport};
+use crate::pool::{self, Pool};
 use crate::switch::{BasebandPacket, PacketSwitch};
 use gsp_channel::awgn::AwgnChannel;
 use gsp_coding::{kernels as trellis_kernels, ConvCode, ConvEncoder, Crc, CrcKind, ViterbiDecoder};
@@ -59,18 +62,14 @@ use gsp_modem::tdma::{TdmaBurstDemodulator, TdmaBurstModulator, TdmaConfig, Tdma
 use gsp_telemetry::{Counter, Gauge, Histogram, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Frames in flight at once: frame `i-1` retiring (Rx collect + switch),
-/// frame `i` in the serial stages, frame `i+1`'s Tx synthesis queued.
+/// Frames in flight at once: frame `i-1` in receive, frame `i` in the
+/// serial stages, frame `i+1` in Tx synthesis.
 const SLOTS: usize = 3;
 
-/// How long a result collect waits before declaring a worker dead. The
-/// pool never legitimately stalls — jobs are bounded and workers are
-/// compute-only — so this only turns a wedged test into a loud failure.
-const COLLECT_TIMEOUT: Duration = Duration::from_secs(120);
+/// Every lane half is back in the engine between public calls.
+const HOME: &str = "lane half home between calls";
 
 /// Accumulated per-stage counters across every frame an engine has run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -145,12 +144,12 @@ pub struct LaneHealth {
     pub crc_failures: u64,
 }
 
-/// Per-lane, per-frame I/O that ping-pongs between the engine and the
-/// worker owning the lane: ground-truth bits and the synthesized burst on
-/// the way out, channel samples on the way in, outcome and packet on the
-/// way back. Boxed so a job message moves a pointer, not kilobytes; the
-/// buffers reach steady-state capacity after the first frame (or at
-/// construction, via pre-warm) and are never reallocated.
+/// Per-lane, per-frame I/O that travels to the pool with the lane half
+/// working on it: ground-truth bits and the synthesized burst with the Tx
+/// half, channel samples, outcome and packet with the Rx half. Boxed so a
+/// pool item moves a pointer, not kilobytes; the buffers reach
+/// steady-state capacity after the first frame (or at construction, via
+/// pre-warm) and are never reallocated.
 struct LaneIo {
     /// Ground-truth information bits (drawn serially by the engine).
     info: Vec<u8>,
@@ -166,12 +165,6 @@ struct LaneIo {
     tx_ns: u64,
     demod_ns: u64,
     decode_ns: u64,
-    /// Mirror of the lane's cumulative heartbeat counter, carried back so
-    /// the engine can answer watchdog queries without touching the
-    /// worker-owned lane.
-    heartbeats: u64,
-    /// Mirror of the lane's cumulative CRC-failure counter.
-    crc_failures: u64,
 }
 
 impl LaneIo {
@@ -185,8 +178,6 @@ impl LaneIo {
             tx_ns: 0,
             demod_ns: 0,
             decode_ns: 0,
-            heartbeats: 0,
-            crc_failures: 0,
         })
     }
 }
@@ -246,10 +237,8 @@ struct RxLane {
     decoded: Vec<u8>,
     /// Injected fault, if any (see [`LaneFault`]).
     fault: Option<LaneFault>,
-    /// Receive passes completed (frozen while stalled).
-    heartbeats: u64,
-    /// Cumulative CRC failures on this lane.
-    crc_fail_count: u64,
+    /// Watchdog counters (heartbeats freeze while stalled).
+    health: LaneHealth,
 }
 
 impl RxLane {
@@ -276,8 +265,6 @@ impl RxLane {
                 bit_errors: io.info.len(),
                 bits: io.info.len(),
             });
-            io.heartbeats = self.heartbeats;
-            io.crc_failures = self.crc_fail_count;
             return;
         }
 
@@ -325,228 +312,43 @@ impl RxLane {
         };
         io.decode_ns = t1.elapsed().as_nanos() as u64;
         if outcome.detected && !outcome.crc_ok {
-            self.crc_fail_count += 1;
+            self.health.crc_failures += 1;
         }
-        self.heartbeats += 1;
+        self.health.heartbeats += 1;
         io.outcome = Some(outcome);
-        io.heartbeats = self.heartbeats;
-        io.crc_failures = self.crc_fail_count;
     }
 }
 
-/// A unit of work for a pool worker. Lane jobs carry the frame slot they
-/// belong to, so results of different in-flight frames cannot be
-/// confused; control messages ride the same FIFO queues and therefore
-/// take effect in program order relative to frame jobs.
-enum Job {
-    /// Synthesize lane `lane`'s burst for the frame in `slot`.
-    Tx {
-        slot: usize,
-        lane: usize,
-        io: Box<LaneIo>,
-    },
-    /// Receive lane `lane`'s channel samples for the frame in `slot`.
-    Rx {
-        slot: usize,
-        lane: usize,
-        io: Box<LaneIo>,
-    },
-    /// Register the worker's demodulators on a telemetry registry.
-    Telemetry(Registry),
-    /// Impose (or clear) a fault on one lane.
-    Fault {
-        lane: usize,
-        fault: Option<LaneFault>,
-    },
+/// One lane half out on the pool, with the frame I/O it works on.
+enum LaneWork {
+    Tx(Box<TxLane>, Box<LaneIo>),
+    Rx(Box<RxLane>, Box<LaneIo>),
 }
 
-/// A finished lane job on its way back to the engine.
-struct Done {
-    slot: usize,
-    lane: usize,
-    rx: bool,
-    io: Box<LaneIo>,
-}
-
-fn worker_loop(
-    base: usize,
-    mut lanes: Vec<(TxLane, RxLane)>,
-    jobs: Receiver<Job>,
-    done: Sender<Done>,
-) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Tx { slot, lane, mut io } => {
+impl LaneWork {
+    /// The pool step: synthesize or receive, touching only this item.
+    fn run(&mut self) {
+        match self {
+            LaneWork::Tx(lane, io) => {
                 let t0 = Instant::now();
-                lanes[lane - base].0.synth(&mut io);
+                lane.synth(io);
                 io.tx_ns = t0.elapsed().as_nanos() as u64;
-                if done
-                    .send(Done {
-                        slot,
-                        lane,
-                        rx: false,
-                        io,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
             }
-            Job::Rx { slot, lane, mut io } => {
-                lanes[lane - base].1.receive(&mut io);
-                if done
-                    .send(Done {
-                        slot,
-                        lane,
-                        rx: true,
-                        io,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Job::Telemetry(registry) => {
-                for (_, rx) in &mut lanes {
-                    rx.demod.set_telemetry(&registry);
-                }
-            }
-            Job::Fault { lane, fault } => lanes[lane - base].1.fault = fault,
+            LaneWork::Rx(lane, io) => lane.receive(io),
         }
     }
-}
-
-/// The persistent worker pool: one long-lived thread per lane chunk, fed
-/// over a bounded SPSC job queue (the engine is the only sender), results
-/// funneled back over one shared channel. Lane state is *moved into* the
-/// workers at spawn; the engine talks to it only through messages, so
-/// there is no shared mutable state and no unsafe.
-struct WorkerPool {
-    job_txs: Vec<SyncSender<Job>>,
-    done_rx: Receiver<Done>,
-    handles: Vec<JoinHandle<()>>,
-    /// Lanes per worker: lane `l` belongs to worker `l / chunk` — the
-    /// same fixed carrier-order chunking the scoped fan-out used, so the
-    /// lane→worker binding is independent of scheduling.
-    chunk: usize,
-    /// Results that arrived while collecting a different (slot, kind) —
-    /// the pipelined schedule interleaves frames, so a Tx result of frame
-    /// `i+1` can land while the engine is draining frame `i`'s Rx.
-    pending: Vec<Done>,
-}
-
-impl WorkerPool {
-    fn spawn(lanes: Vec<(TxLane, RxLane)>, workers: usize) -> Self {
-        let n = lanes.len();
-        let chunk = n.div_ceil(workers);
-        let spawned = n.div_ceil(chunk);
-        let (done_tx, done_rx) = mpsc::channel();
-        let mut job_txs = Vec::with_capacity(spawned);
-        let mut handles = Vec::with_capacity(spawned);
-        let mut iter = lanes.into_iter();
-        for w in 0..spawned {
-            let my: Vec<_> = iter.by_ref().take(chunk).collect();
-            // Worst case in flight per worker: one frame's Tx plus one
-            // frame's Rx for its chunk, plus a couple of control messages
-            // between batches.
-            let (job_tx, job_rx) = mpsc::sync_channel(2 * chunk + 4);
-            let done = done_tx.clone();
-            let base = w * chunk;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("gsp-payload-{w}"))
-                    .spawn(move || worker_loop(base, my, job_rx, done))
-                    .expect("spawn payload worker"),
-            );
-            job_txs.push(job_tx);
-        }
-        WorkerPool {
-            job_txs,
-            done_rx,
-            handles,
-            chunk,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Sends a lane-addressed job to the worker owning that lane.
-    fn dispatch(&self, lane: usize, job: Job) {
-        self.job_txs[lane / self.chunk]
-            .send(job)
-            .expect("payload worker alive");
-    }
-
-    /// Sends a control message to every worker.
-    fn broadcast(&self, make: impl Fn() -> Job) {
-        for tx in &self.job_txs {
-            tx.send(make()).expect("payload worker alive");
-        }
-    }
-
-    /// Collects `need` results of the given (slot, kind), restoring each
-    /// `LaneIo` to its place in `ios`. Results belonging to other
-    /// in-flight frames are parked in `pending`.
-    fn collect(
-        &mut self,
-        slot: usize,
-        want_rx: bool,
-        mut need: usize,
-        ios: &mut [Option<Box<LaneIo>>],
-    ) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].slot == slot && self.pending[i].rx == want_rx {
-                let d = self.pending.swap_remove(i);
-                ios[d.lane] = Some(d.io);
-                need -= 1;
-            } else {
-                i += 1;
-            }
-        }
-        while need > 0 {
-            let d = self
-                .done_rx
-                .recv_timeout(COLLECT_TIMEOUT)
-                .expect("payload worker died or wedged");
-            if d.slot == slot && d.rx == want_rx {
-                ios[d.lane] = Some(d.io);
-                need -= 1;
-            } else {
-                self.pending.push(d);
-            }
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the job queues ends each worker's recv loop; they
-        // drain whatever was queued, then exit.
-        self.job_txs.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Where the lanes live: inline for the serial path, in pool threads
-/// otherwise. `workers == 1` deliberately stays a plain in-thread loop —
-/// it is the bitwise reference and the bench baseline, and must carry
-/// zero queue overhead.
-enum Backend {
-    Serial(Vec<(TxLane, RxLane)>),
-    Pool(WorkerPool),
 }
 
 /// Per-slot state of one in-flight frame.
 struct FrameSlot {
-    /// One I/O buffer per lane; `None` while the lane's job is in flight.
+    /// One I/O buffer per lane; `None` while it is out on the pool.
     ios: Vec<Option<Box<LaneIo>>>,
-    /// The frame's RNG, carried from bit drawing (phase A) to ADC noise
-    /// (phase B) so the draw sequence matches the historical serial code.
+    /// The frame's RNG, carried from bit drawing to ADC noise so the draw
+    /// sequence matches the historical serial code.
     rng: Option<StdRng>,
-    /// Frame wall-clock start (phase A entry).
-    started: Option<Instant>,
+    /// Engine-thread wall time spent on this frame so far, waits for its
+    /// lane halves included and other frames' stages excluded.
+    frame_ns: u64,
     /// Serial Tx nanoseconds so far (bit draw + summation + noise).
     tx_serial_ns: u64,
     demux_ns: u64,
@@ -568,8 +370,10 @@ struct FrameSlot {
 struct EngineTelemetry {
     /// Whether the handles are live (gates the extra wall-clock reads).
     enabled: bool,
-    /// `payload.frame.ns` — whole-frame wall time (dispatch to retire; in
-    /// a pipelined batch this overlaps neighbouring frames).
+    /// `payload.frame.ns` — engine-thread wall time spent on one frame:
+    /// its serial stages plus its waits for the pool, excluding the
+    /// neighbouring frames' stages it overlaps. With one worker this is
+    /// the whole frame.
     frame_ns: Histogram,
     /// `payload.tx.ns` — serial Tx residue (bit draw + sum + noise), per
     /// frame.
@@ -598,17 +402,20 @@ struct EngineTelemetry {
     /// `payload.workers.utilization` — summed lane CPU time over
     /// `workers` × wall time of the last `run_frame*`/`run_frames` call.
     utilization: Gauge,
-    /// `payload.pool.queue_depth` — lane jobs in flight right after an Rx
-    /// dispatch (pool mode only).
+    /// `payload.pool.queue_depth` — lane halves sent to the pool and not
+    /// yet received, right after an Rx send.
     queue_depth: Gauge,
 }
 
-/// Reusable Fig. 2 payload pipeline with a persistent worker pool.
+/// Reusable Fig. 2 payload pipeline on a persistent worker pool.
 pub struct PipelineEngine {
     cfg: ChainConfig,
     workers: usize,
-    n_lanes: usize,
-    backend: Backend,
+    /// Each carrier's Tx half; `None` only while it is out on the pool.
+    tx: Vec<Option<Box<TxLane>>>,
+    /// Each carrier's Rx half; `None` only while it is out on the pool.
+    rx: Vec<Option<Box<RxLane>>>,
+    pool: Pool<LaneWork>,
     /// Samples per modulated burst (fixed by the burst format).
     burst_len: usize,
     channelizer: PolyphaseChannelizer,
@@ -617,19 +424,12 @@ pub struct PipelineEngine {
     composite: Vec<Cpx>,
     /// Per-frame scratch: the channelizer's one-block output vector.
     demux_frame: Vec<Cpx>,
-    /// In-flight frame slots (only slot 0 is used outside pipelined
-    /// batches).
+    /// In-flight frame slots (frame `i` uses slot `i % SLOTS`).
     slots: Vec<FrameSlot>,
     /// Reusable switch scratch: reset + swapped with the outgoing
     /// report's switch each frame, so steady-state ingress allocates
     /// nothing (PR 3's hot-path guarantee, restored).
     switch: PacketSwitch,
-    /// Engine-side mirror of each lane's injected fault (the lane itself
-    /// may live in a worker thread).
-    lane_faults: Vec<Option<LaneFault>>,
-    /// Engine-side mirror of each lane's watchdog counters, refreshed
-    /// when the lane's frame retires.
-    lane_health: Vec<LaneHealth>,
     /// Lane CPU ns accumulated since the current public call began.
     busy_ns: u64,
     tel: EngineTelemetry,
@@ -638,10 +438,7 @@ pub struct PipelineEngine {
 impl PipelineEngine {
     /// Engine with one worker per available CPU (at most one per carrier).
     pub fn new(cfg: ChainConfig) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_workers(cfg, cores)
+        Self::with_workers(cfg, pool::cores())
     }
 
     /// Engine with an explicit worker count (`1` = fully serial, no pool
@@ -673,33 +470,34 @@ impl PipelineEngine {
         let composite_len = burst_len * m + 2 * guard;
         let blocks = composite_len / m;
 
-        let mut lanes: Vec<(TxLane, RxLane)> = (0..n)
+        let mut tx: Vec<Box<TxLane>> = (0..n)
             .map(|k| {
-                (
-                    TxLane {
-                        encoder: ConvEncoder::new(code.clone()),
-                        crc: Crc::new(CrcKind::Crc16),
-                        resampler: RationalResampler::new(1.0, m as f64),
-                        carrier_step: std::f64::consts::TAU * k as f64 / m as f64,
-                        modulator: modulator.clone(),
-                        protected: Vec::new(),
-                        coded: Vec::new(),
-                        syms: Vec::new(),
-                        wave: Vec::new(),
-                    },
-                    RxLane {
-                        carrier: k,
-                        demod: TdmaBurstDemodulator::with_kernels(tdma_cfg.clone(), cpx_k),
-                        viterbi: ViterbiDecoder::with_kernels(code.clone(), trellis_k),
-                        crc: Crc::new(CrcKind::Crc16),
-                        beams: cfg.beams,
-                        demod_out: TdmaDemodResult::default(),
-                        decoded: Vec::new(),
-                        fault: None,
-                        heartbeats: 0,
-                        crc_fail_count: 0,
-                    },
-                )
+                Box::new(TxLane {
+                    encoder: ConvEncoder::new(code.clone()),
+                    crc: Crc::new(CrcKind::Crc16),
+                    resampler: RationalResampler::new(1.0, m as f64),
+                    carrier_step: std::f64::consts::TAU * k as f64 / m as f64,
+                    modulator: modulator.clone(),
+                    protected: Vec::new(),
+                    coded: Vec::new(),
+                    syms: Vec::new(),
+                    wave: Vec::new(),
+                })
+            })
+            .collect();
+        let mut rx: Vec<Box<RxLane>> = (0..n)
+            .map(|k| {
+                Box::new(RxLane {
+                    carrier: k,
+                    demod: TdmaBurstDemodulator::with_kernels(tdma_cfg.clone(), cpx_k),
+                    viterbi: ViterbiDecoder::with_kernels(code.clone(), trellis_k),
+                    crc: Crc::new(CrcKind::Crc16),
+                    beams: cfg.beams,
+                    demod_out: TdmaDemodResult::default(),
+                    decoded: Vec::new(),
+                    fault: None,
+                    health: LaneHealth::default(),
+                })
             })
             .collect();
 
@@ -712,7 +510,7 @@ impl PipelineEngine {
         let mut warm = LaneIo::with_capacity(cfg.info_bits, 0, blocks);
         warm.info = vec![0u8; cfg.info_bits];
         warm.samples = vec![Cpx::ZERO; blocks];
-        for (tx, rx) in &mut lanes {
+        for (tx, rx) in tx.iter_mut().zip(&mut rx) {
             tx.synth(&mut warm);
             rx.viterbi.reserve_steps(coded_bits / 2);
             let _ = rx.demod.demodulate_into(&warm.samples, &mut rx.demod_out);
@@ -727,7 +525,7 @@ impl PipelineEngine {
                     .map(|_| Some(LaneIo::with_capacity(cfg.info_bits, upsampled_len, blocks)))
                     .collect(),
                 rng: None,
-                started: None,
+                frame_ns: 0,
                 tx_serial_ns: 0,
                 demux_ns: 0,
                 produced: 0,
@@ -735,16 +533,12 @@ impl PipelineEngine {
                 composite_len: 0,
             })
             .collect();
-        let backend = if workers <= 1 || n <= 1 {
-            Backend::Serial(lanes)
-        } else {
-            Backend::Pool(WorkerPool::spawn(lanes, workers))
-        };
 
         PipelineEngine {
             workers,
-            n_lanes: n,
-            backend,
+            tx: tx.into_iter().map(Some).collect(),
+            rx: rx.into_iter().map(Some).collect(),
+            pool: Pool::new(workers, LaneWork::run),
             burst_len,
             channelizer: PolyphaseChannelizer::with_kernels(m, 12, cpx_k),
             stats: PipelineStats::default(),
@@ -752,8 +546,6 @@ impl PipelineEngine {
             demux_frame: vec![Cpx::ZERO; m],
             slots,
             switch: PacketSwitch::new(cfg.beams, cfg.switch_queue_limit),
-            lane_faults: vec![None; n],
-            lane_health: vec![LaneHealth::default(); n],
             busy_ns: 0,
             tel: EngineTelemetry::default(),
             cfg,
@@ -769,9 +561,7 @@ impl PipelineEngine {
     /// `payload.demux.errors`, `payload.packets.*`) and worker gauges
     /// (`payload.workers`, `payload.workers.utilization`,
     /// `payload.pool.queue_depth`). The lanes' burst demodulators
-    /// register their `modem.tdma.*` counters on the same registry —
-    /// delivered to pool workers as a control message on the same FIFO
-    /// queues as frame jobs, so it takes effect before the next frame.
+    /// register their `modem.tdma.*` counters on the same registry.
     ///
     /// Telemetry is observed, never consulted: frame reports stay bitwise
     /// identical whether `registry` is live, no-op, or never installed.
@@ -798,13 +588,8 @@ impl PipelineEngine {
             queue_depth: registry.gauge("payload.pool.queue_depth"),
         };
         self.tel.workers.set(self.workers as f64);
-        match &mut self.backend {
-            Backend::Serial(lanes) => {
-                for (_, rx) in lanes {
-                    rx.demod.set_telemetry(registry);
-                }
-            }
-            Backend::Pool(pool) => pool.broadcast(|| Job::Telemetry(registry.clone())),
+        for lane in &mut self.rx {
+            lane.as_mut().expect(HOME).demod.set_telemetry(registry);
         }
     }
 
@@ -830,19 +615,8 @@ impl PipelineEngine {
     }
 
     fn set_fault(&mut self, carrier: usize, fault: Option<LaneFault>) {
-        if carrier >= self.n_lanes {
-            return;
-        }
-        self.lane_faults[carrier] = fault;
-        match &mut self.backend {
-            Backend::Serial(lanes) => lanes[carrier].1.fault = fault,
-            Backend::Pool(pool) => pool.dispatch(
-                carrier,
-                Job::Fault {
-                    lane: carrier,
-                    fault,
-                },
-            ),
+        if let Some(lane) = self.rx.get_mut(carrier) {
+            lane.as_mut().expect(HOME).fault = fault;
         }
     }
 
@@ -860,13 +634,16 @@ impl PipelineEngine {
 
     /// The fault currently imposed on lane `carrier`, if any.
     pub fn lane_fault(&self, carrier: usize) -> Option<LaneFault> {
-        self.lane_faults.get(carrier).copied().flatten()
+        self.rx
+            .get(carrier)
+            .and_then(|lane| lane.as_ref().expect(HOME).fault)
     }
 
     /// Watchdog counters for lane `carrier` (default-zero out of range).
-    /// Sampled when the lane's most recent frame retired.
     pub fn lane_health(&self, carrier: usize) -> LaneHealth {
-        self.lane_health.get(carrier).copied().unwrap_or_default()
+        self.rx.get(carrier).map_or(LaneHealth::default(), |lane| {
+            lane.as_ref().expect(HOME).health
+        })
     }
 
     /// Queues `packets` into the frame switch ahead of the next frame's
@@ -882,10 +659,9 @@ impl PipelineEngine {
         }
     }
 
-    /// Quiesces the engine at a frame boundary: the single-frame entry
-    /// points are synchronous (software pipelining only overlaps frames
-    /// inside [`PipelineEngine::run_frames`]), so this only has to hand
-    /// back whatever a replay preloaded but never ran — the hot-swap
+    /// Quiesces the engine at a frame boundary: every entry point returns
+    /// with all lanes home and no frame in flight, so this only has to
+    /// hand back whatever a replay preloaded but never ran — the hot-swap
     /// controller's guarantee that deactivating a personality strands no
     /// ingress.
     pub fn quiesce(&mut self) -> Vec<BasebandPacket> {
@@ -913,209 +689,184 @@ impl PipelineEngine {
         }
     }
 
-    /// Phase A of a frame: draw every lane's information bits (serially,
-    /// in carrier order, on the frame's own RNG) and hand the lanes their
-    /// Tx synthesis work. In a pipelined batch this runs for frame `i+1`
-    /// *before* frame `i`'s Rx jobs are dispatched, so workers pick Tx
-    /// work up the moment they drain the previous frame.
-    fn phase_a(&mut self, slot: usize, seed: u64) {
-        let n = self.n_lanes;
+    /// Starts the frame in `slot`: draws every lane's information bits
+    /// (serially, in carrier order, on the frame's own RNG) and sends
+    /// each Tx half to the pool with its I/O.
+    fn send_tx(&mut self, slot: usize, seed: u64) {
+        let t0 = Instant::now();
         let info_bits = self.cfg.info_bits;
-        let started = Instant::now();
         let mut rng = StdRng::seed_from_u64(seed);
-        {
-            let sl = &mut self.slots[slot];
-            sl.started = Some(started);
-            let t0 = Instant::now();
-            for io in sl.ios[..n].iter_mut() {
-                let io = io.as_mut().expect("frame slot busy");
-                io.info.clear();
-                io.info
-                    .extend((0..info_bits).map(|_| rng.gen_range(0..2u8)));
-            }
-            sl.tx_serial_ns = t0.elapsed().as_nanos() as u64;
-            sl.rng = Some(rng);
+        let sl = &mut self.slots[slot];
+        for io in sl.ios.iter_mut() {
+            let io = io.as_mut().expect("frame slot home");
+            io.info.clear();
+            io.info
+                .extend((0..info_bits).map(|_| rng.gen_range(0..2u8)));
         }
-        match &mut self.backend {
-            Backend::Serial(lanes) => {
-                let sl = &mut self.slots[slot];
-                for (k, (tx, _)) in lanes.iter_mut().enumerate().take(n) {
-                    let io = sl.ios[k].as_mut().expect("frame slot busy");
-                    let t0 = Instant::now();
-                    tx.synth(io);
-                    io.tx_ns = t0.elapsed().as_nanos() as u64;
-                }
-            }
-            Backend::Pool(pool) => {
-                let sl = &mut self.slots[slot];
-                for (k, io) in sl.ios[..n].iter_mut().enumerate() {
-                    let io = io.take().expect("frame slot busy");
-                    pool.dispatch(k, Job::Tx { slot, lane: k, io });
-                }
-            }
+        sl.tx_serial_ns = t0.elapsed().as_nanos() as u64;
+        sl.rng = Some(rng);
+        for (lane, io) in self.tx.iter_mut().zip(sl.ios.iter_mut()) {
+            let io = io.take().expect("frame slot home");
+            self.pool.send(LaneWork::Tx(lane.take().expect(HOME), io));
         }
+        sl.frame_ns = t0.elapsed().as_nanos() as u64;
     }
 
-    /// Phase B of a frame: collect the synthesized bursts, sum them into
-    /// the composite in carrier order (bitwise identical to the old
-    /// serial accumulation), apply ADC noise on the frame's RNG, run the
-    /// polyphase DEMUX straight into each lane's sample buffer, and
-    /// dispatch the receive jobs.
-    fn phase_b(&mut self, slot: usize) {
-        let n = self.n_lanes;
+    /// Receives the lane halves sent for the frame in `slot` and puts each
+    /// one, and its I/O, home. The pool returns items in send order, so
+    /// the `k`-th item back is lane `k`'s.
+    fn recv_lanes(&mut self, slot: usize) {
+        let t0 = Instant::now();
+        let sl = &mut self.slots[slot];
+        for (k, io) in sl.ios.iter_mut().enumerate() {
+            *io = Some(match self.pool.recv() {
+                LaneWork::Tx(lane, io) => {
+                    self.tx[k] = Some(lane);
+                    io
+                }
+                LaneWork::Rx(lane, io) => {
+                    self.rx[k] = Some(lane);
+                    io
+                }
+            });
+        }
+        sl.frame_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Sums the synthesized bursts into the composite in carrier order
+    /// (bitwise identical to the old serial accumulation), applies ADC
+    /// noise on the frame's RNG and runs the polyphase DEMUX straight into
+    /// each lane's sample buffer.
+    fn demux(&mut self, slot: usize) {
+        let t0 = Instant::now();
         let m = self.cfg.channels;
         let guard = 64 * m;
         let composite_len = self.burst_len * m + 2 * guard;
-        if let Backend::Pool(pool) = &mut self.backend {
-            pool.collect(slot, false, n, &mut self.slots[slot].ios);
-        }
+        let sl = &mut self.slots[slot];
 
         // ---- Serial Tx residue: carrier summation + ADC noise.
-        let t_tx = Instant::now();
-        {
-            let sl = &mut self.slots[slot];
-            self.composite.clear();
-            self.composite.resize(composite_len, Cpx::ZERO);
-            for io in sl.ios[..n].iter() {
-                let io = io.as_ref().expect("tx collected");
-                for (i, s) in io.upsampled.iter().enumerate() {
-                    if guard + i < composite_len {
-                        self.composite[guard + i] += *s;
-                    }
+        self.composite.clear();
+        self.composite.resize(composite_len, Cpx::ZERO);
+        for io in sl.ios.iter() {
+            let io = io.as_ref().expect("tx received");
+            for (i, s) in io.upsampled.iter().enumerate() {
+                if guard + i < composite_len {
+                    self.composite[guard + i] += *s;
                 }
             }
-            let rng = sl.rng.take();
-            if let Some(db) = self.cfg.esn0_db {
-                // Per-carrier Es/N0 calibration: the channelizer passes an
-                // on-centre carrier with unit gain while keeping only the
-                // channel's share of the composite noise (measured noise
-                // bandwidth ≈ 1.1/m of the prototype), so composite noise
-                // is 1.1·m times the per-channel target.
-                let mut rng = rng.expect("phase A seeded the frame RNG");
-                let mut ch = AwgnChannel::from_esn0_db(db - 10.0 * (1.1 * m as f64).log10());
-                ch.apply(&mut self.composite, &mut rng);
-            }
-            sl.tx_serial_ns += t_tx.elapsed().as_nanos() as u64;
         }
+        let rng = sl.rng.take();
+        if let Some(db) = self.cfg.esn0_db {
+            // Per-carrier Es/N0 calibration: the channelizer passes an
+            // on-centre carrier with unit gain while keeping only the
+            // channel's share of the composite noise (measured noise
+            // bandwidth ≈ 1.1/m of the prototype), so composite noise
+            // is 1.1·m times the per-channel target.
+            let mut rng = rng.expect("send_tx seeded the frame RNG");
+            let mut ch = AwgnChannel::from_esn0_db(db - 10.0 * (1.1 * m as f64).log10());
+            ch.apply(&mut self.composite, &mut rng);
+        }
+        sl.tx_serial_ns += t0.elapsed().as_nanos() as u64;
 
         // ---- DEMUX (serial): polyphase channelizer, scattered straight
         // into each active lane's sample buffer (lane k demodulates
         // channel k; inactive channels are discarded).
         let t_demux = Instant::now();
         let blocks = composite_len / m;
-        {
-            let sl = &mut self.slots[slot];
-            self.channelizer.reset();
-            for io in sl.ios[..n].iter_mut() {
-                let samples = &mut io.as_mut().expect("tx collected").samples;
-                samples.clear();
-                samples.resize(blocks, Cpx::ZERO);
-            }
-            let mut produced = 0usize;
-            for &x in &self.composite {
-                if self.channelizer.push(x, &mut self.demux_frame) {
-                    if produced < blocks {
-                        for (k, io) in sl.ios[..n].iter_mut().enumerate() {
-                            io.as_mut().expect("tx collected").samples[produced] =
-                                self.demux_frame[k];
-                        }
-                    }
-                    produced += 1;
-                }
-            }
-            // Formerly `debug_assert_eq!(produced, blocks)`, which
-            // vanished in release builds and let a short composite decode
-            // zero-padded garbage silently. Now it is bookkeeping that
-            // phase C turns into a counter and report field.
-            sl.produced = produced;
-            sl.expected = composite_len.div_ceil(m);
-            sl.composite_len = composite_len;
-            sl.demux_ns = t_demux.elapsed().as_nanos() as u64;
+        self.channelizer.reset();
+        for io in sl.ios.iter_mut() {
+            let samples = &mut io.as_mut().expect("tx received").samples;
+            samples.clear();
+            samples.resize(blocks, Cpx::ZERO);
         }
+        let mut produced = 0usize;
+        for &x in &self.composite {
+            if self.channelizer.push(x, &mut self.demux_frame) {
+                if produced < blocks {
+                    for (k, io) in sl.ios.iter_mut().enumerate() {
+                        io.as_mut().expect("tx received").samples[produced] = self.demux_frame[k];
+                    }
+                }
+                produced += 1;
+            }
+        }
+        // Formerly `debug_assert_eq!(produced, blocks)`, which vanished
+        // in release builds and let a short composite decode zero-padded
+        // garbage silently. Now it is bookkeeping that `retire` turns
+        // into a counter and report field.
+        sl.produced = produced;
+        sl.expected = composite_len.div_ceil(m);
+        sl.composite_len = composite_len;
+        sl.demux_ns = t_demux.elapsed().as_nanos() as u64;
+        sl.frame_ns += t0.elapsed().as_nanos() as u64;
+    }
 
-        // ---- Rx dispatch.
-        match &mut self.backend {
-            Backend::Serial(lanes) => {
-                let sl = &mut self.slots[slot];
-                for (k, (_, rx)) in lanes.iter_mut().enumerate().take(n) {
-                    rx.receive(sl.ios[k].as_mut().expect("tx collected"));
-                }
-            }
-            Backend::Pool(pool) => {
-                let sl = &mut self.slots[slot];
-                for (k, io) in sl.ios[..n].iter_mut().enumerate() {
-                    let io = io.take().expect("tx collected");
-                    pool.dispatch(k, Job::Rx { slot, lane: k, io });
-                }
-                if self.tel.enabled {
-                    let in_flight = self
-                        .slots
-                        .iter()
-                        .flat_map(|s| s.ios.iter())
-                        .filter(|io| io.is_none())
-                        .count();
-                    self.tel.queue_depth.set(in_flight as f64);
-                }
-            }
+    /// Sends each Rx half to the pool with its channel samples.
+    fn send_rx(&mut self, slot: usize) {
+        let t0 = Instant::now();
+        let sl = &mut self.slots[slot];
+        for (lane, io) in self.rx.iter_mut().zip(sl.ios.iter_mut()) {
+            let io = io.take().expect("tx received");
+            self.pool.send(LaneWork::Rx(lane.take().expect(HOME), io));
+        }
+        sl.frame_ns += t0.elapsed().as_nanos() as u64;
+        if self.tel.enabled {
+            let in_flight = self
+                .slots
+                .iter()
+                .flat_map(|s| &s.ios)
+                .filter(|io| io.is_none())
+                .count();
+            self.tel.queue_depth.set(in_flight as f64);
         }
     }
 
-    /// Phase C of a frame: collect the receive results, ingest CRC-clean
-    /// packets into the (reused) switch serially in carrier order, fold
-    /// every counter in frame order, and assemble the report into
+    /// Receives the frame in `slot` back from the pool, ingests CRC-clean
+    /// packets into the (reused) switch serially in carrier order, folds
+    /// every counter in frame order, and assembles the report into
     /// `report` (whose buffers are recycled).
-    fn phase_c(&mut self, slot: usize, tick: u64, report: &mut ChainReport) {
-        let n = self.n_lanes;
-        if let Backend::Pool(pool) = &mut self.backend {
-            pool.collect(slot, true, n, &mut self.slots[slot].ios);
-        }
-
+    fn retire(&mut self, slot: usize, tick: u64, report: &mut ChainReport) {
+        self.recv_lanes(slot);
         let t_switch = Instant::now();
+        let n = self.rx.len();
         report.carriers.clear();
         report.info_bits.clear();
         report.carriers.reserve(n);
         report.info_bits.reserve(n);
         let mut busy = 0u64;
-        {
-            let sl = &mut self.slots[slot];
-            for (k, io) in sl.ios[..n].iter_mut().enumerate() {
-                let io = io.as_mut().expect("rx collected");
-                let outcome = io.outcome.take().expect("lane ran");
-                if !outcome.detected {
-                    self.stats.uw_misses += 1;
-                    self.tel.uw_misses.inc();
-                } else if !outcome.crc_ok {
-                    self.stats.crc_failures += 1;
-                    self.tel.crc_failures.inc();
-                }
-                if let Some(mut pkt) = io.packet.take() {
-                    pkt.born_tick = tick;
-                    self.switch.ingress(pkt);
-                }
-                self.stats.tx_synth_ns += io.tx_ns;
-                self.stats.demod_ns += io.demod_ns;
-                self.stats.decode_ns += io.decode_ns;
-                self.tel.tx_synth_ns.record(io.tx_ns);
-                self.tel.demod_ns.record(io.demod_ns);
-                self.tel.decode_ns.record(io.decode_ns);
-                busy += io.tx_ns + io.demod_ns + io.decode_ns;
-                self.lane_health[k] = LaneHealth {
-                    heartbeats: io.heartbeats,
-                    crc_failures: io.crc_failures,
-                };
-                report.carriers.push(outcome);
-                // The report owns the ground-truth bits (they escape the
-                // frame); taking them instead of cloning skips the copy,
-                // and phase A refills the buffer next frame.
-                report.info_bits.push(std::mem::take(&mut io.info));
+        let sl = &mut self.slots[slot];
+        for io in sl.ios.iter_mut() {
+            let io = io.as_mut().expect("rx received");
+            let outcome = io.outcome.take().expect("lane ran");
+            if !outcome.detected {
+                self.stats.uw_misses += 1;
+                self.tel.uw_misses.inc();
+            } else if !outcome.crc_ok {
+                self.stats.crc_failures += 1;
+                self.tel.crc_failures.inc();
             }
+            if let Some(mut pkt) = io.packet.take() {
+                pkt.born_tick = tick;
+                self.switch.ingress(pkt);
+            }
+            self.stats.tx_synth_ns += io.tx_ns;
+            self.stats.demod_ns += io.demod_ns;
+            self.stats.decode_ns += io.decode_ns;
+            self.tel.tx_synth_ns.record(io.tx_ns);
+            self.tel.demod_ns.record(io.demod_ns);
+            self.tel.decode_ns.record(io.decode_ns);
+            busy += io.tx_ns + io.demod_ns + io.decode_ns;
+            report.carriers.push(outcome);
+            // The report owns the ground-truth bits (they escape the
+            // frame); taking them instead of cloning skips the copy, and
+            // `send_tx` refills the buffer next frame.
+            report.info_bits.push(std::mem::take(&mut io.info));
         }
         let switch_ns = t_switch.elapsed().as_nanos() as u64;
         self.busy_ns += busy;
         self.stats.switch_ns += switch_ns;
         self.tel.switch_ns.record(switch_ns);
 
-        let sl = &mut self.slots[slot];
         self.stats.tx_ns += sl.tx_serial_ns;
         self.tel.tx_ns.record(sl.tx_serial_ns);
         self.stats.demux_ns += sl.demux_ns;
@@ -1153,9 +904,8 @@ impl PipelineEngine {
         report.switch.reset();
         std::mem::swap(&mut self.switch, &mut report.switch);
 
-        if let Some(t0) = sl.started.take() {
-            self.tel.frame_ns.record(t0.elapsed().as_nanos() as u64);
-        }
+        sl.frame_ns += t_switch.elapsed().as_nanos() as u64;
+        self.tel.frame_ns.record(sl.frame_ns);
     }
 
     fn finish_utilization(&mut self, t0: Instant) {
@@ -1167,6 +917,37 @@ impl PipelineEngine {
                     .set(self.busy_ns as f64 / (wall as f64 * self.workers as f64));
             }
         }
+    }
+
+    /// The one schedule behind every run: frame `i` is seeded with
+    /// `seed(i)` and retired into `reports[i]`, stamped `tick`. See the
+    /// module docs for the per-frame order.
+    fn run_schedule(
+        &mut self,
+        reports: &mut [ChainReport],
+        seed: impl Fn(usize) -> u64,
+        tick: u64,
+    ) {
+        let n = reports.len();
+        if n == 0 {
+            return;
+        }
+        let t0 = Instant::now();
+        self.busy_ns = 0;
+        self.send_tx(0, seed(0));
+        for i in 0..n {
+            self.recv_lanes(i % SLOTS);
+            if i + 1 < n {
+                self.send_tx((i + 1) % SLOTS, seed(i + 1));
+            }
+            self.demux(i % SLOTS);
+            if i > 0 {
+                self.retire((i - 1) % SLOTS, tick, &mut reports[i - 1]);
+            }
+            self.send_rx(i % SLOTS);
+        }
+        self.retire((n - 1) % SLOTS, tick, &mut reports[n - 1]);
+        self.finish_utilization(t0);
     }
 
     /// Runs one MF-TDMA frame; equivalent to
@@ -1198,73 +979,19 @@ impl PipelineEngine {
     /// identical to a fresh [`PipelineEngine::run_frame_at`] regardless
     /// of what `report` held before.
     pub fn run_frame_into(&mut self, seed: u64, tick: u64, report: &mut ChainReport) {
-        let t0 = Instant::now();
-        self.busy_ns = 0;
-        self.phase_a(0, seed);
-        self.phase_b(0);
-        self.phase_c(0, tick, report);
-        self.finish_utilization(t0);
+        self.run_schedule(std::slice::from_mut(report), |_| seed, tick);
     }
 
     /// Runs `n_frames` frames, frame `i` seeded with
     /// [`frame_seed`]`(seed, i)`, and returns the per-frame reports.
     ///
-    /// With a pool backend the frames are software-pipelined (`SLOTS`
-    /// deep): frame `i+1`'s Tx synthesis is dispatched before frame `i`'s
-    /// receive jobs so the workers stay busy through the engine's serial
-    /// stages, and frame `i-1` retires while `i` and `i+1` are still in
-    /// flight. Reports are identical to running the frames one at a time.
+    /// The frames are software-pipelined (`SLOTS` deep, see the module
+    /// docs); reports are identical to running the frames one at a time.
     pub fn run_frames(&mut self, n_frames: usize, seed: u64) -> Vec<ChainReport> {
-        let t0 = Instant::now();
-        self.busy_ns = 0;
-        let mut reports = Vec::with_capacity(n_frames);
-        if n_frames == 0 {
-            return reports;
-        }
-        if matches!(self.backend, Backend::Serial(_)) {
-            // Serial backend: nothing to overlap; keep frames strictly
-            // sequential (this is the bitwise reference and the bench
-            // baseline).
-            for i in 0..n_frames {
-                let mut report = self.empty_report();
-                self.phase_a(0, frame_seed(seed, i));
-                self.phase_b(0);
-                self.phase_c(0, 0, &mut report);
-                reports.push(report);
-            }
-        } else {
-            self.phase_a(0, frame_seed(seed, 0));
-            for i in 0..n_frames {
-                if i + 1 < n_frames {
-                    self.phase_a((i + 1) % SLOTS, frame_seed(seed, i + 1));
-                }
-                self.phase_b(i % SLOTS);
-                if i >= 1 {
-                    let mut report = self.empty_report();
-                    self.phase_c((i - 1) % SLOTS, 0, &mut report);
-                    reports.push(report);
-                }
-            }
-            let mut report = self.empty_report();
-            self.phase_c((n_frames - 1) % SLOTS, 0, &mut report);
-            reports.push(report);
-        }
-        self.finish_utilization(t0);
+        let mut reports: Vec<ChainReport> = (0..n_frames).map(|_| self.empty_report()).collect();
+        self.run_schedule(&mut reports, |i| frame_seed(seed, i), 0);
         reports
     }
-}
-
-/// Batched convenience entry: runs `n_frames` frames of `cfg` on a fresh
-/// engine (auto worker count) and returns the reports with the engine's
-/// accumulated stage counters.
-pub fn run_frames(
-    cfg: &ChainConfig,
-    n_frames: usize,
-    seed: u64,
-) -> (Vec<ChainReport>, PipelineStats) {
-    let mut engine = PipelineEngine::new(cfg.clone());
-    let reports = engine.run_frames(n_frames, seed);
-    (reports, engine.stats())
 }
 
 #[cfg(test)]
@@ -1346,11 +1073,13 @@ mod tests {
         // bug would and check the plumbing end to end.
         let mut engine = PipelineEngine::with_workers(ChainConfig::default(), 1);
         let mut report = engine.empty_report();
-        engine.phase_a(0, 11);
-        engine.phase_b(0);
+        engine.send_tx(0, 11);
+        engine.recv_lanes(0);
+        engine.demux(0);
+        engine.send_rx(0);
         assert_eq!(engine.slots[0].produced, engine.slots[0].expected);
         engine.slots[0].produced -= 1; // simulate an under-producing DEMUX
-        engine.phase_c(0, 0, &mut report);
+        engine.retire(0, 0, &mut report);
         assert!(!report.demux_ok());
         assert!(!report.all_clean(), "demux shortfall must spoil all_clean");
         assert_eq!(report.demux_expected, report.demux_produced + 1);
@@ -1450,9 +1179,9 @@ mod tests {
 
     #[test]
     fn faults_reach_pool_workers_too() {
-        // Same fault choreography, but with the lanes living in pool
-        // threads: injection and clearing travel as control messages on
-        // the job queues and must behave exactly like the serial path.
+        // Same fault choreography, but with the lane halves stepped on
+        // pool threads: a fault set between calls travels with the lane
+        // and must behave exactly like the inline path.
         let mut pooled = PipelineEngine::with_workers(ChainConfig::default(), 3);
         let mut serial = PipelineEngine::with_workers(ChainConfig::default(), 1);
         for e in [&mut pooled, &mut serial] {

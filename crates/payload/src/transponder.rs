@@ -36,9 +36,9 @@ pub struct TransponderReport {
 }
 
 /// The transponder as a persistent simulator: the uplink half runs on a
-/// [`PipelineEngine`] (long-lived per-carrier chains, parallel demod fan-
-/// out) and the downlink half on per-beam Tx chains plus a ground
-/// receiver, all reused from frame to frame.
+/// [`PipelineEngine`] (long-lived per-carrier chains reused from frame to
+/// frame, parallel demod fan-out) and the downlink half on per-beam Tx
+/// chains plus a ground receiver, both built afresh for every frame.
 pub struct TransponderSim {
     cfg: TransponderConfig,
     engine: PipelineEngine,

@@ -14,7 +14,8 @@
 //!    decoder's error), never an out-of-bounds slice or unwrap. A flipped
 //!    housekeeping frame is always rejected (its CRC-24 catches every
 //!    single-bit error); a flipped TC/TM PDU, which has no CRC of its own
-//!    (the N1 frame carries it), either decodes or is rejected.
+//!    (the N1 frame carries it), either decodes to a PDU whose canonical
+//!    encoding is exactly the flipped bytes, or is rejected.
 //!
 //! 2. **Agents in a live `Sim`** — TFTP server/writer, SCPS-FP
 //!    sender/receiver, COPS PDP/PEP — facing a `Blaster` peer that
@@ -213,17 +214,18 @@ proptest! {
         prop_assert_eq!(housekeeping::decode_frame(&flip(hk_frame(&payload))), None);
 
         // A TC/TM PDU has no CRC of its own: a flip may decode to another
-        // command, but the decoder never reads past what it was given.
+        // command, but only to one whose canonical encoding is exactly
+        // the flipped bytes.
         for pdu in tc_pdus(&payload) {
             let bytes = flip(pdu.to_vec());
             if let Some(tc) = ops::decode_tc(&bytes) {
-                prop_assert!(ops::encode_tc(&tc).len() <= bytes.len());
+                prop_assert_eq!(ops::encode_tc(&tc).to_vec(), bytes);
             }
         }
         for pdu in tm_pdus(&payload) {
             let bytes = flip(pdu.to_vec());
             if let Some(tm) = ops::decode_tm(&bytes) {
-                prop_assert!(ops::encode_tm(&tm).len() <= bytes.len());
+                prop_assert_eq!(ops::encode_tm(&tm).to_vec(), bytes);
             }
         }
     }

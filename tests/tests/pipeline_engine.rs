@@ -4,7 +4,7 @@
 
 use gsp_modem::tdma::TimingRecoveryKind;
 use gsp_payload::chain::{run_mf_tdma_frame, ChainConfig};
-use gsp_payload::pipeline::{run_frames, PipelineEngine};
+use gsp_payload::pipeline::PipelineEngine;
 use std::time::{Duration, Instant};
 
 fn configs() -> Vec<ChainConfig> {
@@ -96,7 +96,9 @@ fn batched_run_frames_reports_consistent_counters() {
         ..ChainConfig::default()
     };
     let n = 5;
-    let (reports, stats) = run_frames(&cfg, n, 7);
+    let mut engine = PipelineEngine::new(cfg.clone());
+    let reports = engine.run_frames(n, 7);
+    let stats = engine.stats();
     assert_eq!(reports.len(), n);
     assert_eq!(stats.frames, n as u64);
     let forwarded: u64 = reports.iter().map(|r| r.packets_forwarded).sum();
@@ -176,7 +178,7 @@ fn parallel_fanout_speeds_up_multiframe_batches() {
             "{frames}-frame batch on {cores} cores only {speedup:.2}x over serial"
         );
     } else {
-        // Single/dual core: the scoped-thread overhead must stay small.
+        // Single/dual core: the pool's overhead must stay small.
         assert!(
             speedup >= 0.5,
             "fan-out pathologically slow on {cores} cores: {speedup:.2}x"
