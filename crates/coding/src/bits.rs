@@ -2,12 +2,18 @@
 
 /// Packs a slice of 0/1 bits (MSB first) into bytes, zero-padding the tail.
 pub fn pack_bits(bits: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        debug_assert!(b <= 1);
-        out[i / 8] |= (b & 1) << (7 - i % 8);
-    }
+    let mut out = Vec::new();
+    pack_bits_into(bits, &mut out);
     out
+}
+
+/// [`pack_bits`] into `out` (cleared first). A reused buffer of sufficient
+/// capacity makes repeated calls allocation-free.
+pub fn pack_bits_into(bits: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    let pack =
+        |chunk: &[u8]| (0..chunk.len()).fold(0u8, |byte, i| byte | (chunk[i] & 1) << (7 - i));
+    out.extend(bits.chunks(8).map(pack));
 }
 
 /// Unpacks bytes into `n_bits` 0/1 bits, MSB first.

@@ -61,9 +61,9 @@ impl Crc {
         Crc { kind }
     }
 
-    /// Computes the parity bits (MSB first, i.e. D^{L−1} coefficient first)
-    /// for the message bits, per the 25.212 systematic-division definition.
-    pub fn compute(&self, bits: &[u8]) -> Vec<u8> {
+    /// The parity bits of `bits` (MSB first, i.e. D^{L−1} coefficient
+    /// first), per the 25.212 systematic-division definition.
+    pub(crate) fn parity(&self, bits: &[u8]) -> impl Iterator<Item = u8> {
         let l = self.kind.len();
         let poly = self.kind.poly();
         let mut reg: u32 = 0;
@@ -76,50 +76,29 @@ impl Crc {
             }
             reg &= (1u32 << l) - 1;
         }
-        (0..l).map(|i| ((reg >> (l - 1 - i)) & 1) as u8).collect()
+        (0..l).map(move |i| ((reg >> (l - 1 - i)) & 1) as u8)
+    }
+
+    /// Computes the parity bits (MSB first, i.e. D^{L−1} coefficient first)
+    /// for the message bits, per the 25.212 systematic-division definition.
+    pub fn compute(&self, bits: &[u8]) -> Vec<u8> {
+        self.parity(bits).collect()
     }
 
     /// Appends the parity to the message, returning `message ‖ crc`.
     pub fn attach(&self, bits: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(bits.len() + self.kind.len());
-        self.attach_into(bits, &mut out);
-        out
-    }
-
-    /// Writes `message ‖ crc` into `out` (cleared first). A reused buffer
-    /// of sufficient capacity makes repeated calls allocation-free.
-    pub fn attach_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        let l = self.kind.len();
-        let poly = self.kind.poly();
-        out.clear();
-        out.reserve(bits.len() + l);
-        out.extend_from_slice(bits);
-        let mut reg: u32 = 0;
-        for &b in bits {
-            debug_assert!(b <= 1);
-            let fb = ((reg >> (l - 1)) as u8 ^ b) & 1;
-            reg <<= 1;
-            if fb == 1 {
-                reg ^= poly;
-            }
-            reg &= (1u32 << l) - 1;
-        }
-        out.extend((0..l).map(|i| ((reg >> (l - 1 - i)) & 1) as u8));
+        bits.iter().copied().chain(self.parity(bits)).collect()
     }
 
     /// Checks a `message ‖ crc` block; returns `Some(message)` when the
-    /// parity verifies, `None` otherwise.
+    /// parity verifies, `None` otherwise. Never allocates.
     pub fn check<'a>(&self, block: &'a [u8]) -> Option<&'a [u8]> {
         let l = self.kind.len();
         if block.len() < l {
             return None;
         }
         let (msg, parity) = block.split_at(block.len() - l);
-        if self.compute(msg) == parity {
-            Some(msg)
-        } else {
-            None
-        }
+        self.parity(msg).eq(parity.iter().copied()).then_some(msg)
     }
 
     /// Computes the CRC over a byte slice (MSB-first bit order) — the form

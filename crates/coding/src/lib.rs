@@ -14,6 +14,9 @@
 //!   encoders (feedback 13₈, feed-forward 15₈) with trellis termination and
 //!   a 25.212-family prime interleaver, decoded by an iterative
 //!   max-log-MAP (BCJR) decoder;
+//! * [`BurstCodec`], the one place that decides which CRC and which
+//!   [`CodingScheme`] protect a block and how long the coded block is:
+//!   the uplink lanes, the downlink and the coding experiments use it;
 //! * block/random interleavers and a simplified rate-matching stage;
 //! * [`wire`], the length-checked cursor every decoder of untrusted bytes
 //!   in the workspace reads through.
@@ -33,6 +36,7 @@
 #![deny(missing_docs)]
 
 pub mod bits;
+pub mod codec;
 pub mod conv;
 pub mod crc;
 pub mod interleave;
@@ -42,6 +46,7 @@ pub mod turbo;
 pub mod viterbi;
 pub mod wire;
 
+pub use codec::BurstCodec;
 pub use conv::{ConvCode, ConvEncoder};
 pub use crc::{Crc, CrcKind};
 pub use turbo::{TurboCode, TurboDecoder};
@@ -65,15 +70,6 @@ pub enum CodingScheme {
 }
 
 impl CodingScheme {
-    /// Nominal code rate (information bits per coded bit, ignoring tails).
-    pub fn rate(self) -> f64 {
-        match self {
-            CodingScheme::Uncoded => 1.0,
-            CodingScheme::ConvHalf => 0.5,
-            CodingScheme::ConvThird | CodingScheme::Turbo { .. } => 1.0 / 3.0,
-        }
-    }
-
     /// Human-readable label used by experiment tables.
     pub fn label(self) -> &'static str {
         match self {

@@ -69,49 +69,38 @@ impl TurboCode {
         3 * self.k + 4 * TAIL
     }
 
-    /// The internal interleaver.
-    pub fn interleaver(&self) -> &Interleaver {
-        &self.interleaver
-    }
-
-    fn encode_constituent(&self, bits: &[u8], parity: &mut Vec<u8>, tail: &mut Vec<u8>) {
-        let mut s = 0usize;
-        parity.clear();
-        parity.reserve(self.k);
-        for &d in bits {
-            let (ns, z) = RscTrellis::step(s, d);
-            parity.push(z);
-            s = ns;
-        }
-        tail.clear();
-        for _ in 0..TAIL {
-            let d = RscTrellis::term_input(s);
-            let (ns, z) = RscTrellis::step(s, d);
-            tail.push(d); // transmitted systematic tail bit
-            tail.push(z); // transmitted parity tail bit
-            s = ns;
-        }
-        debug_assert_eq!(s, 0, "termination must reach state 0");
-    }
-
     /// Encodes a block of exactly `k` bits into `3K + 12` coded bits.
     pub fn encode_block(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.k, "block length mismatch");
-        let mut interleaved = Vec::new();
-        self.interleaver.interleave(bits, &mut interleaved);
-        let (mut p1, mut t1) = (Vec::new(), Vec::new());
-        let (mut p2, mut t2) = (Vec::new(), Vec::new());
-        self.encode_constituent(bits, &mut p1, &mut t1);
-        self.encode_constituent(&interleaved, &mut p2, &mut t2);
         let mut out = Vec::with_capacity(self.coded_len());
-        for i in 0..self.k {
-            out.push(bits[i]);
-            out.push(p1[i]);
-            out.push(p2[i]);
-        }
-        out.extend_from_slice(&t1);
-        out.extend_from_slice(&t2);
+        self.encode_into(bits, &mut out);
         out
+    }
+
+    /// Encodes a block of exactly `k` bits into `out` (cleared first). The
+    /// two constituents run side by side, the second reading its input
+    /// through the interleaver, so a reused buffer of sufficient capacity
+    /// makes repeated calls allocation-free.
+    pub fn encode_into(&self, bits: &[u8], out: &mut Vec<u8>) {
+        assert_eq!(bits.len(), self.k, "block length mismatch");
+        out.clear();
+        out.reserve(self.coded_len());
+        let (mut s1, mut s2) = (0, 0);
+        for (&d, &p) in bits.iter().zip(self.interleaver.table()) {
+            let (n1, z1) = RscTrellis::step(s1, d);
+            let (n2, z2) = RscTrellis::step(s2, bits[p as usize]);
+            out.extend([d, z1, z2]);
+            (s1, s2) = (n1, n2);
+        }
+        // Each constituent's termination: three (systematic, parity) pairs.
+        for mut s in [s1, s2] {
+            for _ in 0..TAIL {
+                let d = RscTrellis::term_input(s);
+                let (ns, z) = RscTrellis::step(s, d);
+                out.extend([d, z]);
+                s = ns;
+            }
+            debug_assert_eq!(s, 0, "termination must reach state 0");
+        }
     }
 }
 
@@ -182,11 +171,6 @@ impl TurboDecoder {
     /// The code this decoder targets.
     pub fn code(&self) -> &TurboCode {
         &self.code
-    }
-
-    /// The compute backend handle this decoder dispatches through.
-    pub fn kernel_backend(&self) -> TrellisKernelHandle {
-        self.kernels
     }
 
     /// Max-log-MAP over one constituent. Writes per-bit extrinsic LLRs to

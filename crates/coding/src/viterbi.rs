@@ -82,21 +82,10 @@ impl ViterbiDecoder {
         }
     }
 
-    /// The code this decoder was built for.
-    pub fn code(&self) -> &ConvCode {
-        &self.code
-    }
-
-    /// The compute backend handle this decoder dispatches through.
-    pub fn kernel_backend(&self) -> TrellisKernelHandle {
-        self.kernels
-    }
-
-    /// Pre-grows the survivor matrix to cover `steps` trellis steps
-    /// (`llrs.len() / n_outputs` of the blocks to come), so the first
-    /// [`ViterbiDecoder::decode_into`] call pays no allocation. Long-lived
-    /// pipelines call this at construction to keep the cold-start spike
-    /// out of their latency histograms; decoding is bitwise unaffected.
+    /// Pre-grows the survivor matrix to cover `steps` trellis steps, so
+    /// the first [`ViterbiDecoder::decode_into`] call pays no allocation.
+    /// [`crate::BurstCodec`] calls this when it is built, keeping the
+    /// cold-start spike out of latency histograms; decoding is unaffected.
     pub fn reserve_steps(&mut self, steps: usize) {
         let n_states = self.code.n_states();
         if self.decisions.len() < steps * n_states {

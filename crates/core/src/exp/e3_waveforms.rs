@@ -6,7 +6,7 @@
 use crate::exp::{par_trials, Scale};
 use crate::table::ExpTable;
 use gsp_channel::awgn::AwgnChannel;
-use gsp_dsp::math::ber_bpsk_awgn;
+use gsp_dsp::{math::ber_bpsk_awgn, measure::count_bit_errors};
 use gsp_modem::cdma::{CdmaConfig, CdmaReceiver, CdmaTransmitter};
 use gsp_modem::framing::BurstFormat;
 use gsp_modem::tdma::{TdmaBurstDemodulator, TdmaBurstModulator, TdmaConfig, TimingRecoveryKind};
@@ -28,10 +28,7 @@ fn tdma_trial(ebn0_db: f64, seed: u64) -> (usize, usize) {
     let mut ch = AwgnChannel::from_esn0_db(ebn0_db + 3.01);
     ch.apply(&mut wave, &mut rng);
     match demod.demodulate(&wave) {
-        Some(res) => (
-            res.bits.iter().zip(&bits).filter(|(a, b)| a != b).count(),
-            bits.len(),
-        ),
+        Some(res) => (count_bit_errors(&res.bits, &bits), bits.len()),
         None => (bits.len(), bits.len()),
     }
 }
@@ -50,10 +47,7 @@ fn cdma_trial(cfg: &CdmaConfig, ebn0_db: f64, seed: u64) -> (usize, usize) {
     let mut ch = AwgnChannel::from_esn0_db(x);
     ch.apply(&mut wave, &mut rng);
     match rx.demodulate(&wave, 96) {
-        Some(res) => (
-            res.bits.iter().zip(&bits).filter(|(a, b)| a != b).count(),
-            bits.len(),
-        ),
+        Some(res) => (count_bit_errors(&res.bits, &bits), bits.len()),
         None => (bits.len(), bits.len()),
     }
 }

@@ -6,47 +6,39 @@
 use crate::exp::{par_trials, Scale};
 use crate::table::ExpTable;
 use gsp_channel::awgn::GaussianSampler;
-use gsp_coding::{CodingScheme, ConvCode, ConvEncoder, TurboCode, TurboDecoder, ViterbiDecoder};
+use gsp_coding::BurstCodec;
+use gsp_dsp::measure::count_bit_errors;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const BLOCK: usize = 320;
+/// Information bits per probe block (also the decoder-switch scenario's).
+pub(crate) const BLOCK: usize = 320;
 
-/// (errors, bits) for one coded block of the scheme at Eb/N0.
-fn trial(scheme: CodingScheme, ebn0_db: f64, seed: u64) -> (usize, usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = GaussianSampler::new();
-    let bits: Vec<u8> = (0..BLOCK).map(|_| rng.gen_range(0..2u8)).collect();
-    let coded: Vec<u8> = match scheme {
-        CodingScheme::Uncoded => bits.clone(),
-        CodingScheme::ConvHalf => ConvEncoder::new(ConvCode::umts_half()).encode_block(&bits),
-        CodingScheme::ConvThird => ConvEncoder::new(ConvCode::umts_third()).encode_block(&bits),
-        CodingScheme::Turbo { .. } => TurboCode::new(BLOCK).encode_block(&bits),
-    };
-    // Exact rate including tails.
-    let rate = BLOCK as f64 / coded.len() as f64;
-    let ebn0 = 10f64.powf(ebn0_db / 10.0);
-    let sigma2 = 1.0 / (2.0 * rate * ebn0);
+/// Bit errors of one block of `codec.info_bits()` random bits sent through
+/// the codec as BPSK over AWGN at `ebn0_db`, the rate taken from the coded
+/// length, tails included. Draws the bits from `rng`, then one noise
+/// sample per coded bit from `g`.
+pub(crate) fn awgn_bit_errors(
+    codec: &mut BurstCodec,
+    ebn0_db: f64,
+    rng: &mut StdRng,
+    g: &mut GaussianSampler,
+) -> usize {
+    let bits: Vec<u8> = (0..codec.info_bits())
+        .map(|_| rng.gen_range(0..2u8))
+        .collect();
+    let mut coded = Vec::new();
+    codec.encode_into(&bits, &mut coded);
+    let rate = bits.len() as f64 / coded.len() as f64;
+    let sigma2 = 1.0 / (2.0 * rate * 10f64.powf(ebn0_db / 10.0));
     let sigma = sigma2.sqrt();
     let llrs: Vec<f64> = coded
         .iter()
-        .map(|&b| {
-            let x = 1.0 - 2.0 * b as f64;
-            2.0 * (x + sigma * g.next(&mut rng)) / sigma2
-        })
+        .map(|&b| 2.0 * ((1.0 - 2.0 * b as f64) + sigma * g.next(rng)) / sigma2)
         .collect();
-    let decoded: Vec<u8> = match scheme {
-        CodingScheme::Uncoded => llrs.iter().map(|&l| (l < 0.0) as u8).collect(),
-        CodingScheme::ConvHalf => ViterbiDecoder::new(ConvCode::umts_half()).decode_block(&llrs),
-        CodingScheme::ConvThird => ViterbiDecoder::new(ConvCode::umts_third()).decode_block(&llrs),
-        CodingScheme::Turbo { iterations } => {
-            TurboDecoder::new(TurboCode::new(BLOCK)).decode_block(&llrs, iterations)
-        }
-    };
-    (
-        decoded.iter().zip(&bits).filter(|(a, b)| a != b).count(),
-        BLOCK,
-    )
+    let mut decoded = Vec::new();
+    codec.decode_into(&llrs, &mut decoded);
+    count_bit_errors(&decoded, &bits)
 }
 
 /// Regenerates the coding-scheme BER table.
@@ -60,17 +52,17 @@ pub fn e8_coding(scale: Scale, seed: u64) -> ExpTable {
         Scale::Full => &[0.5, 1.0, 1.5, 2.0, 3.0, 4.0],
     };
     let blocks = scale.trials(40, 600);
-    let schemes = [
-        CodingScheme::Uncoded,
-        CodingScheme::ConvHalf,
-        CodingScheme::ConvThird,
-        CodingScheme::Turbo { iterations: 6 },
-    ];
+    let schemes = crate::scenario::DECODERS.map(|(scheme, _, _)| scheme);
     for &e in points {
         for scheme in schemes {
-            let results = par_trials(blocks, seed, |s| trial(scheme, e, s));
-            let errors: usize = results.iter().map(|r| r.0).sum();
-            let bits: usize = results.iter().map(|r| r.1).sum();
+            let errors: usize = par_trials(blocks, seed, |s| {
+                let mut codec = BurstCodec::new(scheme, None, BLOCK, None);
+                let mut rng = StdRng::seed_from_u64(s);
+                awgn_bit_errors(&mut codec, e, &mut rng, &mut GaussianSampler::new())
+            })
+            .into_iter()
+            .sum();
+            let bits = blocks * BLOCK;
             t.row(vec![
                 format!("{e:.1}"),
                 scheme.label().to_string(),

@@ -2,8 +2,10 @@
 //! system — protocol upload, five-step reconfiguration, validation,
 //! rollback, and signal-level proof that the new personality works.
 
+use crate::exp::e8_coding::{awgn_bit_errors, BLOCK};
 use crate::ncc::Ncc;
-use gsp_coding::CodingScheme;
+use gsp_channel::awgn::GaussianSampler;
+use gsp_coding::{BurstCodec, CodingScheme};
 use gsp_fpga::device::FpgaDevice;
 use gsp_netproto::link::LinkConfig;
 use gsp_netproto::scenarios::TransferProtocol;
@@ -155,8 +157,8 @@ pub struct DecoderStage {
 }
 
 /// The DECOD personalities [`decoder_switch`] steps through, in order,
-/// each with its bitstream design id and gate budget.
-const DECODERS: [(CodingScheme, u32, u64); 4] = [
+/// each with its bitstream design id and gate budget (also E8's ladder).
+pub(crate) const DECODERS: [(CodingScheme, u32, u64); 4] = [
     (CodingScheme::Uncoded, 0x0DEC, 5_000),
     (CodingScheme::ConvHalf, 0x0DED, 90_000), // 256-state Viterbi
     (CodingScheme::ConvThird, 0x0DEE, 110_000),
@@ -169,17 +171,13 @@ const DECODERS: [(CodingScheme, u32, u64); 4] = [
 /// tightens, each step a §3.1 reconfiguration, each verified by running
 /// the new decoder over a reference Eb/N0 = 3 dB AWGN link.
 pub fn decoder_switch(seed: u64) -> DecoderSwitchOutcome {
-    use gsp_channel::awgn::GaussianSampler;
-    use gsp_coding::{ConvCode, ConvEncoder, TurboCode, TurboDecoder, ViterbiDecoder};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{rngs::StdRng, SeedableRng};
 
     let device = FpgaDevice::virtex_like_1m();
     let mut obpc = Obpc::new(OnboardMemory::new(8 << 20, true), standard_payload());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = GaussianSampler::new();
     let ebn0_db = 3.0;
-    let k = 320usize;
 
     let mut stages = Vec::new();
     for (i, (scheme, design_id, gates)) in DECODERS.into_iter().enumerate() {
@@ -193,47 +191,15 @@ pub fn decoder_switch(seed: u64) -> DecoderSwitchOutcome {
 
         // Probe the link with the newly-loaded decoder.
         let trials = 30;
-        let mut errors = 0usize;
-        let mut total = 0usize;
-        for _ in 0..trials {
-            let bits: Vec<u8> = (0..k).map(|_| rng.gen_range(0..2u8)).collect();
-            let coded: Vec<u8> = match scheme {
-                CodingScheme::Uncoded => bits.clone(),
-                CodingScheme::ConvHalf => {
-                    ConvEncoder::new(ConvCode::umts_half()).encode_block(&bits)
-                }
-                CodingScheme::ConvThird => {
-                    ConvEncoder::new(ConvCode::umts_third()).encode_block(&bits)
-                }
-                CodingScheme::Turbo { .. } => TurboCode::new(k).encode_block(&bits),
-            };
-            let rate = k as f64 / coded.len() as f64;
-            let sigma2 = 1.0 / (2.0 * rate * 10f64.powf(ebn0_db / 10.0));
-            let sigma = sigma2.sqrt();
-            let llrs: Vec<f64> = coded
-                .iter()
-                .map(|&b| 2.0 * ((1.0 - 2.0 * b as f64) + sigma * g.next(&mut rng)) / sigma2)
-                .collect();
-            let decoded: Vec<u8> = match scheme {
-                CodingScheme::Uncoded => llrs.iter().map(|&l| (l < 0.0) as u8).collect(),
-                CodingScheme::ConvHalf => {
-                    ViterbiDecoder::new(ConvCode::umts_half()).decode_block(&llrs)
-                }
-                CodingScheme::ConvThird => {
-                    ViterbiDecoder::new(ConvCode::umts_third()).decode_block(&llrs)
-                }
-                CodingScheme::Turbo { iterations } => {
-                    TurboDecoder::new(TurboCode::new(k)).decode_block(&llrs, iterations)
-                }
-            };
-            errors += decoded.iter().zip(&bits).filter(|(a, b)| a != b).count();
-            total += k;
-        }
+        let mut codec = BurstCodec::new(scheme, None, BLOCK, None);
+        let errors: usize = (0..trials)
+            .map(|_| awgn_bit_errors(&mut codec, ebn0_db, &mut rng, &mut g))
+            .sum();
         stages.push(DecoderStage {
             scheme,
             reconfigured: report.success,
             interruption_ms: report.interruption_ns as f64 / 1e6,
-            link_ber: errors as f64 / total as f64,
+            link_ber: errors as f64 / (trials * BLOCK) as f64,
         });
     }
     DecoderSwitchOutcome { stages }

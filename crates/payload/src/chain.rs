@@ -11,7 +11,10 @@
 
 use crate::pipeline::PipelineEngine;
 use crate::switch::PacketSwitch;
-use gsp_modem::tdma::TimingRecoveryKind;
+use gsp_coding::kernels::TrellisKernelHandle;
+use gsp_coding::{BurstCodec, CodingScheme, CrcKind};
+use gsp_modem::framing::BurstFormat;
+use gsp_modem::tdma::{TdmaConfig, TimingRecoveryKind};
 
 /// Chain configuration.
 #[derive(Clone, Debug, PartialEq)]
@@ -138,6 +141,21 @@ impl ChainReport {
 /// frames.
 pub fn run_mf_tdma_frame(cfg: &ChainConfig, seed: u64) -> ChainReport {
     PipelineEngine::new(cfg.clone()).run_frame(seed)
+}
+
+/// The burst every uplink lane and downlink chain sends: `info_bits`
+/// protected by CRC-16 and the rate-½ K=9 convolutional code, carried as
+/// QPSK behind a 24-symbol preamble and a 24-symbol unique word. Returns
+/// the codec and the burst configuration dimensioned for its coded block.
+pub(crate) fn burst_link(
+    info_bits: usize,
+    timing: TimingRecoveryKind,
+    backend: Option<TrellisKernelHandle>,
+) -> (BurstCodec, TdmaConfig) {
+    let crc = Some(CrcKind::Crc16);
+    let codec = BurstCodec::new(CodingScheme::ConvHalf, crc, info_bits, backend);
+    let format = BurstFormat::standard(24, 24, codec.coded_len() / 2);
+    (codec, TdmaConfig::new(format, timing))
 }
 
 #[cfg(test)]

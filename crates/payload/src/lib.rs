@@ -25,9 +25,9 @@
 //! * [`pool`] — the one worker pool: persistent threads stepping work
 //!   items that travel by value and come back in send order (the
 //!   pipeline's lanes here, the constellation's satellites one level up);
-//! * [`txchain`] — the Tx part of Fig. 2: per-beam downlink chains (CRC +
-//!   convolutional coding + QPSK burst + TWTA) and the matching ground
-//!   receiver, closing the regenerative loop;
+//! * [`txchain`] — the Tx part of Fig. 2: the downlink chain (the burst
+//!   codec's CRC + convolutional coding, QPSK burst, TWTA) and the
+//!   matching ground receiver, closing the regenerative loop;
 //! * [`partition`] — the §4.4 payload-structuring strategies (one chip /
 //!   chip per equipment / chip per function) and their reconfiguration
 //!   scope and interruption costs.

@@ -6,9 +6,9 @@
 //! for every frame. This module keeps all of that state alive in a
 //! [`PipelineEngine`] instead:
 //!
-//! * each active carrier owns a **Tx lane** (encoder, modulator,
+//! * each active carrier owns a **Tx lane** (burst codec, modulator,
 //!   upconversion resampler with NCO) and an **Rx lane** (burst
-//!   demodulator, Viterbi decoder, CRC) that persist across frames;
+//!   demodulator, burst codec) that persist across frames;
 //! * a lane half travels to the pool *by value*, together with the frame
 //!   I/O it works on, and comes back in send order. Between public calls
 //!   every lane is home in the engine. With `workers > 1` the pool's
@@ -47,18 +47,17 @@
 //! * the switch ingests CRC-clean packets serially in carrier order, and
 //!   all counters are folded in frame order when a frame retires.
 
-use crate::chain::{CarrierOutcome, ChainConfig, ChainReport};
+use crate::chain::{burst_link, CarrierOutcome, ChainConfig, ChainReport};
 use crate::pool::{self, Pool};
 use crate::switch::{BasebandPacket, PacketSwitch};
 use gsp_channel::awgn::AwgnChannel;
-use gsp_coding::{kernels as trellis_kernels, ConvCode, ConvEncoder, Crc, CrcKind, ViterbiDecoder};
+use gsp_coding::{kernels as trellis_kernels, BurstCodec};
 use gsp_dsp::channelizer::PolyphaseChannelizer;
-use gsp_dsp::kernels as cpx_kernels;
 use gsp_dsp::nco::Nco;
 use gsp_dsp::resample::RationalResampler;
 use gsp_dsp::Cpx;
-use gsp_modem::framing::BurstFormat;
-use gsp_modem::tdma::{TdmaBurstDemodulator, TdmaBurstModulator, TdmaConfig, TdmaDemodResult};
+use gsp_dsp::{kernels as cpx_kernels, measure::count_bit_errors};
+use gsp_modem::tdma::{TdmaBurstDemodulator, TdmaBurstModulator, TdmaDemodResult};
 use gsp_telemetry::{Counter, Gauge, Histogram, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,7 +105,7 @@ pub struct PipelineStats {
     /// Nanoseconds in burst demodulation, summed across lanes (CPU time,
     /// not wall time, when workers > 1).
     pub demod_ns: u64,
-    /// Nanoseconds in Viterbi decoding + CRC, summed across lanes.
+    /// Nanoseconds in FEC decoding + CRC, summed across lanes.
     pub decode_ns: u64,
     /// Nanoseconds in switch ingress.
     pub switch_ns: u64,
@@ -184,14 +183,11 @@ impl LaneIo {
 
 /// One carrier's long-lived transmit state.
 struct TxLane {
-    encoder: ConvEncoder,
-    crc: Crc,
+    codec: BurstCodec,
     resampler: RationalResampler,
     carrier_step: f64,
     modulator: TdmaBurstModulator,
-    /// Tx scratch: info bits with the CRC attached.
-    protected: Vec<u8>,
-    /// Tx scratch: the convolutionally coded block.
+    /// Tx scratch: the coded block.
     coded: Vec<u8>,
     /// Tx scratch: the assembled burst symbols before pulse shaping.
     syms: Vec<Cpx>,
@@ -200,14 +196,13 @@ struct TxLane {
 }
 
 impl TxLane {
-    /// Synthesizes the lane's burst from `io.info`: CRC → conv encode →
-    /// modulate → upsample ×M → mix onto the carrier centre, into
-    /// `io.upsampled`. Touches only lane-local state and `io`, so it is
-    /// safe on any worker; the engine later sums the per-lane buffers in
-    /// carrier order, reproducing the serial accumulation bit for bit.
+    /// Synthesizes the lane's burst from `io.info`: encode → modulate →
+    /// upsample ×M → mix onto the carrier centre, into `io.upsampled`.
+    /// Touches only lane-local state and `io`, so it is safe on any
+    /// worker; the engine later sums the per-lane buffers in carrier
+    /// order, reproducing the serial accumulation bit for bit.
     fn synth(&mut self, io: &mut LaneIo) {
-        self.crc.attach_into(&io.info, &mut self.protected);
-        self.encoder.encode_into(&self.protected, &mut self.coded);
+        self.codec.encode_into(&io.info, &mut self.coded);
         self.modulator
             .modulate_into(&self.coded, &mut self.syms, &mut self.wave);
 
@@ -228,12 +223,11 @@ impl TxLane {
 struct RxLane {
     carrier: usize,
     demod: TdmaBurstDemodulator,
-    viterbi: ViterbiDecoder,
-    crc: Crc,
+    codec: BurstCodec,
     beams: usize,
     /// Rx scratch: the demodulator's reusable result slot.
     demod_out: TdmaDemodResult,
-    /// Rx scratch: the Viterbi decoder's reusable output buffer.
+    /// Rx scratch: the decoded information bits.
     decoded: Vec<u8>,
     /// Injected fault, if any (see [`LaneFault`]).
     fault: Option<LaneFault>,
@@ -248,72 +242,52 @@ impl RxLane {
     /// no heap in steady state (the CRC-clean packet handed to the switch
     /// is the one escaping allocation).
     fn receive(&mut self, io: &mut LaneIo) {
-        let k = self.carrier;
         io.packet = None;
-
+        io.demod_ns = 0;
+        io.decode_ns = 0;
+        let bits = io.info.len();
+        let mut outcome = CarrierOutcome {
+            carrier: self.carrier,
+            detected: false,
+            crc_ok: false,
+            bit_errors: bits,
+            bits,
+        };
         if self.fault == Some(LaneFault::Stall) {
             // Stalled lane: the receive half never runs, so the burst is
             // lost and the heartbeat counter freezes — exactly what a
             // watchdog deadline is there to catch. (The Tx half already
             // ran, so the RNG draw sequence is unchanged.)
-            io.demod_ns = 0;
-            io.decode_ns = 0;
-            io.outcome = Some(CarrierOutcome {
-                carrier: k,
-                detected: false,
-                crc_ok: false,
-                bit_errors: io.info.len(),
-                bits: io.info.len(),
-            });
+            io.outcome = Some(outcome);
             return;
         }
 
         let t0 = Instant::now();
-        let detected = self.demod.demodulate_into(&io.samples, &mut self.demod_out);
+        outcome.detected = self.demod.demodulate_into(&io.samples, &mut self.demod_out);
         io.demod_ns = t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
-        let outcome = if detected {
-            self.viterbi
-                .decode_into(&self.demod_out.llrs, &mut self.decoded);
-            let decoded = &self.decoded;
-            let crc_ok =
-                self.crc.check(decoded).is_some() && self.fault != Some(LaneFault::CorruptCrc);
-            let recovered = &decoded[..decoded.len().saturating_sub(16)];
-            let bits = &io.info;
-            let bit_errors = recovered.iter().zip(bits).filter(|(a, b)| a != b).count()
-                + bits.len().saturating_sub(recovered.len());
-            if crc_ok {
+        if outcome.detected {
+            outcome.crc_ok = self
+                .codec
+                .decode_into(&self.demod_out.llrs, &mut self.decoded)
+                && self.fault != Some(LaneFault::CorruptCrc);
+            outcome.bit_errors = count_bit_errors(&self.decoded, &io.info);
+            if outcome.crc_ok {
                 io.packet = Some(BasebandPacket {
-                    source: k as u16,
-                    dest_beam: (k % self.beams) as u8,
+                    source: self.carrier as u16,
+                    dest_beam: (self.carrier % self.beams) as u8,
                     class: 0,
                     // Stamped with the engine's frame tick in the serial
                     // ingress section (the lane does not know it).
                     born_tick: 0,
-                    data: gsp_coding::bits::pack_bits(recovered),
+                    data: gsp_coding::bits::pack_bits(&self.decoded),
                 });
+            } else {
+                self.health.crc_failures += 1;
             }
-            CarrierOutcome {
-                carrier: k,
-                detected: true,
-                crc_ok,
-                bit_errors,
-                bits: bits.len(),
-            }
-        } else {
-            CarrierOutcome {
-                carrier: k,
-                detected: false,
-                crc_ok: false,
-                bit_errors: io.info.len(),
-                bits: io.info.len(),
-            }
-        };
-        io.decode_ns = t1.elapsed().as_nanos() as u64;
-        if outcome.detected && !outcome.crc_ok {
-            self.health.crc_failures += 1;
         }
+        io.decode_ns = t1.elapsed().as_nanos() as u64;
         self.health.heartbeats += 1;
         io.outcome = Some(outcome);
     }
@@ -384,7 +358,7 @@ struct EngineTelemetry {
     demux_ns: Histogram,
     /// `payload.demod.ns` — burst demodulation, per carrier lane.
     demod_ns: Histogram,
-    /// `payload.decode.ns` — Viterbi + CRC, per carrier lane.
+    /// `payload.decode.ns` — FEC decode + CRC, per carrier lane.
     decode_ns: Histogram,
     /// `payload.switch.ns` — serial switch ingress stage, per frame.
     switch_ns: Histogram,
@@ -453,19 +427,16 @@ impl PipelineEngine {
         assert!(workers >= 1);
         let m = cfg.channels;
         let n = cfg.active_carriers;
-        let code = ConvCode::umts_half();
         // Resolve the receive chain's compute-kernel handles once; every
         // lane (and the shared channelizer) is pinned to the same backend
         // so a frame's report never depends on which lane ran where.
-        let (cpx_k, trellis_k) = match cfg.kernel_backend {
-            Some(b) => (cpx_kernels::for_backend(b), trellis_kernels::for_backend(b)),
-            None => (cpx_kernels::active(), trellis_kernels::active()),
-        };
-        let coded_bits = (cfg.info_bits + 16 + 8) * 2;
-        let fmt = BurstFormat::standard(24, 24, coded_bits / 2);
-        let tdma_cfg = TdmaConfig::new(fmt, cfg.timing);
+        let cpx_k = cfg
+            .kernel_backend
+            .map_or_else(cpx_kernels::active, cpx_kernels::for_backend);
+        let trellis_k = cfg.kernel_backend.map(trellis_kernels::for_backend);
+        let (codec, tdma_cfg) = burst_link(cfg.info_bits, cfg.timing, trellis_k);
         let modulator = TdmaBurstModulator::new(tdma_cfg.clone());
-        let burst_len = modulator.modulate(&vec![0u8; coded_bits]).len();
+        let burst_len = modulator.modulate(&vec![0u8; codec.coded_len()]).len();
         let guard = 64 * m;
         let composite_len = burst_len * m + 2 * guard;
         let blocks = composite_len / m;
@@ -473,12 +444,10 @@ impl PipelineEngine {
         let mut tx: Vec<Box<TxLane>> = (0..n)
             .map(|k| {
                 Box::new(TxLane {
-                    encoder: ConvEncoder::new(code.clone()),
-                    crc: Crc::new(CrcKind::Crc16),
+                    codec: codec.clone(),
                     resampler: RationalResampler::new(1.0, m as f64),
                     carrier_step: std::f64::consts::TAU * k as f64 / m as f64,
                     modulator: modulator.clone(),
-                    protected: Vec::new(),
                     coded: Vec::new(),
                     syms: Vec::new(),
                     wave: Vec::new(),
@@ -490,11 +459,10 @@ impl PipelineEngine {
                 Box::new(RxLane {
                     carrier: k,
                     demod: TdmaBurstDemodulator::with_kernels(tdma_cfg.clone(), cpx_k),
-                    viterbi: ViterbiDecoder::with_kernels(code.clone(), trellis_k),
-                    crc: Crc::new(CrcKind::Crc16),
+                    codec: codec.clone(),
                     beams: cfg.beams,
                     demod_out: TdmaDemodResult::default(),
-                    decoded: Vec::new(),
+                    decoded: Vec::with_capacity(cfg.info_bits),
                     fault: None,
                     health: LaneHealth::default(),
                 })
@@ -502,8 +470,8 @@ impl PipelineEngine {
             .collect();
 
         // Pre-warm: run one throwaway burst through each Tx lane (sizes
-        // the encode/modulate/upsample scratch), grow each Viterbi
-        // survivor matrix to block size, and push one zero block through
+        // the encode/modulate/upsample scratch; each codec sized its
+        // decoder when it was built), and push one zero block through
         // each demodulator (sizes its matched-filter and symbol buffers;
         // telemetry handles are still no-op, and lane heartbeats are
         // untouched, so nothing observable changes).
@@ -512,9 +480,7 @@ impl PipelineEngine {
         warm.samples = vec![Cpx::ZERO; blocks];
         for (tx, rx) in tx.iter_mut().zip(&mut rx) {
             tx.synth(&mut warm);
-            rx.viterbi.reserve_steps(coded_bits / 2);
             let _ = rx.demod.demodulate_into(&warm.samples, &mut rx.demod_out);
-            rx.decoded.reserve(cfg.info_bits + 24);
         }
         let upsampled_len = warm.upsampled.len();
 

@@ -8,6 +8,7 @@ use crate::pipeline::{PipelineEngine, PipelineStats};
 use crate::txchain::{DownlinkConfig, DownlinkPacket, GroundReceiver, TxChain};
 use gsp_channel::awgn::AwgnChannel;
 use gsp_coding::bits::pack_bits;
+use gsp_dsp::{measure::mean_power, Cpx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,26 +30,35 @@ pub struct TransponderReport {
     pub uplink: ChainReport,
     /// Packets recovered at the ground terminals.
     pub delivered: Vec<DownlinkPacket>,
-    /// Downlink CRC failures.
+    /// Downlink CRC failures in this frame.
     pub downlink_crc_failures: u64,
-    /// Packets whose payload matched the uplink information bit-exactly.
+    /// Packets whose payload equals the uplink information bytes, whole.
     pub end_to_end_exact: usize,
 }
 
 /// The transponder as a persistent simulator: the uplink half runs on a
 /// [`PipelineEngine`] (long-lived per-carrier chains reused from frame to
-/// frame, parallel demod fan-out) and the downlink half on per-beam Tx
-/// chains plus a ground receiver, both built afresh for every frame.
+/// frame, parallel demod fan-out) and the downlink half on one Tx chain
+/// and one ground receiver, both also kept from frame to frame.
 pub struct TransponderSim {
-    cfg: TransponderConfig,
+    downlink_esn0_db: Option<f64>,
     engine: PipelineEngine,
+    tx: TxChain,
+    rx: GroundReceiver,
+    /// Scratch: the downlink burst in flight.
+    wave: Vec<Cpx>,
 }
 
 impl TransponderSim {
     /// Builds the simulator (uplink engine with auto worker count).
     pub fn new(cfg: TransponderConfig) -> Self {
-        let engine = PipelineEngine::new(cfg.uplink.clone());
-        TransponderSim { cfg, engine }
+        TransponderSim {
+            engine: PipelineEngine::new(cfg.uplink.clone()),
+            tx: TxChain::new(cfg.downlink.clone()),
+            rx: GroundReceiver::new(cfg.downlink.clone()),
+            wave: Vec::new(),
+            downlink_esn0_db: cfg.downlink_esn0_db,
+        }
     }
 
     /// Uplink engine stage counters accumulated so far (includes the
@@ -74,55 +84,51 @@ impl TransponderSim {
 
     /// Runs one frame through the whole regenerative transponder.
     pub fn run_frame(&mut self, seed: u64) -> TransponderReport {
-        let cfg = &self.cfg;
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD0_177E);
         let uplink = self.engine.run_frame(seed);
 
         let mut switch = uplink.switch.clone();
-        let mut tx = TxChain::new(cfg.downlink.clone());
-        let mut rx = GroundReceiver::new(cfg.downlink.clone());
+        let failures_before = self.rx.crc_failures();
         let mut delivered = Vec::new();
         for beam in 0..switch.beams() {
-            for mut wave in tx.drain_beam(&mut switch, beam, 64) {
+            // At most 64 bursts per beam and frame.
+            for pkt in std::iter::from_fn(|| switch.egress(beam)).take(64) {
+                self.tx.transmit_into(&pkt, &mut self.wave);
                 // Normalise the TWTA output back to the matched-filter
                 // calibration before the calibrated-noise channel.
-                let p: f64 = wave.iter().map(|s| s.norm_sqr()).sum::<f64>() / wave.len() as f64;
+                let p = mean_power(&self.wave);
                 if p > 0.0 {
                     let g = (0.25 / p).sqrt();
-                    for s in wave.iter_mut() {
+                    for s in self.wave.iter_mut() {
                         *s = s.scale(g);
                     }
                 }
-                if let Some(db) = cfg.downlink_esn0_db {
+                if let Some(db) = self.downlink_esn0_db {
                     let mut ch = AwgnChannel::from_esn0_db(db - 6.0);
-                    ch.apply(&mut wave, &mut rng);
+                    ch.apply(&mut self.wave, &mut rng);
                 }
-                if let Some(pkt) = rx.receive(&wave) {
+                if let Some(pkt) = self.rx.receive(&self.wave) {
                     delivered.push(pkt);
                 }
             }
         }
 
-        // Bit-exact end-to-end verification against the uplink ground truth.
+        // Bit-exact end-to-end verification against the uplink ground
+        // truth: a truncated packet is not exact.
         let end_to_end_exact = delivered
             .iter()
             .filter(|p| {
                 uplink
                     .info_bits
                     .get(p.source as usize)
-                    .map(|bits| {
-                        let want = pack_bits(bits);
-                        p.data[..want.len().min(p.data.len())]
-                            == want[..want.len().min(p.data.len())]
-                    })
-                    .unwrap_or(false)
+                    .is_some_and(|bits| p.data == pack_bits(bits))
             })
             .count();
 
         TransponderReport {
             uplink,
             delivered,
-            downlink_crc_failures: rx.crc_failures(),
+            downlink_crc_failures: self.rx.crc_failures() - failures_before,
             end_to_end_exact,
         }
     }
@@ -172,8 +178,9 @@ mod tests {
 
     #[test]
     fn persistent_sim_matches_one_shot_runs() {
-        // Reusing the uplink engine across frames must not change any
-        // outcome relative to a fresh transponder per frame.
+        // Reusing the uplink engine, the downlink chain and the ground
+        // receiver across frames must not change any outcome relative to
+        // a fresh transponder per frame.
         let cfg = TransponderConfig {
             uplink: ChainConfig {
                 esn0_db: Some(12.0),
@@ -187,9 +194,31 @@ mod tests {
             let persistent = sim.run_frame(seed);
             let one_shot = run_transponder(&cfg, seed);
             assert_eq!(persistent.uplink, one_shot.uplink, "seed {seed}");
+            assert_eq!(persistent.delivered, one_shot.delivered, "seed {seed}");
+            assert_eq!(
+                persistent.downlink_crc_failures,
+                one_shot.downlink_crc_failures
+            );
             assert_eq!(persistent.end_to_end_exact, one_shot.end_to_end_exact);
         }
         assert_eq!(sim.uplink_stats().frames, 3);
+    }
+
+    #[test]
+    fn truncated_packets_are_not_bit_exact() {
+        // 8-byte downlink packets carry only 8 of each 12-byte uplink
+        // packet: every one is delivered, none is exact.
+        let cfg = TransponderConfig {
+            downlink: DownlinkConfig {
+                packet_bytes: 8,
+                ..DownlinkConfig::default()
+            },
+            ..TransponderConfig::default()
+        };
+        let rep = run_transponder(&cfg, 1);
+        assert_eq!(rep.delivered.len(), 6);
+        assert!(rep.delivered.iter().all(|p| p.data.len() == 8));
+        assert_eq!(rep.end_to_end_exact, 0);
     }
 
     #[test]

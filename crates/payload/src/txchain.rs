@@ -1,16 +1,16 @@
-//! The Tx part of Fig. 2: per-beam downlink chains that drain the
-//! baseband switch, re-encode and re-modulate the packets, and a matching
+//! The Tx part of Fig. 2: the downlink chain that re-encodes and
+//! re-modulates the packets leaving the baseband switch, and a matching
 //! ground receiver — closing the *regenerative* loop of §2.1 ("the signal
 //! is demodulated and packet switching can be performed at the satellite
 //! level").
 
-use crate::switch::{BasebandPacket, PacketSwitch};
+use crate::chain::burst_link;
+use crate::switch::BasebandPacket;
 use gsp_channel::twta::SalehTwta;
-use gsp_coding::bits::{pack_bits, unpack_bits_into};
+use gsp_coding::bits::{pack_bits_into, unpack_bits_into};
 use gsp_coding::wire::Reader;
-use gsp_coding::{ConvCode, ConvEncoder, Crc, CrcKind, ViterbiDecoder};
+use gsp_coding::BurstCodec;
 use gsp_dsp::Cpx;
-use gsp_modem::framing::BurstFormat;
 use gsp_modem::tdma::{
     TdmaBurstDemodulator, TdmaBurstModulator, TdmaConfig, TdmaDemodResult, TimingRecoveryKind,
 };
@@ -40,38 +40,24 @@ impl DownlinkConfig {
     /// Header bytes prepended to each packet (source id + length).
     const HEADER_BYTES: usize = 4;
 
-    fn info_bits(&self) -> usize {
-        (Self::HEADER_BYTES + self.packet_bytes) * 8
-    }
-
-    fn coded_bits(&self) -> usize {
-        (self.info_bits() + 16 + 8) * 2 // +CRC16, +tail, rate 1/2
-    }
-
-    fn burst_format(&self) -> BurstFormat {
-        BurstFormat::standard(24, 24, self.coded_bits() / 2)
-    }
-
-    fn tdma_config(&self) -> TdmaConfig {
-        TdmaConfig::new(self.burst_format(), TimingRecoveryKind::OerderMeyr)
+    /// The downlink burst's codec and modem configuration.
+    fn burst(&self) -> (BurstCodec, TdmaConfig) {
+        let info_bits = (Self::HEADER_BYTES + self.packet_bytes) * 8;
+        burst_link(info_bits, TimingRecoveryKind::OerderMeyr, None)
     }
 }
 
-/// One beam's transmit chain: CRC → conv encode → QPSK burst → TWTA.
+/// The downlink transmit chain: burst codec → QPSK burst → TWTA.
 pub struct TxChain {
     config: DownlinkConfig,
     modulator: TdmaBurstModulator,
-    crc: Crc,
-    encoder: ConvEncoder,
+    codec: BurstCodec,
     twta: SalehTwta,
-    bursts_sent: u64,
     /// Scratch: header + payload bytes of the burst being built.
     body: Vec<u8>,
     /// Scratch: the body unpacked to bits.
     bits: Vec<u8>,
-    /// Scratch: bits with the CRC attached.
-    protected: Vec<u8>,
-    /// Scratch: the convolutionally coded block.
+    /// Scratch: the coded block.
     coded: Vec<u8>,
     /// Scratch: assembled burst symbols before pulse shaping.
     syms: Vec<Cpx>,
@@ -80,34 +66,26 @@ pub struct TxChain {
 impl TxChain {
     /// Builds a chain for the given downlink parameters.
     pub fn new(config: DownlinkConfig) -> Self {
-        let modulator = TdmaBurstModulator::new(config.tdma_config());
+        let (codec, tdma) = config.burst();
         TxChain {
             twta: SalehTwta::classic(config.twta_backoff_db),
             config,
-            modulator,
-            crc: Crc::new(CrcKind::Crc16),
-            encoder: ConvEncoder::new(ConvCode::umts_half()),
-            bursts_sent: 0,
+            modulator: TdmaBurstModulator::new(tdma),
+            codec,
             body: Vec::new(),
             bits: Vec::new(),
-            protected: Vec::new(),
             coded: Vec::new(),
             syms: Vec::new(),
         }
     }
 
-    /// Bursts transmitted so far.
-    pub fn bursts_sent(&self) -> u64 {
-        self.bursts_sent
-    }
-
-    /// Encodes one packet into a downlink burst waveform. Packets longer
-    /// than `packet_bytes` are truncated; shorter ones zero-padded.
+    /// Encodes one packet into a downlink burst waveform written into
+    /// `wave` (cleared first). Packets longer than `packet_bytes` are
+    /// truncated; shorter ones zero-padded.
     ///
-    /// The returned waveform is the only allocation in steady state: every
-    /// intermediate stage (body, bits, CRC, coded block, burst symbols)
-    /// reuses chain-owned scratch.
-    pub fn transmit_packet(&mut self, pkt: &BasebandPacket) -> Vec<Cpx> {
+    /// Every stage (body, bits, coded block, burst symbols, `wave`) reuses
+    /// a buffer, so a warm chain allocates nothing.
+    pub fn transmit_into(&mut self, pkt: &BasebandPacket, wave: &mut Vec<Cpx>) {
         self.body.clear();
         self.body
             .resize(DownlinkConfig::HEADER_BYTES + self.config.packet_bytes, 0);
@@ -117,34 +95,12 @@ impl TxChain {
         let n = pkt.data.len().min(self.config.packet_bytes);
         self.body[4..4 + n].copy_from_slice(&pkt.data[..n]);
         unpack_bits_into(&self.body, self.body.len() * 8, &mut self.bits);
-        self.crc.attach_into(&self.bits, &mut self.protected);
-        self.encoder.encode_into(&self.protected, &mut self.coded);
-        let mut wave = Vec::new();
+        self.codec.encode_into(&self.bits, &mut self.coded);
         self.modulator
-            .modulate_into(&self.coded, &mut self.syms, &mut wave);
+            .modulate_into(&self.coded, &mut self.syms, wave);
         if self.config.twta_enabled {
-            self.twta.apply(&mut wave);
+            self.twta.apply(wave);
         }
-        self.bursts_sent += 1;
-        wave
-    }
-
-    /// Drains up to `max` packets from one switch beam queue into burst
-    /// waveforms.
-    pub fn drain_beam(
-        &mut self,
-        switch: &mut PacketSwitch,
-        beam: usize,
-        max: usize,
-    ) -> Vec<Vec<Cpx>> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            let Some(pkt) = switch.egress(beam) else {
-                break;
-            };
-            out.push(self.transmit_packet(&pkt));
-        }
-        out
     }
 }
 
@@ -163,27 +119,28 @@ pub struct DownlinkPacket {
 pub struct GroundReceiver {
     config: DownlinkConfig,
     demod: TdmaBurstDemodulator,
-    viterbi: ViterbiDecoder,
-    crc: Crc,
+    codec: BurstCodec,
     crc_failures: u64,
     /// Scratch: the demodulator's reusable result slot.
     demod_out: TdmaDemodResult,
-    /// Scratch: the Viterbi decoder's reusable output buffer.
-    decoded: Vec<u8>,
+    /// Scratch: the decoded information bits.
+    bits: Vec<u8>,
+    /// Scratch: the decoded bits packed into header + payload bytes.
+    body: Vec<u8>,
 }
 
 impl GroundReceiver {
     /// Builds the receiver.
     pub fn new(config: DownlinkConfig) -> Self {
-        let demod = TdmaBurstDemodulator::new(config.tdma_config());
+        let (codec, tdma) = config.burst();
         GroundReceiver {
             config,
-            demod,
-            viterbi: ViterbiDecoder::new(ConvCode::umts_half()),
-            crc: Crc::new(CrcKind::Crc16),
+            demod: TdmaBurstDemodulator::new(tdma),
+            codec,
             crc_failures: 0,
             demod_out: TdmaDemodResult::default(),
-            decoded: Vec::new(),
+            bits: Vec::new(),
+            body: Vec::new(),
         }
     }
 
@@ -192,19 +149,18 @@ impl GroundReceiver {
         self.crc_failures
     }
 
-    /// Demodulates and decodes one downlink burst.
+    /// Demodulates and decodes one downlink burst. On a warm receiver the
+    /// returned packet's `data` is the only allocation.
     pub fn receive(&mut self, samples: &[Cpx]) -> Option<DownlinkPacket> {
         if !self.demod.demodulate_into(samples, &mut self.demod_out) {
             return None;
         }
-        self.viterbi
-            .decode_into(&self.demod_out.llrs, &mut self.decoded);
-        let Some(info) = self.crc.check(&self.decoded) else {
+        if !self.codec.decode_into(&self.demod_out.llrs, &mut self.bits) {
             self.crc_failures += 1;
             return None;
-        };
-        let bytes = pack_bits(info);
-        let mut r = Reader::new(&bytes);
+        }
+        pack_bits_into(&self.bits, &mut self.body);
+        let mut r = Reader::new(&self.body);
         let (source, beam, len) = (r.u16()?, r.u8()?, r.u8()?);
         let len = usize::from(len).min(self.config.packet_bytes);
         Some(DownlinkPacket {
@@ -218,6 +174,7 @@ impl GroundReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch::PacketSwitch;
     use gsp_channel::awgn::AwgnChannel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -238,7 +195,8 @@ mod tests {
         let mut tx = TxChain::new(cfg.clone());
         let mut rx = GroundReceiver::new(cfg);
         let pkt = packet(7, 2, (0..32u8).collect());
-        let wave = tx.transmit_packet(&pkt);
+        let mut wave = Vec::new();
+        tx.transmit_into(&pkt, &mut wave);
         let got = rx.receive(&wave).expect("decoded");
         assert_eq!(got.source, 7);
         assert_eq!(got.beam, 2);
@@ -251,7 +209,9 @@ mod tests {
         let mut tx = TxChain::new(cfg.clone());
         let mut rx = GroundReceiver::new(cfg);
         let pkt = packet(1, 0, vec![0xAB, 0xCD]);
-        let got = rx.receive(&tx.transmit_packet(&pkt)).expect("decoded");
+        let mut wave = Vec::new();
+        tx.transmit_into(&pkt, &mut wave);
+        let got = rx.receive(&wave).expect("decoded");
         assert_eq!(got.data, vec![0xAB, 0xCD]);
     }
 
@@ -264,10 +224,11 @@ mod tests {
         let mut rx = GroundReceiver::new(cfg);
         let mut rng = StdRng::seed_from_u64(4);
         let mut ok = 0;
+        let mut wave = Vec::new();
         for i in 0..10u16 {
             let data: Vec<u8> = (0..32).map(|_| rng.gen()).collect();
             let pkt = packet(i, (i % 4) as u8, data.clone());
-            let mut wave = tx.transmit_packet(&pkt);
+            tx.transmit_into(&pkt, &mut wave);
             // Normalise the TWTA's small-signal gain before adding
             // calibrated noise.
             let p: f64 = wave.iter().map(|s| s.norm_sqr()).sum::<f64>() / wave.len() as f64;
@@ -287,25 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn drain_beam_respects_queue_and_limit() {
-        let cfg = DownlinkConfig::default();
-        let mut tx = TxChain::new(cfg);
-        let mut sw = PacketSwitch::new(2, 16);
-        for i in 0..5u16 {
-            sw.ingress(packet(i, 1, vec![i as u8]));
-        }
-        let bursts = tx.drain_beam(&mut sw, 1, 3);
-        assert_eq!(bursts.len(), 3);
-        assert_eq!(sw.depth(1), 2);
-        assert_eq!(tx.bursts_sent(), 3);
-        // Empty beam drains nothing.
-        assert!(tx.drain_beam(&mut sw, 0, 3).is_empty());
-    }
-
-    #[test]
     fn switch_to_ground_end_to_end() {
         // Packets routed by the switch arrive at the ground terminal with
-        // source ids intact — the regenerative forward path.
+        // source ids intact — the regenerative forward path. Each burst
+        // takes one packet off its beam queue.
         let cfg = DownlinkConfig::default();
         let mut tx = TxChain::new(cfg.clone());
         let mut rx = GroundReceiver::new(cfg);
@@ -314,8 +260,12 @@ mod tests {
             sw.ingress(packet(i, (i % 4) as u8, vec![i as u8; 10]));
         }
         let mut recovered = Vec::new();
+        let mut wave = Vec::new();
         for beam in 0..4 {
-            for wave in tx.drain_beam(&mut sw, beam, 16) {
+            while let Some(pkt) = sw.egress(beam) {
+                // Two packets per beam: one left after the first egress.
+                assert_eq!(sw.depth(beam), 1 - recovered.len() % 2);
+                tx.transmit_into(&pkt, &mut wave);
                 recovered.push(rx.receive(&wave).expect("decoded"));
             }
         }
