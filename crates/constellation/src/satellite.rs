@@ -148,7 +148,7 @@ impl Satellite {
     /// frozen, buffers the ingress and skips straight to the watchdog.
     pub fn step(&mut self, tick: u64, isl_in: Vec<BasebandPacket>) -> SatelliteStep {
         let t0 = Instant::now();
-        if self.faulted || self.supervisor.health(0) == Health::Quarantined {
+        if self.faulted || self.supervisor.health(0).is_isolated() {
             self.pending_isl.extend(isl_in);
             self.frames_skipped += 1;
         } else {

@@ -183,23 +183,6 @@ struct Instruments {
 }
 
 impl Instruments {
-    fn noop() -> Self {
-        Instruments {
-            injected: FaultKind::ALL.iter().map(|_| Counter::noop()).collect(),
-            detections: Counter::noop(),
-            transitions: Counter::noop(),
-            scrubs: Counter::noop(),
-            resets: Counter::noop(),
-            reconfigs: Counter::noop(),
-            uplink_sessions: Counter::noop(),
-            uplink_retransmissions: Counter::noop(),
-            uplink_failures: Counter::noop(),
-            mttr: Histogram::noop(),
-            quarantined: Gauge::noop(),
-            availability: Gauge::noop(),
-        }
-    }
-
     fn register(registry: &Registry) -> Self {
         Instruments {
             injected: FaultKind::ALL
@@ -236,34 +219,23 @@ pub struct FdirHarness {
     injected: [u64; 6],
     grant_trips_seen: u64,
     mttr_reported: usize,
-    uplink_sessions: u64,
-    uplink_retransmissions: u64,
-    uplink_failures: u64,
     uploads: Vec<UploadRecord>,
 }
 
 impl FdirHarness {
     /// A harness with telemetry disabled.
     pub fn new(cfg: HarnessConfig, seed: u64) -> Self {
-        Self::build(cfg, seed, None)
+        Self::with_telemetry(cfg, seed, &Registry::noop())
     }
 
     /// A harness publishing `fdir.*` metrics (and the traffic plane's
     /// `traffic.*` metrics) on `registry`.
     pub fn with_telemetry(cfg: HarnessConfig, seed: u64, registry: &Registry) -> Self {
-        Self::build(cfg, seed, Some(registry))
-    }
-
-    fn build(cfg: HarnessConfig, seed: u64, registry: Option<&Registry>) -> Self {
         assert!(cfg.beams >= 2, "rerouting needs a backup beam");
         assert!(cfg.inject_until <= cfg.frames);
         let traffic_cfg = TrafficConfig {
             beams: cfg.beams,
             ..TrafficConfig::standard(cfg.load)
-        };
-        let engine = match registry {
-            Some(r) => TrafficEngine::with_telemetry(traffic_cfg, seed, r),
-            None => TrafficEngine::new(traffic_cfg, seed),
         };
         FdirHarness {
             injector: FaultInjector::new(cfg.injector.clone()),
@@ -271,8 +243,8 @@ impl FdirHarness {
             beams: (0..cfg.beams)
                 .map(|b| BeamEquipment::new(b, cfg.golden_frames))
                 .collect(),
-            engine,
-            tel: registry.map_or_else(Instruments::noop, Instruments::register),
+            engine: TrafficEngine::with_telemetry(traffic_cfg, seed, registry),
+            tel: Instruments::register(registry),
             rng: StdRng::seed_from_u64(seed ^ 0xFD1E_5EED_5A17_0001),
             cfg,
             seed,
@@ -280,9 +252,6 @@ impl FdirHarness {
             injected: [0; 6],
             grant_trips_seen: 0,
             mttr_reported: 0,
-            uplink_sessions: 0,
-            uplink_retransmissions: 0,
-            uplink_failures: 0,
             uploads: Vec::new(),
         }
     }
@@ -379,15 +348,7 @@ impl FdirHarness {
             }
             RecoveryAction::Reset { equipment } => {
                 self.tel.resets.inc();
-                if equipment < n {
-                    let b = &mut self.beams[equipment];
-                    b.stalled = false;
-                    b.crc_fault = false;
-                    b.edac_fault = false;
-                    // A latched hard fault survives a state reset.
-                } else {
-                    self.engine.clear_scheduler_fault();
-                }
+                self.reset_state(equipment);
             }
             RecoveryAction::Reconfigure { equipment } => {
                 self.tel.reconfigs.inc();
@@ -403,8 +364,6 @@ impl FdirHarness {
                     (0..512u32).flat_map(|i| i.to_be_bytes()).collect()
                 };
                 let out = self.cfg.uplink.upload(&wire, upload_seed);
-                self.uplink_sessions += out.sessions as u64;
-                self.uplink_retransmissions += out.retransmissions;
                 self.tel.uplink_sessions.add(out.sessions as u64);
                 self.tel.uplink_retransmissions.add(out.retransmissions);
                 self.uploads.push(UploadRecord {
@@ -413,8 +372,7 @@ impl FdirHarness {
                     outcome: out.clone(),
                 });
                 if out.verified {
-                    if equipment < n {
-                        let b = &mut self.beams[equipment];
+                    if let Some(b) = self.beams.get_mut(equipment) {
                         let fresh =
                             Bitstream::deserialise(&wire).expect("the verified upload round-trips");
                         b.fabric.power_off();
@@ -422,15 +380,10 @@ impl FdirHarness {
                             .configure_full(&fresh)
                             .expect("golden image fits its own device");
                         b.fabric.power_on();
-                        b.stalled = false;
-                        b.crc_fault = false;
-                        b.edac_fault = false;
                         b.hard_fault = false;
-                    } else {
-                        self.engine.clear_scheduler_fault();
                     }
+                    self.reset_state(equipment);
                 } else {
-                    self.uplink_failures += 1;
                     self.tel.uplink_failures.inc();
                 }
                 // The transfer occupied the equipment for its simulated
@@ -441,14 +394,27 @@ impl FdirHarness {
         }
     }
 
+    /// A state reset: clears a beam's lane latches (a latched hard fault
+    /// survives it) or the scheduler's grant-table fault.
+    fn reset_state(&mut self, equipment: usize) {
+        match self.beams.get_mut(equipment) {
+            Some(b) => (b.stalled, b.crc_fault, b.edac_fault) = (false, false, false),
+            None => self.engine.clear_scheduler_fault(),
+        }
+    }
+
     fn apply_transition(&mut self, equipment: usize, to: Health) {
         let n = self.cfg.beams;
         if equipment >= n {
             return; // Scheduler quarantine already freezes grants.
         }
         match to {
-            Health::Quarantined | Health::PermanentlyQuarantined => {
-                // Pick the nearest beam that is itself serviceable.
+            Health::Healthy => self.engine.set_beam_outage(equipment, None),
+            // The outage set at quarantine holds while a rung runs.
+            Health::Recovering => {}
+            // Isolated (or written off): route around the beam through
+            // the nearest beam that is itself serviceable.
+            to if to.is_isolated() => {
                 let backup = (1..n)
                     .map(|d| (equipment + d) % n)
                     .find(|&b| self.engine.beam_outage(b).is_none())
@@ -461,7 +427,6 @@ impl FdirHarness {
                     }),
                 );
             }
-            Health::Healthy => self.engine.set_beam_outage(equipment, None),
             _ => {}
         }
     }
@@ -473,13 +438,11 @@ impl FdirHarness {
             self.inject();
         }
         let readouts = self.readouts();
+        let detections = self.supervisor.detections();
         let outcome = self.supervisor.step(t, &readouts);
-        let confirmed = outcome
-            .transitions
-            .iter()
-            .filter(|tr| tr.to == Health::Quarantined)
-            .count() as u64;
-        self.tel.detections.add(confirmed);
+        self.tel
+            .detections
+            .add(self.supervisor.detections() - detections);
         self.tel.transitions.add(outcome.transitions.len() as u64);
         for tr in &outcome.transitions {
             self.apply_transition(tr.equipment, tr.to);
@@ -495,12 +458,7 @@ impl FdirHarness {
         }
         self.mttr_reported = mttr.len();
         let quarantined = (0..=self.cfg.beams)
-            .filter(|&e| {
-                matches!(
-                    self.supervisor.health(e),
-                    Health::Quarantined | Health::Recovering | Health::PermanentlyQuarantined
-                )
-            })
+            .filter(|&e| self.supervisor.health(e).is_isolated())
             .count();
         self.tel.quarantined.set(quarantined as f64);
         self.tick += 1;
@@ -524,9 +482,9 @@ impl FdirHarness {
             permanently_quarantined: self.supervisor.permanently_quarantined(),
             escalations: self.supervisor.escalations(),
             healthy_at_end: self.supervisor.all_healthy(),
-            uplink_sessions: self.uplink_sessions,
-            uplink_retransmissions: self.uplink_retransmissions,
-            uplink_failures: self.uplink_failures,
+            uplink_sessions: self.uploads.iter().map(|u| u.outcome.sessions as u64).sum(),
+            uplink_retransmissions: self.uploads.iter().map(|u| u.outcome.retransmissions).sum(),
+            uplink_failures: self.uploads.iter().filter(|u| !u.outcome.verified).count() as u64,
             voice_offered: voice.offered,
             voice_delivered: voice.delivered,
             voice_dropped: voice.dropped(),

@@ -8,7 +8,10 @@
 //! lapses) the session ends, and the next one **resumes** at the block
 //! the writer was stalled on instead of re-sending the prefix — the
 //! server's cumulative-ACK rule re-synchronises a writer that resumes
-//! one block behind. The whole exchange runs in `gsp-netproto`'s
+//! one block behind. Where each session starts, where it must end and
+//! whether it resumes or starts over is decided in one place, the pure
+//! [`ReconfigUplink::plan_session`]; `upload` does only the simulator
+//! and TFTP work. The whole exchange runs in `gsp-netproto`'s
 //! discrete-event simulator, so the transfer cost comes out in real
 //! (simulated) nanoseconds and the harness can charge it against the
 //! recovering equipment's busy window. Deterministic per seed.
@@ -81,8 +84,43 @@ impl ReconfigUplink {
         self
     }
 
+    /// The resume planner: the next session at `now_ns`, given when the
+    /// transfer was suspended and the block it stalled on (`None` before
+    /// the first session). It waits for acquisition of signal, ends at
+    /// the budget or loss of signal, and resumes — or, once the on-board
+    /// resume state has expired, starts over. `None` when the plan has
+    /// no window left: the upload gives up rather than wedge.
+    pub fn plan_session(&self, now_ns: u64, suspended: Option<(u64, u16)>) -> Option<SessionPlan> {
+        let (start_ns, los_ns, via) = match &self.contacts {
+            None => (now_ns, u64::MAX, None),
+            Some(plan) => {
+                let first = plan.next_contact(now_ns)?;
+                // A contact is a run of abutting windows: Doppler slices
+                // of one pass, or a seamless handover to the next station.
+                let mut los_ns = first.end_ns;
+                while let Some(w) = plan.window_at(los_ns) {
+                    los_ns = w.end_ns;
+                }
+                let via = Some((first.station, first.pass_id));
+                (first.start_ns.max(now_ns), los_ns, via)
+            }
+        };
+        let expired = suspended.is_some_and(|(since_ns, _)| {
+            self.resume_expiry_ns > 0 && start_ns.saturating_sub(since_ns) > self.resume_expiry_ns
+        });
+        Some(SessionPlan {
+            start_ns,
+            deadline_ns: start_ns
+                .saturating_add(self.session_deadline_ns)
+                .min(los_ns),
+            via,
+            expired,
+            resume_at: suspended.filter(|_| !expired).map_or(0, |(_, block)| block),
+        })
+    }
+
     /// Uploads `wire` (a serialised golden bitstream) to the on-board
-    /// controller, resuming across sessions as needed. Deterministic in
+    /// controller in [`Self::plan_session`]'s sessions. Deterministic in
     /// `seed`.
     pub fn upload(&self, wire: &[u8], seed: u64) -> UplinkOutcome {
         let mut out = UplinkOutcome::default();
@@ -95,52 +133,18 @@ impl ReconfigUplink {
         }
         let mut server = TftpServer::new(ADDR_OBPC);
         let mut now_ns = 0u64;
-        let mut next_block: u16 = 0;
-        let mut suspended_at: Option<u64> = None;
+        let mut suspended = None;
         let mut last_stats = None;
         for _ in 0..self.max_sessions {
-            // With a contact plan, align the session to the next pass:
-            // skip the silence to acquisition of signal and bound the
-            // session by the contact's loss of signal (a contact is a
-            // run of abutting windows — Doppler slices of one pass, or
-            // a seamless handover to the next station).
-            let mut deadline = now_ns.saturating_add(self.session_deadline_ns);
-            let mut via: Option<(u16, u32)> = None;
-            if let Some(plan) = &self.contacts {
-                let ws = plan.windows();
-                let i = ws.partition_point(|w| w.end_ns <= now_ns);
-                if i >= ws.len() {
-                    break; // Plan exhausted: give up, never wedge.
-                }
-                let aos = ws[i].start_ns.max(now_ns);
-                via = Some((ws[i].station, ws[i].pass_id));
-                let mut j = i;
-                let mut los = ws[j].end_ns;
-                while j + 1 < ws.len() && ws[j + 1].start_ns == los {
-                    j += 1;
-                    los = ws[j].end_ns;
-                }
-                if aos > now_ns {
-                    sim.advance_to(aos);
-                    now_ns = aos;
-                }
-                deadline = now_ns.saturating_add(self.session_deadline_ns).min(los);
+            let Some(plan) = self.plan_session(now_ns, suspended) else {
+                break;
+            };
+            sim.advance_to(plan.start_ns);
+            if plan.expired {
+                server = TftpServer::new(ADDR_OBPC);
+                out.expired_restarts += 1;
             }
-            // Session expiry: the on-board server only holds a
-            // suspended transfer's state for so long. Past the budget
-            // the prefix is discarded and the upload starts over.
-            if let Some(since) = suspended_at {
-                if self.resume_expiry_ns > 0
-                    && now_ns.saturating_sub(since) > self.resume_expiry_ns
-                    && !server.complete
-                {
-                    server = TftpServer::new(ADDR_OBPC);
-                    next_block = 0;
-                    out.expired_restarts += 1;
-                }
-            }
-            let writer = if next_block == 0 {
-                // The WRQ never got through: start a fresh request.
+            let writer = if plan.resume_at == 0 {
                 TftpWriter::new(
                     ADDR_NCC,
                     ADDR_OBPC,
@@ -149,16 +153,16 @@ impl ReconfigUplink {
                     self.backoff,
                 )
             } else {
-                out.resumed_at_block.push(next_block);
+                out.resumed_at_block.push(plan.resume_at);
                 out.resumed_via_station
-                    .push(via.map_or(u16::MAX, |(s, _)| s));
+                    .push(plan.via.map_or(u16::MAX, |(s, _)| s));
                 TftpWriter::resume(
                     ADDR_NCC,
                     ADDR_OBPC,
                     "golden.bit",
                     wire.to_vec(),
                     self.backoff,
-                    next_block,
+                    plan.resume_at,
                 )
             };
             let Ok(mut writer) = writer else {
@@ -166,7 +170,7 @@ impl ReconfigUplink {
                 // rung cannot succeed, report failure upward.
                 break;
             };
-            if let Some((station, pass)) = via {
+            if let Some((station, pass)) = plan.via {
                 if out.passes_used.last() != Some(&pass) {
                     out.passes_used.push(pass);
                 }
@@ -175,7 +179,7 @@ impl ReconfigUplink {
                 }
             }
             out.sessions += 1;
-            let stats = sim.run(&mut writer, &mut server, deadline);
+            let stats = sim.run(&mut writer, &mut server, plan.deadline_ns);
             last_stats = Some(stats);
             now_ns = stats.end_ns;
             out.retransmissions += writer.retransmissions;
@@ -184,8 +188,7 @@ impl ReconfigUplink {
                 out.delivered = true;
                 break;
             }
-            next_block = writer.next_block();
-            suspended_at = Some(now_ns);
+            suspended = Some((now_ns, writer.next_block()));
         }
         if let Some(stats) = last_stats {
             out.frames_lost_contact = stats.frames_lost_contact[0] + stats.frames_lost_contact[1];
@@ -193,6 +196,21 @@ impl ReconfigUplink {
         out.verified = out.delivered && server.received == wire;
         out
     }
+}
+
+/// One upload session, as the resume planner lays it out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SessionPlan {
+    /// When the session starts: now, or the next acquisition of signal.
+    pub start_ns: u64,
+    /// When it must end: the session budget, cut at loss of signal.
+    pub deadline_ns: u64,
+    /// `(station, pass id)` carrying the session on a contact-gated link.
+    pub via: Option<(u16, u32)>,
+    /// The on-board resume state expired: the server starts over.
+    pub expired: bool,
+    /// The block the session resumes at; 0 sends a fresh request.
+    pub resume_at: u16,
 }
 
 /// What an upload attempt achieved.

@@ -22,11 +22,16 @@
 //! is written off. [`RecoveryMode`] caps the ladder: `NoRecovery`
 //! quarantines forever (the control run), `ScrubOnly` never escalates
 //! past rung 0, `FullLadder` uses all three rungs.
+//!
+//! Every rule above lives in one pure function, [`decide`].
+//! [`Supervisor::step`] calls it per equipment and derives detections,
+//! MTTR, escalations and availability from what it returns.
 
 /// Health of one equipment, as the supervisor sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Health {
     /// Nominal service.
+    #[default]
     Healthy,
     /// A tripwire fired; awaiting confirmation over consecutive ticks.
     Suspect,
@@ -37,6 +42,17 @@ pub enum Health {
     Recovering,
     /// The ladder was exhausted without a clean bill: permanent loss.
     PermanentlyQuarantined,
+}
+
+impl Health {
+    /// Whether the equipment is out of service: confirmed faulty, under
+    /// recovery, or written off.
+    pub fn is_isolated(self) -> bool {
+        matches!(
+            self,
+            Health::Quarantined | Health::Recovering | Health::PermanentlyQuarantined
+        )
+    }
 }
 
 /// One tick's detector outputs for one equipment — every input the
@@ -89,17 +105,6 @@ pub enum RecoveryAction {
     },
 }
 
-impl RecoveryAction {
-    /// The targeted equipment.
-    pub fn equipment(&self) -> usize {
-        match *self {
-            RecoveryAction::Scrub { equipment }
-            | RecoveryAction::Reset { equipment }
-            | RecoveryAction::Reconfigure { equipment } => equipment,
-        }
-    }
-}
-
 /// How far up the ladder the supervisor may climb.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryMode {
@@ -143,6 +148,14 @@ impl SupervisorConfig {
             max_ladder_restarts: 1,
         }
     }
+
+    /// The declared recovery bound: the most ticks a `Recovering`
+    /// equipment with clean readouts takes to heal — the longest rung's
+    /// busy window plus `uplink_ticks`, the largest extension
+    /// ([`Supervisor::extend_busy`]), plus the clean streak.
+    pub fn recovery_bound_ticks(&self, uplink_ticks: u64) -> u64 {
+        self.scrub_busy_ticks.max(self.reset_busy_ticks) + uplink_ticks + self.clean_ticks_to_heal
+    }
 }
 
 /// A recorded health transition.
@@ -167,38 +180,107 @@ pub struct StepOutcome {
     pub transitions: Vec<Transition>,
 }
 
-#[derive(Clone, Debug)]
-struct EquipmentState {
-    health: Health,
-    /// Tick the current suspicion started.
-    suspect_since: u64,
-    /// Consecutive dirty ticks while Suspect.
-    dirty_streak: u64,
-    /// Tick the fault was first seen (MTTR epoch).
-    detect_tick: u64,
-    /// Recovery rung in progress completes at this tick.
-    busy_until: u64,
+/// One equipment's supervision state: its health plus the counters and
+/// deadlines [`decide`] reads. Times are absolute frame ticks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct EquipmentState {
+    /// Current health.
+    pub health: Health,
+    /// Consecutive dirty ticks while `Suspect`.
+    pub dirty_streak: u64,
+    /// Tick the fault was first seen (the MTTR epoch; no rule reads it).
+    pub detect_tick: u64,
+    /// The recovery rung in progress completes at this tick.
+    pub busy_until: u64,
     /// Consecutive clean ticks after the rung completed.
-    clean_streak: u64,
+    pub clean_streak: u64,
     /// Next ladder rung to issue (0 scrub, 1 reset, 2 reconfigure).
-    rung: u8,
+    pub rung: u8,
     /// Ladder restarts consumed.
-    restarts: u32,
+    pub restarts: u32,
 }
 
-impl EquipmentState {
-    fn new() -> Self {
-        EquipmentState {
-            health: Health::Healthy,
-            suspect_since: 0,
-            dirty_streak: 0,
-            detect_tick: 0,
-            busy_until: 0,
-            clean_streak: 0,
-            rung: 0,
-            restarts: 0,
+/// The supervisor's whole transition rule for one equipment at `tick`:
+/// the state after this tick's readout (`dirty` = any tripwire fired)
+/// and the rung to issue, if any (0 scrub, 1 reset, 2 reconfigure, as
+/// indexed in [`Supervisor::escalations`]). Pure: [`Supervisor::step`]
+/// and the explorer in `tests/tests/control_plane.rs` both call it.
+pub fn decide(
+    cfg: &SupervisorConfig,
+    st: &EquipmentState,
+    dirty: bool,
+    tick: u64,
+) -> (EquipmentState, Option<usize>) {
+    use Health::*;
+    let mut next = *st;
+    match st.health {
+        Healthy if dirty => {
+            next.health = Suspect;
+            next.detect_tick = tick;
+            next.dirty_streak = 1;
         }
+        // Transient: stand down.
+        Suspect if !dirty => next.health = Healthy,
+        Suspect => {
+            next.dirty_streak += 1;
+            if next.dirty_streak >= cfg.confirm_ticks {
+                (next.health, next.rung, next.restarts) = (Quarantined, 0, 0);
+            }
+        }
+        // Under NoRecovery a quarantine is forever.
+        Quarantined if cfg.mode != RecoveryMode::NoRecovery => {
+            next.health = Recovering;
+            return issue_rung(cfg, next, tick);
+        }
+        // A rung in progress masks the readouts.
+        Recovering if tick < st.busy_until => {}
+        Recovering if !dirty => {
+            next.clean_streak += 1;
+            if next.clean_streak >= cfg.clean_ticks_to_heal {
+                next.health = Healthy;
+            }
+        }
+        // The rung did not take: escalate, restart the ladder, or write
+        // the equipment off. Under ScrubOnly every rung is the last.
+        Recovering => {
+            next.clean_streak = 0;
+            let exhausted = cfg.mode == RecoveryMode::ScrubOnly || st.rung >= 2;
+            if exhausted && st.restarts >= cfg.max_ladder_restarts {
+                next.health = PermanentlyQuarantined;
+            } else {
+                if exhausted {
+                    (next.restarts, next.rung) = (st.restarts + 1, 0);
+                } else {
+                    next.rung += 1;
+                }
+                return issue_rung(cfg, next, tick);
+            }
+        }
+        _ => {}
     }
+    (next, None)
+}
+
+/// Issues `next`'s ladder rung at `tick`, busy for the rung's window.
+fn issue_rung(
+    cfg: &SupervisorConfig,
+    mut next: EquipmentState,
+    tick: u64,
+) -> (EquipmentState, Option<usize>) {
+    let rung = match cfg.mode {
+        RecoveryMode::ScrubOnly => 0,
+        _ => usize::from(next.rung.min(2)),
+    };
+    // A reconfigure's uplink transfer dominates its window; the harness
+    // extends it once it knows the simulated transfer time.
+    let busy = if rung == 0 {
+        cfg.scrub_busy_ticks
+    } else {
+        cfg.reset_busy_ticks
+    };
+    next.busy_until = tick + busy;
+    next.clean_streak = 0;
+    (next, Some(rung))
 }
 
 /// The FDIR supervisor: one state machine per equipment plus the
@@ -221,7 +303,7 @@ impl Supervisor {
     pub fn new(n_equipment: usize, cfg: SupervisorConfig) -> Self {
         Supervisor {
             cfg,
-            eq: (0..n_equipment).map(|_| EquipmentState::new()).collect(),
+            eq: vec![EquipmentState::default(); n_equipment],
             ticks: 0,
             detections: 0,
             transitions: 0,
@@ -229,11 +311,6 @@ impl Supervisor {
             unavailable_ticks: 0,
             escalations: [0; 3],
         }
-    }
-
-    /// The policy in force.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.cfg
     }
 
     /// Current health of `equipment`.
@@ -291,173 +368,49 @@ impl Supervisor {
         self.eq[equipment].busy_until += extra_ticks;
     }
 
-    fn go(
-        out: &mut StepOutcome,
-        transitions: &mut u64,
-        tick: u64,
-        equipment: usize,
-        st: &mut EquipmentState,
-        to: Health,
-    ) {
-        out.transitions.push(Transition {
-            tick,
-            equipment,
-            from: st.health,
-            to,
-        });
-        *transitions += 1;
-        st.health = to;
-    }
-
-    /// Issues the next ladder rung for `equipment` and marks it busy.
-    fn issue_rung(&mut self, out: &mut StepOutcome, tick: u64, equipment: usize) {
-        let rung = match self.cfg.mode {
-            RecoveryMode::ScrubOnly => 0,
-            _ => self.eq[equipment].rung.min(2),
-        };
-        let (action, busy) = match rung {
-            0 => (
-                RecoveryAction::Scrub { equipment },
-                self.cfg.scrub_busy_ticks,
-            ),
-            1 => (
-                RecoveryAction::Reset { equipment },
-                self.cfg.reset_busy_ticks,
-            ),
-            _ => (
-                RecoveryAction::Reconfigure { equipment },
-                // The uplink transfer dominates; the harness extends
-                // this once it knows the simulated transfer time.
-                self.cfg.reset_busy_ticks,
-            ),
-        };
-        self.escalations[rung as usize] += 1;
-        let st = &mut self.eq[equipment];
-        st.busy_until = tick + busy;
-        st.clean_streak = 0;
-        out.actions.push(action);
-    }
-
-    /// Advances every state machine one tick. `readouts` must hold one
-    /// [`DetectorReadout`] per equipment, reflecting the *previous*
-    /// frame's symptoms. Returned actions must be executed this tick,
-    /// before the payload frame runs.
+    /// Advances every state machine one tick through [`decide`].
+    /// `readouts` must hold one [`DetectorReadout`] per equipment,
+    /// reflecting the *previous* frame's symptoms. Returned actions must
+    /// be executed this tick, before the payload frame runs.
     pub fn step(&mut self, tick: u64, readouts: &[DetectorReadout]) -> StepOutcome {
         assert_eq!(readouts.len(), self.eq.len(), "one readout per equipment");
         let mut out = StepOutcome::default();
         self.ticks += 1;
-        for (i, readout) in readouts.iter().enumerate() {
-            let dirty = readout.any();
-            // Borrow dance: decide on a copy of the state's scalars,
-            // mutate via helpers.
-            match self.eq[i].health {
-                Health::Healthy => {
-                    if dirty {
-                        let st = &mut self.eq[i];
-                        st.suspect_since = tick;
-                        st.detect_tick = tick;
-                        st.dirty_streak = 1;
-                        Self::go(
-                            &mut out,
-                            &mut self.transitions,
-                            tick,
-                            i,
-                            &mut self.eq[i],
-                            Health::Suspect,
-                        );
+        for (equipment, (st, readout)) in self.eq.iter_mut().zip(readouts).enumerate() {
+            let (next, rung) = decide(&self.cfg, st, readout.any(), tick);
+            let (from, to) = (st.health, next.health);
+            if from != to {
+                out.transitions.push(Transition {
+                    tick,
+                    equipment,
+                    from,
+                    to,
+                });
+                self.transitions += 1;
+                match to {
+                    Health::Quarantined => self.detections += 1,
+                    Health::Healthy if from == Health::Recovering => {
+                        self.mttr_ticks.push(tick - st.detect_tick);
                     }
+                    _ => {}
                 }
-                Health::Suspect => {
-                    if !dirty {
-                        // Transient — stand down.
-                        Self::go(
-                            &mut out,
-                            &mut self.transitions,
-                            tick,
-                            i,
-                            &mut self.eq[i],
-                            Health::Healthy,
-                        );
-                    } else {
-                        self.eq[i].dirty_streak += 1;
-                        if self.eq[i].dirty_streak >= self.cfg.confirm_ticks {
-                            self.detections += 1;
-                            self.eq[i].rung = 0;
-                            self.eq[i].restarts = 0;
-                            Self::go(
-                                &mut out,
-                                &mut self.transitions,
-                                tick,
-                                i,
-                                &mut self.eq[i],
-                                Health::Quarantined,
-                            );
-                        }
-                    }
-                }
-                Health::Quarantined => {
-                    if self.cfg.mode != RecoveryMode::NoRecovery {
-                        Self::go(
-                            &mut out,
-                            &mut self.transitions,
-                            tick,
-                            i,
-                            &mut self.eq[i],
-                            Health::Recovering,
-                        );
-                        self.issue_rung(&mut out, tick, i);
-                    }
-                    // NoRecovery: isolated forever.
-                }
-                Health::Recovering => {
-                    if tick < self.eq[i].busy_until {
-                        // Rung still in progress.
-                    } else if !dirty {
-                        self.eq[i].clean_streak += 1;
-                        if self.eq[i].clean_streak >= self.cfg.clean_ticks_to_heal {
-                            let mttr = tick - self.eq[i].detect_tick;
-                            self.mttr_ticks.push(mttr);
-                            Self::go(
-                                &mut out,
-                                &mut self.transitions,
-                                tick,
-                                i,
-                                &mut self.eq[i],
-                                Health::Healthy,
-                            );
-                        }
-                    } else {
-                        // The rung did not take: escalate or restart.
-                        self.eq[i].clean_streak = 0;
-                        let exhausted = match self.cfg.mode {
-                            RecoveryMode::ScrubOnly => true, // every rung is the last
-                            _ => self.eq[i].rung >= 2,
-                        };
-                        if exhausted {
-                            if self.eq[i].restarts >= self.cfg.max_ladder_restarts {
-                                Self::go(
-                                    &mut out,
-                                    &mut self.transitions,
-                                    tick,
-                                    i,
-                                    &mut self.eq[i],
-                                    Health::PermanentlyQuarantined,
-                                );
-                                continue;
-                            }
-                            self.eq[i].restarts += 1;
-                            self.eq[i].rung = 0;
-                        } else {
-                            self.eq[i].rung += 1;
-                        }
-                        self.issue_rung(&mut out, tick, i);
-                    }
-                }
-                Health::PermanentlyQuarantined => {}
             }
-            if self.eq[i].health != Health::Healthy {
+            if let Some(rung) = rung {
+                self.escalations[rung] += 1;
+                out.actions.push(match rung {
+                    0 => RecoveryAction::Scrub { equipment },
+                    1 => RecoveryAction::Reset { equipment },
+                    _ => RecoveryAction::Reconfigure { equipment },
+                });
+            }
+            // The tick an equipment is written off is not charged: the
+            // committed availability figures count it this way.
+            if to != Health::Healthy
+                && (to, from) != (Health::PermanentlyQuarantined, Health::Recovering)
+            {
                 self.unavailable_ticks += 1;
             }
+            *st = next;
         }
         out
     }

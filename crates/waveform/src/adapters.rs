@@ -9,7 +9,7 @@
 //! processing goes straight through the pre-existing chains — the
 //! waveform plane adds lifecycle and observability, not a third modem.
 
-use crate::component::{LifecycleState, WaveformError, WaveformFrameReport};
+use crate::component::{LifecycleOp, LifecycleState, WaveformError, WaveformFrameReport};
 use crate::descriptor::{WaveformDescriptor, WaveformKind};
 use gsp_channel::awgn::AwgnChannel;
 use gsp_modem::cdma::{CdmaConfig, CdmaReceiver, CdmaTransmitter};
@@ -106,30 +106,32 @@ impl Waveform {
         self.state
     }
 
-    /// Moves to `to` if the component is in one of `from`; otherwise
-    /// the call `op` is illegal and nothing changes.
-    fn transition(
-        &mut self,
-        from: &[LifecycleState],
-        op: &'static str,
-        to: LifecycleState,
-    ) -> Result<(), WaveformError> {
-        if !from.contains(&self.state) {
-            return Err(WaveformError::BadTransition {
-                from: self.state,
-                op,
-            });
-        }
-        self.state = to;
+    /// Takes the edge [`LifecycleState::after`] gives for `op`; when the
+    /// table has none the call is illegal and nothing changes.
+    fn transition(&mut self, op: LifecycleOp) -> Result<(), WaveformError> {
+        self.state = self.state.after(op).ok_or(WaveformError::BadTransition {
+            from: self.state,
+            op,
+        })?;
         Ok(())
+    }
+
+    /// Applies the lifecycle call `op`, other than `Step`, returning its
+    /// modelled cost in simulated nanoseconds (0 for `Run` and
+    /// `Deactivate`).
+    pub(crate) fn apply(&mut self, op: LifecycleOp) -> Result<u64, WaveformError> {
+        match op {
+            LifecycleOp::Configure => self.configure(),
+            LifecycleOp::Teardown => self.teardown(),
+            op => self.transition(op).map(|()| 0),
+        }
     }
 
     /// `Instantiated → Configured`: allocate and parameterise the
     /// processing state. Returns the modelled configuration cost in
     /// simulated nanoseconds (charged to the swap window).
     pub fn configure(&mut self) -> Result<u64, WaveformError> {
-        use LifecycleState::*;
-        self.transition(&[Instantiated], "configure", Configured)?;
+        self.transition(LifecycleOp::Configure)?;
         let d = &self.descriptor;
         self.chain = Some(match d.kind {
             WaveformKind::Cdma => {
@@ -162,19 +164,17 @@ impl Waveform {
     /// `Configured | Deactivated → Running`: take (or re-take, on
     /// rollback) the carrier.
     pub fn run(&mut self) -> Result<(), WaveformError> {
-        use LifecycleState::*;
-        self.transition(&[Configured, Deactivated], "run", Running)
+        self.transition(LifecycleOp::Run)
     }
 
     /// Process one frame. `Running` only. Deterministic in
     /// `(seed, tick)` given the component's state history.
     pub fn step(&mut self, seed: u64, tick: u64) -> Result<WaveformFrameReport, WaveformError> {
-        let (LifecycleState::Running, Some(chain)) = (self.state, self.chain.as_mut()) else {
-            return Err(WaveformError::BadTransition {
-                from: self.state,
-                op: "step",
-            });
-        };
+        self.transition(LifecycleOp::Step)?;
+        let chain = self
+            .chain
+            .as_mut()
+            .expect("configure built the chain of a running waveform");
         let mut report = WaveformFrameReport {
             tick,
             ..WaveformFrameReport::default()
@@ -258,19 +258,13 @@ impl Waveform {
     /// `Running → Deactivated`: quiesce at the frame boundary, keep all
     /// processing state for a possible rollback.
     pub fn deactivate(&mut self) -> Result<(), WaveformError> {
-        use LifecycleState::*;
-        self.transition(&[Running], "deactivate", Deactivated)
+        self.transition(LifecycleOp::Deactivate)
     }
 
     /// Any non-running state `→ TornDown`: release the processing state.
     /// Returns the modelled teardown cost in simulated nanoseconds.
     pub fn teardown(&mut self) -> Result<u64, WaveformError> {
-        use LifecycleState::*;
-        self.transition(
-            &[Instantiated, Configured, Deactivated],
-            "teardown",
-            TornDown,
-        )?;
+        self.transition(LifecycleOp::Teardown)?;
         self.chain = None;
         Ok(TEARDOWN_BASE_NS + TEARDOWN_PER_CARRIER_NS * self.descriptor.carriers as u64)
     }

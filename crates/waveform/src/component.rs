@@ -6,18 +6,20 @@
 //! *configure* (allocate and parameterise the processing state),
 //! *run* (enter the live state), *deactivate* (quiesce at a frame
 //! boundary, state preserved), *teardown* (release everything). The
-//! state machine here enforces exactly those edges; every illegal call
-//! is an error, never a silent no-op, because the hot-swap controller
-//! leans on the transitions to prove the old personality is still
-//! rollback-able until the new one has earned its confidence window.
+//! legal edges are one table, [`LifecycleState::after`]; every illegal
+//! call is an error, never a silent no-op, because the hot-swap
+//! controller leans on the transitions to prove the old personality is
+//! still rollback-able until the new one has earned its confidence
+//! window.
 
 /// Where a component is in its life.
 ///
-/// Legal edges: `Instantiated → Configured → Running ⇄ Deactivated`,
-/// and any non-running state `→ TornDown`. `Deactivated → Running` is
-/// the rollback edge: a deactivated personality keeps its processing
-/// state and can resume exactly where it stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Legal edges ([`LifecycleState::after`]): `Instantiated → Configured
+/// → Running ⇄ Deactivated`, and any non-running state `→ TornDown`.
+/// `Deactivated → Running` is the rollback edge: a deactivated
+/// personality keeps its processing state and can resume exactly where
+/// it stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LifecycleState {
     /// Registry-loaded; descriptor accepted, no processing state yet.
     Instantiated,
@@ -31,6 +33,37 @@ pub enum LifecycleState {
     TornDown,
 }
 
+/// A lifecycle call on a [`Waveform`](crate::Waveform).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LifecycleOp {
+    /// Allocate and parameterise the processing state.
+    Configure,
+    /// Take (or re-take) the carrier.
+    Run,
+    /// Process one frame.
+    Step,
+    /// Quiesce at a frame boundary, state preserved.
+    Deactivate,
+    /// Release the processing state.
+    Teardown,
+}
+
+impl LifecycleState {
+    /// The lifecycle table: where `op` leads from `self`, `None` if it is
+    /// illegal there. `Waveform`'s guard and the explorer both read it.
+    pub fn after(self, op: LifecycleOp) -> Option<LifecycleState> {
+        use LifecycleOp as Op;
+        use LifecycleState::*;
+        match (self, op) {
+            (Instantiated, Op::Configure) => Some(Configured),
+            (Configured | Deactivated, Op::Run) | (Running, Op::Step) => Some(Running),
+            (Running, Op::Deactivate) => Some(Deactivated),
+            (Instantiated | Configured | Deactivated, Op::Teardown) => Some(TornDown),
+            _ => None,
+        }
+    }
+}
+
 /// A lifecycle or processing fault from a waveform component.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WaveformError {
@@ -39,7 +72,7 @@ pub enum WaveformError {
         /// State the component was in.
         from: LifecycleState,
         /// The operation that was attempted.
-        op: &'static str,
+        op: LifecycleOp,
     },
     /// The descriptor asked for parameters this component cannot build.
     Unbuildable(&'static str),
@@ -49,7 +82,7 @@ impl std::fmt::Display for WaveformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WaveformError::BadTransition { from, op } => {
-                write!(f, "illegal lifecycle call {op} from {from:?}")
+                write!(f, "illegal lifecycle call {op:?} from {from:?}")
             }
             WaveformError::Unbuildable(why) => write!(f, "descriptor unbuildable: {why}"),
         }

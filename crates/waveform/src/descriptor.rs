@@ -15,6 +15,12 @@ use gsp_fpga::bitstream::Bitstream;
 use gsp_fpga::device::FpgaDevice;
 use gsp_modem::complexity::ModemPersonality;
 
+/// The longest frame period a descriptor may declare: one second, ~20×
+/// the built-ins' 48 ms. A frame period is a physical TDMA/CDMA frame
+/// time, and the bound keeps a swap's window ticks × frame period (the
+/// interruption it reports) far from `u64` overflow.
+pub const MAX_FRAME_NS: u64 = 1_000_000_000;
+
 /// Which processing chain a descriptor parameterises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WaveformKind {
@@ -200,7 +206,7 @@ impl WaveformDescriptor {
         if self.info_bits == 0 || self.info_bits > 4096 {
             return Err(DescriptorError::BadParameter("info_bits"));
         }
-        if self.frame_ns == 0 {
+        if self.frame_ns == 0 || self.frame_ns > MAX_FRAME_NS {
             return Err(DescriptorError::BadParameter("frame_ns"));
         }
         Ok(())

@@ -16,13 +16,17 @@
 //! function of `(seed, tick)`, lands the history bitwise on the
 //! never-swapped run.
 //!
+//! Every swap rule is one pure function, [`decide`], over a light
+//! [`SwapState`], and the lifecycle calls of each [`SwapAction`] are one
+//! table, [`SwapAction::lifecycle`]; the controller does the signal work.
+//!
 //! Service interruption is a measurement here, not a constant: the
 //! window length in ticks times the frame period, plus the modelled
 //! configure/teardown costs, comes out per swap in
 //! [`SwapReport::interruption_ms`].
 
 use crate::adapters::Waveform;
-use crate::component::WaveformFrameReport;
+use crate::component::{LifecycleOp, WaveformFrameReport};
 use crate::descriptor::WaveformDescriptor;
 use crate::registry::{LoadError, WaveformRegistry};
 use gsp_fdir::recovery::{ReconfigUplink, UplinkOutcome};
@@ -60,7 +64,7 @@ impl SwapCommand {
 }
 
 /// Where the controller is in a swap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SwapPhase {
     /// No swap commanded.
     #[default]
@@ -158,37 +162,114 @@ pub struct StepOutcome {
 /// with (and never perturb) the real tick seeds.
 const TRIAL_SALT: u64 = 0x7121_A15A_17ED_5EED;
 
-/// Where the controller is in a swap. `Committed` and `RolledBack` are
-/// idle states whose outcome the swap report records.
-enum Swap {
-    /// No swap armed or open.
-    Idle,
-    /// Validated descriptor waiting for the command's quiesce tick.
-    Armed {
-        cmd: SwapCommand,
-        target: WaveformDescriptor,
-    },
-    /// Carrier quiesced; the incoming personality runs trial frames.
-    Window(Window),
+/// Where a swap is, as [`decide`] sees it. Arming loads the command's
+/// confidence window into the counts; the window spends them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct SwapState {
+    /// The phase. `Idle`, `Committed` and `RolledBack` are all idle.
+    pub phase: SwapPhase,
+    /// The commanded quiesce tick (read while `Armed`).
+    pub at: u64,
+    /// Clean trial frames still needed to commit.
+    pub trials_left: u32,
+    /// Window ticks left before the swap rolls back.
+    pub ticks_left: u32,
 }
 
-/// An open swap window.
-struct Window {
-    cmd: SwapCommand,
-    /// The personality on trial, configured and running.
-    incoming: Waveform,
-    /// Real frame ticks that arrived while the carrier was quiesced.
-    buffered: Vec<u64>,
-    /// Clean trial frames so far.
-    clean_trials: u32,
+impl SwapState {
+    /// The state after accepting `cmd`; `None` while a swap is in flight.
+    pub fn arm(self, cmd: &SwapCommand) -> Option<SwapState> {
+        let idle = !matches!(self.phase, SwapPhase::Armed | SwapPhase::Window);
+        idle.then_some(SwapState {
+            phase: SwapPhase::Armed,
+            at: cmd.at_tick,
+            trials_left: cmd.confidence_frames,
+            ticks_left: cmd.abort_after,
+        })
+    }
 }
 
-/// The controller. Owns the active personality outright; during a swap
-/// window it also owns the incoming one.
+/// What [`decide`] tells the controller to do. After `OpenWindow` or
+/// `Trial` it decides the same tick again; the others consume the tick.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SwapAction {
+    /// The active personality serves the tick.
+    Run,
+    /// Quiesce the active personality and bring the incoming one up.
+    OpenWindow,
+    /// Run a trial frame on the incoming personality.
+    Trial,
+    /// Buffer the tick behind the quiesced carrier.
+    Buffer,
+    /// Buffer the tick; the incoming personality takes the carrier.
+    Commit,
+    /// Buffer the tick; the old personality re-takes the carrier.
+    Rollback,
+}
+
+impl SwapAction {
+    /// The lifecycle calls the action makes on the active and on the
+    /// incoming personality, in order. The incoming one is instantiated
+    /// when the command is accepted, becomes the active one after
+    /// `Commit`'s calls and is dropped after `Rollback`'s.
+    pub fn lifecycle(self) -> (&'static [LifecycleOp], &'static [LifecycleOp]) {
+        use LifecycleOp::*;
+        match self {
+            SwapAction::OpenWindow => (&[Deactivate], &[Configure, Run]),
+            SwapAction::Commit => (&[Teardown], &[]),
+            SwapAction::Rollback => (&[Run], &[Deactivate, Teardown]),
+            _ => (&[], &[]),
+        }
+    }
+}
+
+/// The swap controller's whole decision for frame `tick`. `fault` (the
+/// FDIR signal) rolls an open window back; `trial_clean` is this tick's
+/// trial outcome, `None` until one has run. Pure:
+/// [`HotSwapController::step`] and `tests/tests/control_plane.rs` call it.
+pub fn decide(
+    st: SwapState,
+    tick: u64,
+    fault: bool,
+    trial_clean: Option<bool>,
+) -> (SwapState, SwapAction) {
+    use SwapAction::*;
+    use SwapPhase::*;
+    let mut next = st;
+    let action = match (st.phase, trial_clean) {
+        (Armed, _) if tick >= st.at => OpenWindow,
+        (Window, _) if fault => Rollback,
+        (Window, None) => Trial,
+        (Window, Some(clean)) => {
+            next.trials_left = st.trials_left.saturating_sub(u32::from(clean));
+            next.ticks_left = st.ticks_left.saturating_sub(1);
+            match (next.trials_left, next.ticks_left) {
+                (0, _) => Commit,
+                (_, 0) => Rollback,
+                _ => Buffer,
+            }
+        }
+        _ => Run,
+    };
+    next.phase = match action {
+        OpenWindow => Window,
+        Commit => Committed,
+        Rollback => RolledBack,
+        _ => st.phase,
+    };
+    (next, action)
+}
+
+/// The controller. Owns the active personality outright, and the
+/// incoming one from an accepted command until the window closes.
 pub struct HotSwapController {
     registry: WaveformRegistry,
     active: Waveform,
-    swap: Swap,
+    state: SwapState,
+    /// The commanded personality (on trial while the window is open).
+    incoming: Option<Waveform>,
+    /// Real frame ticks that arrived while the carrier was quiesced.
+    buffered: Vec<u64>,
     report: SwapReport,
 }
 
@@ -200,11 +281,13 @@ impl HotSwapController {
         registry: WaveformRegistry,
         initial: &WaveformDescriptor,
     ) -> Result<Self, LoadError> {
-        let (active, _) = registry.bring_up(initial)?;
+        let active = registry.bring_up(initial)?;
         Ok(HotSwapController {
             registry,
             active,
-            swap: Swap::Idle,
+            state: SwapState::default(),
+            incoming: None,
+            buffered: Vec::new(),
             report: SwapReport::default(),
         })
     }
@@ -217,13 +300,7 @@ impl HotSwapController {
 
     /// Controller phase.
     pub fn phase(&self) -> SwapPhase {
-        match self.swap {
-            Swap::Armed { .. } => SwapPhase::Armed,
-            Swap::Window(_) => SwapPhase::Window,
-            Swap::Idle if self.report.committed => SwapPhase::Committed,
-            Swap::Idle if self.report.rolled_back => SwapPhase::RolledBack,
-            Swap::Idle => SwapPhase::Idle,
-        }
+        self.state.phase
     }
 
     /// The last (or in-flight) swap's report.
@@ -235,79 +312,56 @@ impl HotSwapController {
     /// the registry, and arms the swap for `cmd.at_tick`. The carrier is
     /// live throughout; a refused command leaves no trace on it.
     pub fn command_swap(&mut self, cmd: SwapCommand, seed: u64) -> Result<(), SwapError> {
-        if !matches!(self.swap, Swap::Idle) {
-            return Err(SwapError::Busy);
-        }
+        let armed = self.state.arm(&cmd).ok_or(SwapError::Busy)?;
         let uplink = cmd.uplink.upload(&cmd.wire, seed);
         if !uplink.verified {
             return Err(SwapError::Delivery(Box::new(uplink)));
         }
-        // Validate all the way to an instantiated component, then drop
-        // it: the real bring-up happens at the armed boundary so a
+        // Validate all the way to an instantiated component; it holds no
+        // processing state until the armed boundary configures it, so a
         // long-armed swap cannot hold duplicate processing state.
-        let target = self
+        let incoming = self
             .registry
             .load_wire(&cmd.wire)
-            .map_err(SwapError::Rejected)?
-            .descriptor()
-            .clone();
+            .map_err(SwapError::Rejected)?;
         self.report = SwapReport {
             from: self.active.descriptor().name.clone(),
-            to: target.name.clone(),
+            to: incoming.descriptor().name.clone(),
             uplink,
             armed_at: cmd.at_tick,
             ..SwapReport::default()
         };
-        self.swap = Swap::Armed { cmd, target };
+        self.state = armed;
+        self.incoming = Some(incoming);
         Ok(())
     }
 
-    /// Advances one frame tick. `fault` is the FDIR signal for this
-    /// tick; it only matters inside the swap window, where it triggers
-    /// rollback. Outside a window the active personality simply runs the
-    /// frame.
+    /// Advances one frame tick, doing what [`decide`] says. `fault` is
+    /// the FDIR signal for this tick; it only matters inside the swap
+    /// window, where it triggers rollback. Outside a window the active
+    /// personality simply runs the frame.
     pub fn step(&mut self, seed: u64, tick: u64, fault: bool) -> StepOutcome {
-        let mut w = match std::mem::replace(&mut self.swap, Swap::Idle) {
-            Swap::Armed { cmd, target } if tick >= cmd.at_tick => self.open_window(cmd, &target),
-            Swap::Window(w) => w,
-            idle_or_armed => {
-                self.swap = idle_or_armed;
-                let report = self.run_tick(seed, tick);
-                return StepOutcome {
-                    reports: vec![report],
-                    phase: self.phase(),
-                };
+        let mut trial_clean = None;
+        let action = loop {
+            let (state, action) = decide(self.state, tick, fault, trial_clean);
+            self.state = state;
+            match action {
+                SwapAction::OpenWindow => self.lifecycle(action),
+                SwapAction::Trial => trial_clean = Some(self.trial(seed, tick)),
+                action => break action,
             }
         };
-
-        // Inside the window: the carrier is quiesced, this tick buffers.
-        w.buffered.push(tick);
-        self.report.window_ticks += 1;
-        self.report.frames_in_flight = self.report.frames_in_flight.max(w.buffered.len() as u32);
-
-        let reports = if fault {
-            self.rollback(w, seed)
+        let reports = if action == SwapAction::Run {
+            vec![self.run_tick(seed, tick)]
         } else {
-            // One trial frame per tick on the incoming personality, from
-            // the salted seed stream.
-            let trial_idx = self.report.trials as usize;
-            let trial = w
-                .incoming
-                .step(frame_seed(seed ^ TRIAL_SALT, trial_idx), tick)
-                .expect("incoming runs trials");
-            self.report.trials += 1;
-            if trial.clean() {
-                w.clean_trials += 1;
-            } else {
-                self.report.trial_failures += 1;
-            }
-            if w.clean_trials >= w.cmd.confidence_frames {
-                self.commit(w, seed)
-            } else if self.report.window_ticks >= w.cmd.abort_after as u64 {
-                self.rollback(w, seed)
-            } else {
-                self.swap = Swap::Window(w);
-                Vec::new()
+            // Inside the window the carrier is quiesced: the tick buffers.
+            self.buffered.push(tick);
+            self.report.window_ticks += 1;
+            self.report.frames_in_flight =
+                self.report.frames_in_flight.max(self.buffered.len() as u32);
+            match action {
+                SwapAction::Buffer => Vec::new(),
+                _ => self.close_window(action, seed),
             }
         };
         StepOutcome {
@@ -316,60 +370,59 @@ impl HotSwapController {
         }
     }
 
-    /// Quiesce the carrier and bring the incoming personality into its
-    /// confidence window.
-    fn open_window(&mut self, cmd: SwapCommand, target: &WaveformDescriptor) -> Window {
-        self.active.deactivate().expect("active quiesces");
-        let (incoming, configure_ns) = self
-            .registry
-            .bring_up(target)
-            .expect("descriptor validated at command time");
-        self.report.interruption_ns += configure_ns;
-        Window {
-            cmd,
-            incoming,
-            buffered: Vec::new(),
-            clean_trials: 0,
+    /// Makes `action`'s lifecycle calls, charging their modelled cost.
+    fn lifecycle(&mut self, action: SwapAction) {
+        let (on_active, on_incoming) = action.lifecycle();
+        let incoming = self.incoming.as_mut().expect("a swap holds its incoming");
+        for (wf, ops) in [(&mut self.active, on_active), (incoming, on_incoming)] {
+            for &op in ops {
+                let cost = wf
+                    .apply(op)
+                    .expect("the lifecycle table allows every swap call");
+                self.report.interruption_ns = self.report.interruption_ns.saturating_add(cost);
+            }
         }
     }
 
-    /// Commit: hand over switch residue, tear down the old personality,
-    /// replay the buffered backlog through the new one.
-    fn commit(&mut self, mut w: Window, seed: u64) -> Vec<WaveformFrameReport> {
-        let residue = self.active.drain_ingress();
-        self.report.handover_packets = residue.len() as u64;
-        let absorbed = w.incoming.absorb_ingress(&residue);
-        self.report.handover_dropped = self.report.handover_packets - absorbed;
-        let teardown_ns = self.active.teardown().expect("deactivated old tears down");
-        self.report.interruption_ns += teardown_ns;
-        self.active = w.incoming;
-        self.close_window(true, w.buffered, seed)
+    /// Whether one trial frame (salted seed stream) ran clean.
+    fn trial(&mut self, seed: u64, tick: u64) -> bool {
+        let incoming = self.incoming.as_mut().expect("a swap holds its incoming");
+        let trial_seed = frame_seed(seed ^ TRIAL_SALT, self.report.trials as usize);
+        let clean = incoming
+            .step(trial_seed, tick)
+            .expect("incoming runs trials")
+            .clean();
+        self.report.trials += 1;
+        self.report.trial_failures += u32::from(!clean);
+        clean
     }
 
-    /// Rollback: tear down the incoming personality, re-run the old one,
-    /// replay the buffered backlog through it.
-    fn rollback(&mut self, mut w: Window, seed: u64) -> Vec<WaveformFrameReport> {
-        w.incoming.deactivate().ok();
-        let teardown_ns = w.incoming.teardown().expect("incoming tears down");
-        self.report.interruption_ns += teardown_ns;
-        self.active.run().expect("old personality re-runs");
-        self.close_window(false, w.buffered, seed)
-    }
-
-    /// Records the swap's outcome and replays the buffered `backlog`, in
-    /// tick order, through whichever personality now owns the carrier.
-    fn close_window(
-        &mut self,
-        committed: bool,
-        backlog: Vec<u64>,
-        seed: u64,
-    ) -> Vec<WaveformFrameReport> {
-        let frame_ns = self.active.descriptor().frame_ns;
-        self.report.interruption_ns += self.report.window_ticks * frame_ns;
+    /// Commit (hand over switch residue, tear down the old personality)
+    /// or roll back (tear down the incoming one, re-run the old), record
+    /// the outcome, and replay the buffered backlog, in tick order,
+    /// through whichever personality now owns the carrier.
+    fn close_window(&mut self, action: SwapAction, seed: u64) -> Vec<WaveformFrameReport> {
+        let committed = action == SwapAction::Commit;
+        if committed {
+            let residue = self.active.drain_ingress();
+            let incoming = self.incoming.as_mut().expect("a swap holds its incoming");
+            self.report.handover_packets = residue.len() as u64;
+            self.report.handover_dropped = residue.len() as u64 - incoming.absorb_ingress(&residue);
+        }
+        self.lifecycle(action);
+        let incoming = self.incoming.take().expect("a swap holds its incoming");
+        if committed {
+            self.active = incoming;
+        }
+        let window_ns = self
+            .report
+            .window_ticks
+            .saturating_mul(self.active.descriptor().frame_ns);
+        self.report.interruption_ns = self.report.interruption_ns.saturating_add(window_ns);
         self.report.committed = committed;
         self.report.rolled_back = !committed;
-        self.report.replayed_frames = backlog.len() as u32;
-        backlog
+        self.report.replayed_frames = self.buffered.len() as u32;
+        std::mem::take(&mut self.buffered)
             .into_iter()
             .map(|tick| self.run_tick(seed, tick))
             .collect()
@@ -501,6 +554,29 @@ mod tests {
             Err(SwapError::Rejected(_))
         ));
         assert_eq!(ctl.phase(), SwapPhase::Idle);
+    }
+
+    #[test]
+    fn an_overlong_frame_period_is_refused_before_it_can_overflow_the_report() {
+        let target = WaveformDescriptor {
+            frame_ns: u64::MAX,
+            ..WaveformDescriptor::mf_tdma()
+        };
+        assert_eq!(
+            WaveformRegistry::builtin()
+                .load_wire(&target.to_wire())
+                .map(|_| ()),
+            Err(LoadError::Descriptor(
+                crate::descriptor::DescriptorError::BadParameter("frame_ns")
+            ))
+        );
+        let mut ctl = controller(&WaveformDescriptor::sumts_cdma());
+        assert!(matches!(
+            ctl.command_swap(SwapCommand::new(&target, 2), SEED),
+            Err(SwapError::Rejected(_))
+        ));
+        assert_eq!(ctl.phase(), SwapPhase::Idle);
+        assert_eq!(drive(&mut ctl, 8, None).len(), 8, "carrier never quiesced");
     }
 
     #[test]

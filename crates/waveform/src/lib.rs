@@ -46,7 +46,7 @@ pub mod hotswap;
 pub mod registry;
 
 pub use adapters::Waveform;
-pub use component::{LifecycleState, WaveformError, WaveformFrameReport};
+pub use component::{LifecycleOp, LifecycleState, WaveformError, WaveformFrameReport};
 pub use descriptor::{DescriptorError, WaveformDescriptor, WaveformKind};
 pub use hotswap::{HotSwapController, StepOutcome, SwapCommand, SwapPhase, SwapReport};
 pub use registry::WaveformRegistry;

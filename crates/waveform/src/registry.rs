@@ -96,13 +96,12 @@ impl WaveformRegistry {
         Waveform::instantiate(d, kind).map_err(LoadError::Factory)
     }
 
-    /// Loads `d`, configures it and runs it. Returns the running
-    /// component and its modelled configure cost.
-    pub(crate) fn bring_up(&self, d: &WaveformDescriptor) -> Result<(Waveform, u64), LoadError> {
+    /// Loads `d`, configures it and runs it.
+    pub(crate) fn bring_up(&self, d: &WaveformDescriptor) -> Result<Waveform, LoadError> {
         let mut wf = self.load(d)?;
-        let configure_ns = wf.configure().map_err(LoadError::Factory)?;
+        wf.configure().map_err(LoadError::Factory)?;
         wf.run().map_err(LoadError::Factory)?;
-        Ok((wf, configure_ns))
+        Ok(wf)
     }
 
     /// Self-tests the personality `d` names: loads it on a clean,
@@ -118,7 +117,7 @@ impl WaveformRegistry {
             esn0_cdb: i16::MIN,
             ..d.clone()
         };
-        let (mut wf, _) = self.bring_up(&clean)?;
+        let mut wf = self.bring_up(&clean)?;
         wf.step(seed, 0).map_err(LoadError::Factory)
     }
 }
