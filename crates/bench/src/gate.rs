@@ -129,16 +129,38 @@ pub fn check(gate: &Gate, committed: &Artefact, live: &Artefact) -> Result<Strin
         }
         rule => {
             hold(rule, key, &found, "committed")?;
-            if gate.live {
-                hold(rule, key, &values(live, key, "live")?, "live")?;
-            }
+            let context = if gate.live {
+                let context = live_context(rule, live, key);
+                hold(rule, key, &values(live, key, "live")?, "live")
+                    .map_err(|line| line + &context)?;
+                context
+            } else {
+                String::new()
+            };
             let shown: Vec<String> = found.iter().map(|v| v.to_string()).collect();
             let side = if gate.live {
                 "committed and live"
             } else {
                 "committed"
             };
-            Ok(format!("{key}: {} {rule} ({side})", shown.join(",")))
+            Ok(format!(
+                "{key}: {} {rule} ({side}){context}",
+                shown.join(",")
+            ))
         }
+    }
+}
+
+/// For a live numeric floor, the live value's enclosing object (when
+/// there is one), so the line shows what the value was computed from —
+/// e.g. the serial and parallel sides of a modeled ratio.
+fn live_context(rule: &Rule, live: &Artefact, key: &str) -> String {
+    let parent = match (rule, key.rsplit_once('.')) {
+        (Rule::AtLeast(_), Some((parent, _))) => parent,
+        _ => return String::new(),
+    };
+    match live.read(parent)[..] {
+        [object] => format!("; live {parent}: {object}"),
+        _ => String::new(),
     }
 }

@@ -153,6 +153,40 @@ impl PolyphaseChannelizer {
         }
         blocks
     }
+
+    /// Input blocks of history an output block depends on besides its
+    /// own: from a reset, output block `n` is a function of input blocks
+    /// `n - history_blocks() ..= n` alone (earlier samples have left the
+    /// `taps_per_branch`-long delay lines).
+    pub fn history_blocks(&self) -> usize {
+        self.taps_per_branch - 1
+    }
+
+    /// Channelizes input blocks `first .. first + count` of the stream
+    /// `x` (which starts from a reset channelizer) into the frames-major
+    /// slab `out`, as [`PolyphaseChannelizer::process`] does, and returns
+    /// the number of blocks appended. It resets, then only *pushes* the
+    /// [`PolyphaseChannelizer::history_blocks`] blocks before `first`,
+    /// without computing their outputs, so disjoint ranges can run on
+    /// separate channelizers and together equal one `process` over the
+    /// whole stream, bit for bit.
+    pub fn process_range(
+        &mut self,
+        x: &[Cpx],
+        first: usize,
+        count: usize,
+        out: &mut Vec<Cpx>,
+    ) -> usize {
+        self.reset();
+        let m = self.m;
+        let end = ((first + count) * m).min(x.len());
+        let start = (first * m).min(end);
+        let warm = first.saturating_sub(self.history_blocks()) * m;
+        for &s in &x[warm..start] {
+            self.advance(s);
+        }
+        self.process(&x[start..end], out)
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +274,41 @@ mod tests {
             }
         }
         assert_eq!(k, blocks);
+    }
+
+    #[test]
+    fn ranged_channelization_matches_serial() {
+        // Splitting a frame's blocks into 1..=6 contiguous ranges, each on
+        // its own channelizer, reproduces one serial pass bit for bit on
+        // every backend the host runs — also when a range starts inside
+        // the history of the stream's first blocks.
+        let m = 8;
+        let blocks = 53;
+        let x: Vec<Cpx> = (0..m * blocks)
+            .map(|i| Cpx::new((i as f64 * 0.21).sin(), (i as f64 * 0.13).cos()))
+            .collect();
+        let mut backends = vec![kernels::for_backend(kernels::Backend::Scalar)];
+        if kernels::simd_available() {
+            backends.push(kernels::for_backend(kernels::Backend::Simd));
+        }
+        let bits = |v: &[Cpx]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for k in backends {
+            let mut serial = Vec::new();
+            PolyphaseChannelizer::with_kernels(m, 12, k).process(&x, &mut serial);
+            for ranges in 1..=6 {
+                let mut joined = Vec::new();
+                let mut total = 0;
+                for r in 0..ranges {
+                    let (lo, hi) = (r * blocks / ranges, (r + 1) * blocks / ranges);
+                    let mut chan = PolyphaseChannelizer::with_kernels(m, 12, k);
+                    total += chan.process_range(&x, lo, hi - lo, &mut joined);
+                }
+                assert_eq!(total, blocks, "{ranges} ranges");
+                assert_eq!(bits(&joined), bits(&serial), "{ranges} ranges");
+            }
+        }
     }
 
     #[test]

@@ -67,11 +67,20 @@ impl Nco {
         x * self.tick()
     }
 
-    /// Mixes a whole block in place.
-    pub fn mix_block(&mut self, data: &mut [Cpx]) {
-        for d in data.iter_mut() {
-            *d = self.mix(*d);
+    /// The oscillator's next ticks as a lookup table, without advancing
+    /// it. When the phase returns bit-exactly to its current value after
+    /// `period` ticks, the table is those `period` ticks, and since the
+    /// phase is the only state a tick changes, tick `n` equals
+    /// `table[n % period]` for every `n`. Otherwise it is the next
+    /// `len.max(period)` ticks, and tick `n` equals `table[n]` for every
+    /// `n` below that.
+    pub fn table(&self, period: usize, len: usize) -> Vec<Cpx> {
+        let mut nco = self.clone();
+        let mut table: Vec<Cpx> = (0..period).map(|_| nco.tick()).collect();
+        if nco.phase.to_bits() != self.phase.to_bits() {
+            table.extend((period..len).map(|_| nco.tick()));
         }
+        table
     }
 }
 
@@ -103,9 +112,7 @@ mod tests {
         let mut up = Nco::new(f, fs);
         let tone: Vec<Cpx> = (0..500).map(|_| up.tick()).collect();
         let mut down = Nco::new(-f, fs);
-        let mut base = tone.clone();
-        down.mix_block(&mut base);
-        for s in &base {
+        for s in tone.iter().map(|&s| down.mix(s)) {
             assert!((s.re - 1.0).abs() < 1e-9 && s.im.abs() < 1e-9);
         }
     }
@@ -127,6 +134,24 @@ mod tests {
         let before = nco.phase();
         nco.set_frequency(20.0, 100.0);
         assert!((nco.phase() - before).abs() < 1e-12);
+    }
+
+    #[test]
+    fn table_reproduces_every_tick() {
+        // A quarter-turn step returns to phase 0 exactly: four entries
+        // serve forever. A step of 0.3 rad never does: the table is the
+        // whole requested span.
+        for (step, period, len, entries) in
+            [(std::f64::consts::FRAC_PI_2, 4, 400, 4), (0.3, 4, 400, 400)]
+        {
+            let nco = Nco::from_step(step);
+            let table = nco.table(period, len);
+            assert_eq!(table.len(), entries, "step {step}");
+            let mut live = nco.clone();
+            for n in 0..len {
+                assert_eq!(live.tick(), table[n % table.len()], "step {step}, tick {n}");
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! error; applying it requires evaluating the received waveform between
 //! samples. The piecewise-parabolic/cubic Farrow structure interpolates with
 //! four neighbouring samples and a fractional phase `µ ∈ [0, 1)`.
+//!
+//! The same interpolator upsamples the Tx bursts by the channel count
+//! ([`FarrowUpsampler`]), where µ takes only `M` exact values and the
+//! weights become a table.
 
 use crate::complex::Cpx;
 
@@ -44,18 +48,36 @@ impl FarrowInterpolator {
         self.primed >= 4
     }
 
+    /// The cubic Lagrange weights at fractional offset `mu ∈ [0, 1)`
+    /// between `w[1]` and `w[2]`: the basis over t = -1, 0, 1, 2
+    /// evaluated at t = `mu`, oldest sample first.
+    #[inline]
+    pub fn weights(mu: f64) -> [f64; 4] {
+        debug_assert!((0.0..=1.0).contains(&mu));
+        let m = mu;
+        [
+            -m * (m - 1.0) * (m - 2.0) / 6.0,
+            (m + 1.0) * (m - 1.0) * (m - 2.0) / 2.0,
+            -m * (m + 1.0) * (m - 2.0) / 2.0,
+            m * (m + 1.0) * (m - 1.0) / 6.0,
+        ]
+    }
+
+    /// The window weighted by `c` (oldest sample first), e.g. a row of
+    /// precomputed [`FarrowInterpolator::weights`].
+    #[inline]
+    pub fn interpolate_with(&self, c: &[f64; 4]) -> Cpx {
+        self.w[0].scale(c[0])
+            + self.w[1].scale(c[1])
+            + self.w[2].scale(c[2])
+            + self.w[3].scale(c[3])
+    }
+
     /// Cubic Lagrange evaluation at fractional offset `mu ∈ [0, 1)` between
     /// `w[1]` and `w[2]`.
     #[inline]
     pub fn interpolate(&self, mu: f64) -> Cpx {
-        debug_assert!((0.0..=1.0).contains(&mu));
-        // Lagrange basis over t = -1, 0, 1, 2 evaluated at t = mu.
-        let m = mu;
-        let c0 = -m * (m - 1.0) * (m - 2.0) / 6.0;
-        let c1 = (m + 1.0) * (m - 1.0) * (m - 2.0) / 2.0;
-        let c2 = -m * (m + 1.0) * (m - 2.0) / 2.0;
-        let c3 = m * (m + 1.0) * (m - 1.0) / 6.0;
-        self.w[0].scale(c0) + self.w[1].scale(c1) + self.w[2].scale(c2) + self.w[3].scale(c3)
+        self.interpolate_with(&Self::weights(mu))
     }
 
     /// Resets the window.
@@ -64,48 +86,74 @@ impl FarrowInterpolator {
     }
 }
 
-/// Rational-rate resampler using the Farrow interpolator: converts an input
-/// stream to `out_rate/in_rate` times as many samples.
+/// Integer-factor Farrow upsampler on an exact weight table.
+///
+/// Upsampling by `M` steps the fractional phase µ through 0, 1/M, …,
+/// (M−1)/M between each pair of input samples. `M` is a power of two, so
+/// every such µ — and the running sum a phase-accumulating resampler
+/// reaches it by — is exact in f64: one table row per µ gives the same
+/// bits as evaluating the Lagrange weights per output sample, without
+/// the four divisions.
 #[derive(Clone, Debug)]
-pub struct RationalResampler {
-    farrow: FarrowInterpolator,
-    /// Input-sample position of the next output, relative to `w[1]`.
-    next_pos: f64,
-    step: f64,
+pub struct FarrowUpsampler {
+    /// Row `r`: [`FarrowInterpolator::weights`] at µ = r/M.
+    weights: Vec<[f64; 4]>,
 }
 
-impl RationalResampler {
-    /// Creates a resampler producing `out_rate` output samples per
-    /// `in_rate` input samples.
-    pub fn new(in_rate: f64, out_rate: f64) -> Self {
-        assert!(in_rate > 0.0 && out_rate > 0.0);
-        RationalResampler {
-            farrow: FarrowInterpolator::new(),
-            next_pos: 0.0,
-            step: in_rate / out_rate,
+impl FarrowUpsampler {
+    /// An upsampler by `factor` (a power of two).
+    pub fn new(factor: usize) -> Self {
+        assert!(
+            factor.is_power_of_two(),
+            "upsampling factor must be a power of two"
+        );
+        let step = 1.0 / factor as f64;
+        FarrowUpsampler {
+            weights: (0..factor)
+                .map(|r| FarrowInterpolator::weights(r as f64 * step))
+                .collect(),
         }
     }
 
-    /// Returns the resampler to its freshly-built state (empty window,
-    /// zero phase) while keeping the configured rate.
-    pub fn reset(&mut self) {
-        self.farrow.reset();
-        self.next_pos = 0.0;
+    /// The upsampling factor `M`.
+    pub fn factor(&self) -> usize {
+        self.weights.len()
     }
 
-    /// Pushes one input sample, appending any output samples due to `out`.
-    pub fn push(&mut self, x: Cpx, out: &mut Vec<Cpx>) {
-        self.farrow.push(x);
-        if !self.farrow.ready() {
-            return;
+    /// Output samples for `input` input samples: `M` per input once the
+    /// first three have filled the window.
+    pub fn output_len(&self, input: usize) -> usize {
+        self.factor() * input.saturating_sub(3)
+    }
+
+    /// Upsamples `x` into `out` (cleared first), multiplying output `n` by
+    /// the local-oscillator sample `lo[n % lo.len()]` — a one-pass
+    /// upconversion. Output `n` interpolates `x` at position `1 + n / M`
+    /// (over the window `x[n / M ..][..4]`); every call starts from an
+    /// empty window. `lo.len()` must be a non-zero multiple of `M`.
+    pub fn upsample_mix(&self, x: &[Cpx], lo: &[Cpx], out: &mut Vec<Cpx>) {
+        let m = self.factor();
+        assert!(
+            !lo.is_empty() && lo.len().is_multiple_of(m),
+            "LO table must hold whole multiples of the factor"
+        );
+        out.clear();
+        let mut farrow = FarrowInterpolator::new();
+        let mut row = 0;
+        for &s in x {
+            farrow.push(s);
+            if !farrow.ready() {
+                continue;
+            }
+            let lo_row = &lo[row..row + m];
+            out.extend(
+                self.weights
+                    .iter()
+                    .zip(lo_row)
+                    .map(|(w, l)| farrow.interpolate_with(w) * *l),
+            );
+            row = (row + m) % lo.len();
         }
-        // After this push, interpolation positions µ ∈ [0,1) between w[1]
-        // and w[2] are available; each push advances the window one sample.
-        while self.next_pos < 1.0 {
-            out.push(self.farrow.interpolate(self.next_pos));
-            self.next_pos += self.step;
-        }
-        self.next_pos -= 1.0;
     }
 }
 
@@ -153,48 +201,60 @@ mod tests {
     }
 
     #[test]
-    fn resampler_rate_conversion_count() {
-        let mut rs = RationalResampler::new(4.0, 3.0); // 4 in → 3 out
+    fn upsampler_matches_per_sample_interpolation() {
+        // The table path equals evaluating the weights at each accumulated
+        // µ, bit for bit, with output n mixed by lo[n % lo.len()].
+        let m = 8;
+        let up = FarrowUpsampler::new(m);
+        let x: Vec<Cpx> = (0..41).map(|t| Cpx::from_angle(0.37 * t as f64)).collect();
+        let lo: Vec<Cpx> = (0..2 * m)
+            .map(|n| Cpx::from_angle(-0.9 * n as f64))
+            .collect();
         let mut out = Vec::new();
-        for i in 0..4000 {
-            rs.push(Cpx::new(i as f64, 0.0), &mut out);
+        up.upsample_mix(&x, &lo, &mut out);
+        assert_eq!(out.len(), up.output_len(x.len()));
+        let mut f = FarrowInterpolator::new();
+        let mut want = Vec::new();
+        for &s in &x {
+            f.push(s);
+            if f.ready() {
+                let mut mu = 0.0;
+                while mu < 1.0 {
+                    want.push(f.interpolate(mu) * lo[want.len() % lo.len()]);
+                    mu += 1.0 / m as f64;
+                }
+            }
         }
-        let expect = 3000.0;
-        assert!(
-            (out.len() as f64 - expect).abs() < 10.0,
-            "got {} outputs",
-            out.len()
-        );
+        assert_eq!(out, want);
     }
 
     #[test]
-    fn reset_matches_fresh_resampler() {
-        let mut used = RationalResampler::new(1.0, 8.0);
-        let mut sink = Vec::new();
-        for i in 0..37 {
-            used.push(Cpx::new(i as f64, -1.0), &mut sink);
-        }
-        used.reset();
-        let mut fresh = RationalResampler::new(1.0, 8.0);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for t in 0..50 {
-            let x = Cpx::from_angle(0.21 * t as f64);
-            used.push(x, &mut a);
-            fresh.push(x, &mut b);
-        }
-        assert_eq!(a, b);
+    fn reused_output_matches_fresh_upsampler() {
+        // Each call starts from an empty window: a buffer dirtied by an
+        // earlier burst is overwritten, not appended to.
+        let up = FarrowUpsampler::new(8);
+        let lo = [Cpx::ONE; 8];
+        let mut used = Vec::new();
+        let dirty: Vec<Cpx> = (0..37).map(|i| Cpx::new(i as f64, -1.0)).collect();
+        up.upsample_mix(&dirty, &lo, &mut used);
+        let x: Vec<Cpx> = (0..50).map(|t| Cpx::from_angle(0.21 * t as f64)).collect();
+        up.upsample_mix(&x, &lo, &mut used);
+        let mut fresh = Vec::new();
+        FarrowUpsampler::new(8).upsample_mix(&x, &lo, &mut fresh);
+        assert_eq!(used, fresh);
     }
 
     #[test]
     fn upsampling_preserves_waveform() {
         let omega = 0.15;
-        let mut rs = RationalResampler::new(1.0, 2.0);
+        let up = FarrowUpsampler::new(2);
+        let x: Vec<Cpx> = (0..200)
+            .map(|t| Cpx::from_angle(omega * t as f64))
+            .collect();
         let mut out = Vec::new();
-        for t in 0..200 {
-            rs.push(Cpx::from_angle(omega * t as f64), &mut out);
-        }
+        up.upsample_mix(&x, &[Cpx::ONE; 2], &mut out);
         // Output sample k corresponds to input time k/2 with a 1-sample
-        // window offset; verify against the continuous wave by correlation.
+        // window offset; verify against the continuous wave.
         let mut err_max: f64 = 0.0;
         for (k, s) in out.iter().enumerate().skip(10).take(300) {
             let t = k as f64 / 2.0 + 1.0; // window centring offset
@@ -202,5 +262,11 @@ mod tests {
             err_max = err_max.max((*s - want).abs());
         }
         assert!(err_max < 5e-3, "max error {err_max}");
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn upsampler_refuses_inexact_factors() {
+        let _ = FarrowUpsampler::new(6);
     }
 }

@@ -102,6 +102,18 @@ proptest! {
     }
 
     #[test]
+    fn farrow_weight_rows_equal_direct_interpolation(x in cpx_vec(4), mu in 0.0f64..1.0) {
+        // A precomputed weight row (the Tx upsampler's table) and the
+        // per-call evaluation are one formula: the same bits.
+        let mut f = FarrowInterpolator::new();
+        for &s in &x {
+            f.push(s);
+        }
+        let (a, b) = (f.interpolate(mu), f.interpolate_with(&FarrowInterpolator::weights(mu)));
+        prop_assert_eq!((a.re.to_bits(), a.im.to_bits()), (b.re.to_bits(), b.im.to_bits()));
+    }
+
+    #[test]
     fn wrap_angle_is_idempotent_and_bounded(theta in -100.0f64..100.0) {
         let w = wrap_angle(theta);
         prop_assert!(w > -std::f64::consts::PI - 1e-12);

@@ -1,30 +1,37 @@
-//! The reusable Fig. 2 pipeline engine: per-carrier Tx synthesis and
-//! DEMOD → DECOD → CRC stepped on one [`Pool`], with cross-frame software
-//! pipelining.
+//! The reusable Fig. 2 pipeline engine: per-carrier Tx synthesis, the
+//! DEMUX in block ranges, and DEMOD → DECOD → CRC stepped on one
+//! [`Pool`], with cross-frame software pipelining.
 //!
 //! [`crate::chain::run_mf_tdma_frame`] builds the whole chain from scratch
 //! for every frame. This module keeps all of that state alive in a
 //! [`PipelineEngine`] instead:
 //!
-//! * each active carrier owns a **Tx lane** (burst codec, modulator,
-//!   upconversion resampler with NCO) and an **Rx lane** (burst
-//!   demodulator, burst codec) that persist across frames;
-//! * a lane half travels to the pool *by value*, together with the frame
-//!   I/O it works on, and comes back in send order. Between public calls
-//!   every lane is home in the engine. With `workers > 1` the pool's
-//!   threads are spawned once in [`PipelineEngine::with_workers`] and
-//!   joined on drop; with one worker the pool steps each half inline;
-//! * both halves are parallel: Tx burst synthesis *and* the per-carrier
-//!   receive chain run on the pool, with only bit drawing, carrier
-//!   summation, ADC noise, the polyphase DEMUX and switch ingress left on
-//!   the engine thread;
+//! * each active carrier owns a **Tx lane** (burst codec, modulator, and
+//!   an upconversion from two exact tables: the ×M Farrow weights and the
+//!   carrier's LO samples) and an **Rx lane** (burst demodulator, burst
+//!   codec) that persist across frames;
+//! * the polyphase DEMUX is split into one contiguous **block range** per
+//!   worker, each with its own channelizer; a range depends only on its
+//!   blocks and the 11 before them, so the ranges together equal one
+//!   serial pass bit for bit;
+//! * a lane half or DEMUX range travels to the pool *by value*, together
+//!   with the frame I/O it works on, and comes back in send order.
+//!   Between public calls every lane and range is home in the engine.
+//!   With `workers > 1` the pool's threads are spawned once in
+//!   [`PipelineEngine::with_workers`] and joined on drop; with one worker
+//!   the pool steps each item inline;
+//! * Tx burst synthesis, the DEMUX *and* the per-carrier receive chain
+//!   run on the pool, with only bit drawing, carrier summation, ADC
+//!   noise, the DEMUX's copy and scatter, and switch ingress left on the
+//!   engine thread;
 //! * every run follows one FIFO schedule. Per frame `i`: receive
-//!   Tx(`i`), send Tx(`i+1`), sum, noise and DEMUX frame `i`, receive
-//!   Rx(`i-1`) and retire it, then send Rx(`i`). While the engine runs
-//!   frame `i`'s serial stages the pool holds Rx(`i-1`) and Tx(`i+1`), so
-//!   steady-state throughput approaches `max(serial_ns, parallel_ns /
-//!   workers)` per frame instead of their sum. A single frame is the
-//!   one-frame case of the same schedule;
+//!   Tx(`i`), sum and noise frame `i`, send its DEMUX ranges, send
+//!   Tx(`i+1`), receive Rx(`i-1`) and retire it, receive the DEMUX ranges
+//!   and scatter them, then send Rx(`i`). While the engine retires frame
+//!   `i-1` the pool holds DEMUX(`i`) and Tx(`i+1`), so steady-state
+//!   throughput approaches `max(serial_ns, parallel_ns / workers)` per
+//!   frame instead of their sum. A single frame is the one-frame case of
+//!   the same schedule;
 //! * per-stage counters accumulate in [`PipelineStats`].
 //!
 //! # Determinism
@@ -44,6 +51,9 @@
 //!   its own state and the frame I/O. The pool returns items in send
 //!   order, so results land by position — scheduling can reorder
 //!   *completion*, never *content*;
+//! * each DEMUX range computes a disjoint run of output blocks from the
+//!   same composite, with every input its blocks depend on, and the
+//!   engine scatters its slab by block position;
 //! * the switch ingests CRC-clean packets serially in carrier order, and
 //!   all counters are folded in frame order when a frame retires.
 
@@ -54,7 +64,7 @@ use gsp_channel::awgn::AwgnChannel;
 use gsp_coding::{kernels as trellis_kernels, BurstCodec};
 use gsp_dsp::channelizer::PolyphaseChannelizer;
 use gsp_dsp::nco::Nco;
-use gsp_dsp::resample::RationalResampler;
+use gsp_dsp::resample::FarrowUpsampler;
 use gsp_dsp::Cpx;
 use gsp_dsp::{kernels as cpx_kernels, measure::count_bit_errors};
 use gsp_modem::tdma::{TdmaBurstDemodulator, TdmaBurstModulator, TdmaDemodResult};
@@ -96,7 +106,9 @@ pub struct PipelineStats {
     /// modulate, upsample, mix), summed across lanes — CPU time, not wall
     /// time, when workers > 1.
     pub tx_synth_ns: u64,
-    /// Nanoseconds in the polyphase DEMUX.
+    /// Nanoseconds in the polyphase DEMUX: its block ranges' run time
+    /// summed across workers (CPU time, not wall time, when workers > 1),
+    /// plus the engine's copy into and scatter out of them.
     pub demux_ns: u64,
     /// Frames whose DEMUX produced a block count different from the
     /// expected `ceil(composite / channels)` — formerly a
@@ -184,8 +196,11 @@ impl LaneIo {
 /// One carrier's long-lived transmit state.
 struct TxLane {
     codec: BurstCodec,
-    resampler: RationalResampler,
-    carrier_step: f64,
+    /// Upsampling ×M on its exact µ table.
+    upsampler: FarrowUpsampler,
+    /// The carrier's local oscillator, tabulated: the burst's output `n`
+    /// is mixed with `lo[n % lo.len()]` (see [`Nco::table`]).
+    lo: Vec<Cpx>,
     modulator: TdmaBurstModulator,
     /// Tx scratch: the coded block.
     coded: Vec<u8>,
@@ -205,17 +220,8 @@ impl TxLane {
         self.codec.encode_into(&io.info, &mut self.coded);
         self.modulator
             .modulate_into(&self.coded, &mut self.syms, &mut self.wave);
-
-        self.resampler.reset();
-        io.upsampled.clear();
-        for i in 0..self.wave.len() {
-            let s = self.wave[i];
-            self.resampler.push(s, &mut io.upsampled);
-        }
-        let mut nco = Nco::from_step(self.carrier_step);
-        for s in io.upsampled.iter_mut() {
-            *s = nco.mix(*s);
-        }
+        self.upsampler
+            .upsample_mix(&self.wave, &self.lo, &mut io.upsampled);
     }
 }
 
@@ -293,14 +299,42 @@ impl RxLane {
     }
 }
 
-/// One lane half out on the pool, with the frame I/O it works on.
+/// One contiguous range of a frame's DEMUX blocks on its own
+/// channelizer. Output block `n` depends only on composite blocks
+/// `n - 11 ..= n` (the channelizer is reset every frame), so ranges run
+/// independently and their slabs together equal one serial pass, bit for
+/// bit.
+struct DemuxRange {
+    channelizer: PolyphaseChannelizer,
+    /// The composite samples the range reads: the whole composite for the
+    /// first range (moved in, not copied), a copy of its blocks and their
+    /// history for the others.
+    input: Vec<Cpx>,
+    /// The range's first block within `input`.
+    first: usize,
+    /// The range's first block within the frame.
+    block: usize,
+    /// Blocks in the range.
+    blocks: usize,
+    /// Frames-major output: `M` channel samples per block produced.
+    slab: Vec<Cpx>,
+    /// Blocks the channelizer produced.
+    produced: usize,
+    /// Nanoseconds the channelizer ran.
+    ns: u64,
+}
+
+/// One lane half or DEMUX range out on the pool, with the frame I/O it
+/// works on.
 enum LaneWork {
     Tx(Box<TxLane>, Box<LaneIo>),
     Rx(Box<RxLane>, Box<LaneIo>),
+    Demux(Box<DemuxRange>),
 }
 
 impl LaneWork {
-    /// The pool step: synthesize or receive, touching only this item.
+    /// The pool step: synthesize, receive or channelize, touching only
+    /// this item.
     fn run(&mut self) {
         match self {
             LaneWork::Tx(lane, io) => {
@@ -309,6 +343,17 @@ impl LaneWork {
                 io.tx_ns = t0.elapsed().as_nanos() as u64;
             }
             LaneWork::Rx(lane, io) => lane.receive(io),
+            LaneWork::Demux(range) => {
+                let t0 = Instant::now();
+                range.slab.clear();
+                range.produced = range.channelizer.process_range(
+                    &range.input,
+                    range.first,
+                    range.blocks,
+                    &mut range.slab,
+                );
+                range.ns = t0.elapsed().as_nanos() as u64;
+            }
         }
     }
 }
@@ -325,6 +370,8 @@ struct FrameSlot {
     frame_ns: u64,
     /// Serial Tx nanoseconds so far (bit draw + summation + noise).
     tx_serial_ns: u64,
+    /// DEMUX nanoseconds: the ranges' summed CPU time plus the engine's
+    /// copy and scatter.
     demux_ns: u64,
     /// Channel blocks the DEMUX produced.
     produced: usize,
@@ -354,7 +401,8 @@ struct EngineTelemetry {
     tx_ns: Histogram,
     /// `payload.tx.synth.ns` — per-lane burst synthesis.
     tx_synth_ns: Histogram,
-    /// `payload.demux.ns` — polyphase channelizer stage, per frame.
+    /// `payload.demux.ns` — polyphase DEMUX, per frame (summed across
+    /// its block ranges).
     demux_ns: Histogram,
     /// `payload.demod.ns` — burst demodulation, per carrier lane.
     demod_ns: Histogram,
@@ -373,8 +421,9 @@ struct EngineTelemetry {
     packets_dropped_no_route: Counter,
     /// `payload.workers` — configured worker count.
     workers: Gauge,
-    /// `payload.workers.utilization` — summed lane CPU time over
-    /// `workers` × wall time of the last `run_frame*`/`run_frames` call.
+    /// `payload.workers.utilization` — summed pool CPU time (lane halves
+    /// and DEMUX ranges) over `workers` × wall time of the last
+    /// `run_frame*`/`run_frames` call.
     utilization: Gauge,
     /// `payload.pool.queue_depth` — lane halves sent to the pool and not
     /// yet received, right after an Rx send.
@@ -392,12 +441,13 @@ pub struct PipelineEngine {
     pool: Pool<LaneWork>,
     /// Samples per modulated burst (fixed by the burst format).
     burst_len: usize,
-    channelizer: PolyphaseChannelizer,
+    /// One DEMUX range per worker, splitting the frame's blocks into
+    /// contiguous runs; `None` only while it is out on the pool.
+    demux: Vec<Option<Box<DemuxRange>>>,
     stats: PipelineStats,
-    /// Per-frame scratch: the FDM composite at ADC rate.
+    /// Per-frame scratch: the FDM composite at ADC rate (out on the pool
+    /// with the first DEMUX range while it runs).
     composite: Vec<Cpx>,
-    /// Per-frame scratch: the channelizer's one-block output vector.
-    demux_frame: Vec<Cpx>,
     /// In-flight frame slots (frame `i` uses slot `i % SLOTS`).
     slots: Vec<FrameSlot>,
     /// Reusable switch scratch: reset + swapped with the outgoing
@@ -441,12 +491,15 @@ impl PipelineEngine {
         let composite_len = burst_len * m + 2 * guard;
         let blocks = composite_len / m;
 
+        let upsampler = FarrowUpsampler::new(m);
+        let upsampled_len = upsampler.output_len(burst_len);
         let mut tx: Vec<Box<TxLane>> = (0..n)
             .map(|k| {
+                let carrier = Nco::from_step(std::f64::consts::TAU * k as f64 / m as f64);
                 Box::new(TxLane {
                     codec: codec.clone(),
-                    resampler: RationalResampler::new(1.0, m as f64),
-                    carrier_step: std::f64::consts::TAU * k as f64 / m as f64,
+                    upsampler: upsampler.clone(),
+                    lo: carrier.table(m, upsampled_len),
                     modulator: modulator.clone(),
                     coded: Vec::new(),
                     syms: Vec::new(),
@@ -482,9 +535,31 @@ impl PipelineEngine {
             tx.synth(&mut warm);
             let _ = rx.demod.demodulate_into(&warm.samples, &mut rx.demod_out);
         }
-        let upsampled_len = warm.upsampled.len();
 
         let workers = workers.min(n.max(1));
+        // One DEMUX range per worker. The composite length is fixed, so
+        // are the ranges: range `r` covers blocks `r·B/w .. (r+1)·B/w`,
+        // and every range but the first reads a copy of its blocks plus
+        // the history before them.
+        let channelizer = PolyphaseChannelizer::with_kernels(m, 12, cpx_k);
+        let history = channelizer.history_blocks();
+        let demux = (0..workers)
+            .map(|r| {
+                let (lo, hi) = (r * blocks / workers, (r + 1) * blocks / workers);
+                let first = lo.min(history);
+                let copied = if r == 0 { 0 } else { (first + hi - lo) * m };
+                Some(Box::new(DemuxRange {
+                    channelizer: channelizer.clone(),
+                    input: Vec::with_capacity(copied),
+                    first,
+                    block: lo,
+                    blocks: hi - lo,
+                    slab: Vec::with_capacity((hi - lo) * m),
+                    produced: 0,
+                    ns: 0,
+                }))
+            })
+            .collect();
         let slots = (0..SLOTS)
             .map(|_| FrameSlot {
                 ios: (0..n)
@@ -506,10 +581,9 @@ impl PipelineEngine {
             rx: rx.into_iter().map(Some).collect(),
             pool: Pool::new(workers, LaneWork::run),
             burst_len,
-            channelizer: PolyphaseChannelizer::with_kernels(m, 12, cpx_k),
+            demux,
             stats: PipelineStats::default(),
             composite: Vec::with_capacity(composite_len),
-            demux_frame: vec![Cpx::ZERO; m],
             slots,
             switch: PacketSwitch::new(cfg.beams, cfg.switch_queue_limit),
             busy_ns: 0,
@@ -694,23 +768,22 @@ impl PipelineEngine {
                     self.rx[k] = Some(lane);
                     io
                 }
+                LaneWork::Demux(_) => unreachable!("the pool returns items in send order"),
             });
         }
         sl.frame_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// Sums the synthesized bursts into the composite in carrier order
-    /// (bitwise identical to the old serial accumulation), applies ADC
-    /// noise on the frame's RNG and runs the polyphase DEMUX straight into
-    /// each lane's sample buffer.
-    fn demux(&mut self, slot: usize) {
+    /// (bitwise identical to the old serial accumulation) and applies ADC
+    /// noise on the frame's RNG: the serial Tx residue.
+    fn compose(&mut self, slot: usize) {
         let t0 = Instant::now();
         let m = self.cfg.channels;
         let guard = 64 * m;
         let composite_len = self.burst_len * m + 2 * guard;
         let sl = &mut self.slots[slot];
 
-        // ---- Serial Tx residue: carrier summation + ADC noise.
         self.composite.clear();
         self.composite.resize(composite_len, Cpx::ZERO);
         for io in sl.ios.iter() {
@@ -732,38 +805,74 @@ impl PipelineEngine {
             let mut ch = AwgnChannel::from_esn0_db(db - 10.0 * (1.1 * m as f64).log10());
             ch.apply(&mut self.composite, &mut rng);
         }
+        sl.expected = composite_len.div_ceil(m);
+        sl.composite_len = composite_len;
         sl.tx_serial_ns += t0.elapsed().as_nanos() as u64;
+        sl.frame_ns += t0.elapsed().as_nanos() as u64;
+    }
 
-        // ---- DEMUX (serial): polyphase channelizer, scattered straight
-        // into each active lane's sample buffer (lane k demodulates
-        // channel k; inactive channels are discarded).
-        let t_demux = Instant::now();
-        let blocks = composite_len / m;
-        self.channelizer.reset();
+    /// Sends the frame's DEMUX ranges to the pool: the first takes the
+    /// composite itself, each other one a copy of its blocks and their
+    /// history.
+    fn send_demux(&mut self, slot: usize) {
+        let t0 = Instant::now();
+        let m = self.cfg.channels;
+        let blocks = self.composite.len() / m;
+        let sl = &mut self.slots[slot];
         for io in sl.ios.iter_mut() {
             let samples = &mut io.as_mut().expect("tx received").samples;
             samples.clear();
             samples.resize(blocks, Cpx::ZERO);
         }
-        let mut produced = 0usize;
-        for &x in &self.composite {
-            if self.channelizer.push(x, &mut self.demux_frame) {
-                if produced < blocks {
-                    for (k, io) in sl.ios.iter_mut().enumerate() {
-                        io.as_mut().expect("tx received").samples[produced] = self.demux_frame[k];
-                    }
-                }
-                produced += 1;
+        for range in self.demux.iter_mut().skip(1) {
+            let range = range.as_mut().expect(HOME);
+            let window = (range.block - range.first) * m..(range.block + range.blocks) * m;
+            range.input.clear();
+            range.input.extend_from_slice(&self.composite[window]);
+        }
+        let first = self.demux[0].as_mut().expect(HOME);
+        std::mem::swap(&mut first.input, &mut self.composite);
+        sl.demux_ns = t0.elapsed().as_nanos() as u64;
+        for range in &mut self.demux {
+            self.pool.send(LaneWork::Demux(range.take().expect(HOME)));
+        }
+        sl.frame_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Receives the frame's DEMUX ranges, takes the composite back, and
+    /// scatters each range's slab straight into the lanes' sample buffers
+    /// (lane `k` demodulates channel `k`; inactive channels are
+    /// discarded). The DEMUX time is the ranges' summed CPU time plus the
+    /// engine's copy and scatter.
+    fn recv_demux(&mut self, slot: usize) {
+        let t0 = Instant::now();
+        let m = self.cfg.channels;
+        let sl = &mut self.slots[slot];
+        let mut produced = 0;
+        for (r, home) in self.demux.iter_mut().enumerate() {
+            let LaneWork::Demux(mut range) = self.pool.recv() else {
+                unreachable!("the pool returns items in send order");
+            };
+            let t_scatter = Instant::now();
+            if r == 0 {
+                std::mem::swap(&mut range.input, &mut self.composite);
             }
+            for (k, io) in sl.ios.iter_mut().enumerate() {
+                let samples = &mut io.as_mut().expect("tx received").samples[range.block..];
+                for (s, out) in samples.iter_mut().zip(range.slab.chunks_exact(m)) {
+                    *s = out[k];
+                }
+            }
+            produced += range.produced;
+            self.busy_ns += range.ns;
+            sl.demux_ns += range.ns + t_scatter.elapsed().as_nanos() as u64;
+            *home = Some(range);
         }
         // Formerly `debug_assert_eq!(produced, blocks)`, which vanished
         // in release builds and let a short composite decode zero-padded
         // garbage silently. Now it is bookkeeping that `retire` turns
         // into a counter and report field.
         sl.produced = produced;
-        sl.expected = composite_len.div_ceil(m);
-        sl.composite_len = composite_len;
-        sl.demux_ns = t_demux.elapsed().as_nanos() as u64;
         sl.frame_ns += t0.elapsed().as_nanos() as u64;
     }
 
@@ -796,12 +905,12 @@ impl PipelineEngine {
         let t_switch = Instant::now();
         let n = self.rx.len();
         report.carriers.clear();
-        report.info_bits.clear();
+        report.info_bits.truncate(n);
         report.carriers.reserve(n);
         report.info_bits.reserve(n);
-        let mut busy = 0u64;
         let sl = &mut self.slots[slot];
-        for io in sl.ios.iter_mut() {
+        let mut busy = 0u64;
+        for (k, io) in sl.ios.iter_mut().enumerate() {
             let io = io.as_mut().expect("rx received");
             let outcome = io.outcome.take().expect("lane ran");
             if !outcome.detected {
@@ -824,9 +933,13 @@ impl PipelineEngine {
             busy += io.tx_ns + io.demod_ns + io.decode_ns;
             report.carriers.push(outcome);
             // The report owns the ground-truth bits (they escape the
-            // frame); taking them instead of cloning skips the copy, and
-            // `send_tx` refills the buffer next frame.
-            report.info_bits.push(std::mem::take(&mut io.info));
+            // frame). Swapping them with the recycled report's old bits
+            // skips the copy and hands the lane a buffer `send_tx` refills
+            // in place next frame.
+            match report.info_bits.get_mut(k) {
+                Some(bits) => std::mem::swap(bits, &mut io.info),
+                None => report.info_bits.push(std::mem::take(&mut io.info)),
+            }
         }
         let switch_ns = t_switch.elapsed().as_nanos() as u64;
         self.busy_ns += busy;
@@ -903,13 +1016,15 @@ impl PipelineEngine {
         self.send_tx(0, seed(0));
         for i in 0..n {
             self.recv_lanes(i % SLOTS);
+            self.compose(i % SLOTS);
+            self.send_demux(i % SLOTS);
             if i + 1 < n {
                 self.send_tx((i + 1) % SLOTS, seed(i + 1));
             }
-            self.demux(i % SLOTS);
             if i > 0 {
                 self.retire((i - 1) % SLOTS, tick, &mut reports[i - 1]);
             }
+            self.recv_demux(i % SLOTS);
             self.send_rx(i % SLOTS);
         }
         self.retire((n - 1) % SLOTS, tick, &mut reports[n - 1]);
@@ -963,7 +1078,98 @@ impl PipelineEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsp_dsp::resample::FarrowInterpolator;
     use gsp_modem::tdma::TimingRecoveryKind;
+    use std::f64::consts::TAU;
+
+    fn bits(v: &[Cpx]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// The Tx upconversion as it was before the tables, kept as the
+    /// oracle: a phase-accumulating cubic-Lagrange resampler that
+    /// evaluates its weights per output sample, then a per-sample NCO.
+    fn reference_upconvert(wave: &[Cpx], m: usize, k: usize) -> Vec<Cpx> {
+        let mut farrow = FarrowInterpolator::new();
+        let (mut next_pos, step) = (0.0, 1.0 / m as f64);
+        let mut out = Vec::new();
+        for &x in wave {
+            farrow.push(x);
+            if !farrow.ready() {
+                continue;
+            }
+            while next_pos < 1.0 {
+                let mu: f64 = next_pos;
+                let c = [
+                    -mu * (mu - 1.0) * (mu - 2.0) / 6.0,
+                    (mu + 1.0) * (mu - 1.0) * (mu - 2.0) / 2.0,
+                    -mu * (mu + 1.0) * (mu - 2.0) / 2.0,
+                    mu * (mu + 1.0) * (mu - 1.0) / 6.0,
+                ];
+                out.push(farrow.interpolate_with(&c));
+                next_pos += step;
+            }
+            next_pos -= 1.0;
+        }
+        let mut nco = Nco::from_step(TAU * k as f64 / m as f64);
+        out.into_iter().map(|x| nco.mix(x)).collect()
+    }
+
+    /// An engine with every channel active, so there is a Tx lane for
+    /// each carrier `k ∈ 0..M`.
+    fn full_bank() -> PipelineEngine {
+        let cfg = ChainConfig {
+            active_carriers: ChainConfig::default().channels,
+            ..ChainConfig::default()
+        };
+        PipelineEngine::with_workers(cfg, 1)
+    }
+
+    #[test]
+    fn table_synthesis_equals_resampler_and_nco() {
+        let mut engine = full_bank();
+        let (m, info_bits) = (engine.cfg.channels, engine.cfg.info_bits);
+        let mut io = LaneIo::with_capacity(info_bits, 0, 0);
+        let mut rng = StdRng::seed_from_u64(0x7A_B1E5);
+        for frame in 0..200 {
+            for (k, lane) in engine.tx.iter_mut().enumerate() {
+                let lane = lane.as_mut().expect(HOME);
+                io.info.clear();
+                io.info
+                    .extend((0..info_bits).map(|_| rng.gen_range(0..2u8)));
+                lane.synth(&mut io);
+                let want = reference_upconvert(&lane.wave, m, k);
+                assert!(
+                    bits(&io.upsampled) == bits(&want),
+                    "carrier {k}, frame {frame}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn carrier_oscillators_are_exactly_periodic_over_the_burst() {
+        // At step TAU·k/8 the NCO's wrapped phase returns bit-exactly to 0
+        // after 8 ticks for k = 0..=6, so an 8-entry table is the whole
+        // sequence. For k = 7 rounding leaves it short of 0 and the
+        // sequence drifts, so that lane tabulates the full burst instead.
+        // Either way the table reproduces every tick of the burst.
+        let engine = full_bank();
+        let m = engine.cfg.channels;
+        let burst = engine.tx[0]
+            .as_ref()
+            .expect(HOME)
+            .upsampler
+            .output_len(engine.burst_len);
+        for (k, lane) in engine.tx.iter().enumerate() {
+            let lo = &lane.as_ref().expect(HOME).lo;
+            assert_eq!(lo.len(), if k < 7 { m } else { burst }, "carrier {k}");
+            let mut nco = Nco::from_step(TAU * k as f64 / m as f64);
+            let live: Vec<Cpx> = (0..burst).map(|_| nco.tick()).collect();
+            let tabled: Vec<Cpx> = (0..burst).map(|n| lo[n % lo.len()]).collect();
+            assert!(bits(&live) == bits(&tabled), "carrier {k}");
+        }
+    }
 
     #[test]
     fn engine_matches_itself_across_worker_counts() {
@@ -1041,7 +1247,9 @@ mod tests {
         let mut report = engine.empty_report();
         engine.send_tx(0, 11);
         engine.recv_lanes(0);
-        engine.demux(0);
+        engine.compose(0);
+        engine.send_demux(0);
+        engine.recv_demux(0);
         engine.send_rx(0);
         assert_eq!(engine.slots[0].produced, engine.slots[0].expected);
         engine.slots[0].produced -= 1; // simulate an under-producing DEMUX
