@@ -59,13 +59,6 @@ impl AwgnChannel {
         }
     }
 
-    /// Channel from Eb/N0 (dB) given `bits_per_symbol` and code `rate`
-    /// (Es = rate · bits_per_symbol · Eb).
-    pub fn from_ebn0_db(ebn0_db: f64, bits_per_symbol: f64, rate: f64) -> Self {
-        let esn0_db = ebn0_db + 10.0 * (bits_per_symbol * rate).log10();
-        Self::from_esn0_db(esn0_db)
-    }
-
     /// Per-component noise standard deviation.
     pub fn sigma(&self) -> f64 {
         self.sigma
@@ -87,12 +80,6 @@ impl AwgnChannel {
         for d in data.iter_mut() {
             *d = self.push(*d, rng);
         }
-    }
-
-    /// The LLR scale factor `2/σ²_total = 4/N0·…` for BPSK per-component
-    /// decisions: `LLR = llr_scale · y_re` for a ±1 BPSK symbol.
-    pub fn llr_scale(&self) -> f64 {
-        2.0 / (self.sigma * self.sigma)
     }
 }
 
@@ -136,18 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn ebn0_conversion_accounts_for_rate_and_order() {
-        // QPSK (2 bits/sym), rate 1/2 → Es/N0 equals Eb/N0.
-        let a = AwgnChannel::from_ebn0_db(5.0, 2.0, 0.5);
-        let b = AwgnChannel::from_esn0_db(5.0);
-        assert!((a.sigma() - b.sigma()).abs() < 1e-12);
-    }
-
-    #[test]
     fn bpsk_ber_matches_theory() {
         let mut rng = StdRng::seed_from_u64(3);
         let ebn0_db = 4.0;
-        let mut ch = AwgnChannel::from_ebn0_db(ebn0_db, 1.0, 1.0);
+        // Uncoded BPSK carries one bit per symbol: Es/N0 = Eb/N0.
+        let mut ch = AwgnChannel::from_esn0_db(ebn0_db);
         let n = 200_000;
         let mut errors = 0usize;
         for i in 0..n {

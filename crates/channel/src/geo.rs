@@ -4,9 +4,9 @@
 //! ("three geostationary satellites are enough to cover the earth", §2.1;
 //! "we consider a geostationary satellite (where propagation time is
 //! fixed)", §3.3) with a 30 GHz, 500 MHz-wide uplink. This module computes
-//! slant range, propagation delay, free-space path loss and a simple
-//! up-link budget — the numbers `gsp-netproto` uses for its simulated link
-//! and the regeneration-gain experiment uses for its budget comparison.
+//! slant range, free-space path loss and a simple up-link budget, and the
+//! transparent-cascade Eb/N0 that the regeneration-gain experiment uses
+//! for its budget comparison.
 
 /// Speed of light, m/s.
 pub const C_LIGHT: f64 = 299_792_458.0;
@@ -14,8 +14,6 @@ pub const C_LIGHT: f64 = 299_792_458.0;
 pub const GEO_RADIUS_M: f64 = 42_164_000.0;
 /// Mean Earth radius, m.
 pub const EARTH_RADIUS_M: f64 = 6_371_000.0;
-/// GEO altitude above the sub-satellite point, m.
-pub const GEO_ALTITUDE_M: f64 = GEO_RADIUS_M - EARTH_RADIUS_M;
 /// Boltzmann constant, dBW/K/Hz.
 pub const BOLTZMANN_DBW: f64 = -228.6;
 
@@ -29,14 +27,6 @@ pub struct GeoLink {
 }
 
 impl GeoLink {
-    /// Uplink at 30 GHz from a terminal at the given elevation.
-    pub fn uplink_30ghz(elevation_deg: f64) -> Self {
-        GeoLink {
-            elevation_deg,
-            carrier_hz: 30e9,
-        }
-    }
-
     /// Slant range from terminal to satellite, metres.
     ///
     /// Law of cosines on (Earth centre, terminal, satellite) with the
@@ -49,11 +39,6 @@ impl GeoLink {
         let b = 2.0 * re * el.sin();
         let c = re * re - rs * rs;
         (-b + (b * b - 4.0 * c).sqrt()) / 2.0
-    }
-
-    /// One-way propagation delay, seconds.
-    pub fn propagation_delay_s(&self) -> f64 {
-        self.slant_range_m() / C_LIGHT
     }
 
     /// Free-space path loss in dB at the carrier frequency.
@@ -91,17 +76,25 @@ pub fn transparent_combined_ebn0_db(up_db: f64, down_db: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// Uplink at 30 GHz from a terminal at the given elevation.
+    fn uplink(elevation_deg: f64) -> GeoLink {
+        GeoLink {
+            elevation_deg,
+            carrier_hz: 30e9,
+        }
+    }
+
     #[test]
     fn subsatellite_range_is_geo_altitude() {
-        let link = GeoLink::uplink_30ghz(90.0);
-        assert!((link.slant_range_m() - GEO_ALTITUDE_M).abs() < 1.0);
+        let link = uplink(90.0);
+        assert!((link.slant_range_m() - (GEO_RADIUS_M - EARTH_RADIUS_M)).abs() < 1.0);
     }
 
     #[test]
     fn delay_is_in_the_120ms_class() {
         // One-way GEO delay: ~119.4 ms at zenith, up to ~139 ms at horizon.
-        let zenith = GeoLink::uplink_30ghz(90.0).propagation_delay_s();
-        let horizon = GeoLink::uplink_30ghz(0.0).propagation_delay_s();
+        let zenith = uplink(90.0).slant_range_m() / C_LIGHT;
+        let horizon = uplink(0.0).slant_range_m() / C_LIGHT;
         assert!((zenith - 0.1194).abs() < 0.001, "zenith {zenith}");
         assert!(horizon > zenith && horizon < 0.14, "horizon {horizon}");
         // Ground↔satellite↔ground ≈ 250 ms (the paper's GEO round trip to
@@ -113,7 +106,7 @@ mod tests {
     fn slant_range_decreases_with_elevation() {
         let mut prev = f64::INFINITY;
         for el in [0.0, 10.0, 30.0, 60.0, 90.0] {
-            let d = GeoLink::uplink_30ghz(el).slant_range_m();
+            let d = uplink(el).slant_range_m();
             assert!(d < prev, "elevation {el}");
             prev = d;
         }
@@ -122,7 +115,7 @@ mod tests {
     #[test]
     fn path_loss_magnitude_at_30ghz() {
         // ~213.5 dB at zenith for 30 GHz GEO.
-        let l = GeoLink::uplink_30ghz(90.0).free_space_loss_db();
+        let l = uplink(90.0).free_space_loss_db();
         assert!((l - 213.1).abs() < 1.0, "loss {l}");
     }
 
@@ -130,7 +123,7 @@ mod tests {
     fn link_budget_produces_sane_ebn0() {
         // Small terminal: 45 dBW EIRP, payload G/T 10 dB/K, 3 dB margin,
         // 384 kbps → healthy single-digit-to-teens Eb/N0.
-        let link = GeoLink::uplink_30ghz(30.0);
+        let link = uplink(30.0);
         let ebn0 = link.ebn0_db(45.0, 10.0, 3.0, 384e3);
         assert!(ebn0 > 3.0 && ebn0 < 20.0, "Eb/N0 {ebn0}");
     }

@@ -5,8 +5,8 @@
 //! complex baseband: AWGN at a configured Es/N0, carrier phase/frequency
 //! offsets, fractional timing offsets and sample-clock drift, the
 //! travelling-wave-tube amplifier nonlinearity (Saleh model), GEO link
-//! geometry (slant range → 250 ms-class propagation delays, free-space
-//! loss), and multi-user CDMA interference composition.
+//! geometry (slant range, free-space loss) and the transparent-cascade
+//! link budget.
 //!
 //! All stochastic parts take a caller-supplied [`rand::Rng`] so experiments
 //! are reproducible and parallel sweeps can split seeds.
@@ -16,7 +16,6 @@
 pub mod awgn;
 pub mod geo;
 pub mod impairments;
-pub mod multiuser;
 pub mod twta;
 
 pub use awgn::{AwgnChannel, GaussianSampler};

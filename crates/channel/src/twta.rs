@@ -31,12 +31,6 @@ impl SalehTwta {
         }
     }
 
-    /// Input amplitude that drives the classic model to saturation.
-    pub fn saturation_input(&self) -> f64 {
-        // d/dr [αa r/(1+βa r²)] = 0 → r = 1/√βa.
-        1.0 / self.beta_a.sqrt()
-    }
-
     /// AM/AM: output amplitude for input amplitude `r` (after back-off).
     pub fn am_am(&self, r: f64) -> f64 {
         let x = r * self.input_gain;
@@ -84,7 +78,8 @@ mod tests {
     #[test]
     fn am_am_peaks_at_saturation() {
         let twta = SalehTwta::classic(0.0);
-        let rsat = twta.saturation_input();
+        // d/dr [αa r/(1+βa r²)] = 0 → r = 1/√βa.
+        let rsat = 1.0 / 1.1517f64.sqrt();
         let peak = twta.am_am(rsat);
         for &r in &[0.2, 0.5, 0.7, 1.2, 2.0, 5.0] {
             assert!(twta.am_am(r) <= peak + 1e-12, "r={r}");

@@ -22,13 +22,6 @@ impl Interleaver {
         Interleaver { perm }
     }
 
-    /// Identity interleaver of length `n`.
-    pub fn identity(n: usize) -> Self {
-        Interleaver {
-            perm: (0..n as u32).collect(),
-        }
-    }
-
     /// The 25.212 §4.2.5 first-interleaver style block interleaver:
     /// write row-wise into `cols` columns, permute columns by bit-reversal
     /// order, read column-wise. `n` must be a multiple of `cols`.
@@ -91,16 +84,6 @@ impl Interleaver {
         for (i, &p) in self.perm.iter().enumerate() {
             out[p as usize] = input[i];
         }
-    }
-
-    /// Minimum spread `min |perm[i] − perm[i+1]|` — the figure of merit that
-    /// makes turbo interleavers break up error bursts.
-    pub fn min_adjacent_spread(&self) -> usize {
-        self.perm
-            .windows(2)
-            .map(|w| (w[0] as isize - w[1] as isize).unsigned_abs())
-            .min()
-            .unwrap_or(0)
     }
 }
 
@@ -298,6 +281,16 @@ fn pow_mod(mut base: usize, mut exp: usize, modulus: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// Minimum spread `min |perm[i] − perm[i+1]|` — the figure of merit
+    /// that makes turbo interleavers break up error bursts.
+    fn min_adjacent_spread(il: &Interleaver) -> usize {
+        il.table()
+            .windows(2)
+            .map(|w| (w[0] as isize - w[1] as isize).unsigned_abs())
+            .min()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn interleave_deinterleave_roundtrip() {
         let il = Interleaver::block(24, 4);
@@ -316,20 +309,11 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_noop() {
-        let il = Interleaver::identity(10);
-        let data: Vec<u8> = (0..10).collect();
-        let mut out = Vec::new();
-        il.interleave(&data, &mut out);
-        assert_eq!(out, data);
-    }
-
-    #[test]
     fn block_interleaver_separates_neighbours() {
         let il = Interleaver::block(64, 8);
         // Adjacent outputs come from positions ≥ cols apart (within a column
         // read, consecutive reads differ by `cols`).
-        assert!(il.min_adjacent_spread() >= 7);
+        assert!(min_adjacent_spread(&il) >= 7);
     }
 
     #[test]
@@ -357,9 +341,9 @@ mod tests {
         // displacement must be a sizeable fraction of the block.
         let il = prime_interleaver(1024);
         assert!(
-            il.min_adjacent_spread() >= 2,
+            min_adjacent_spread(&il) >= 2,
             "min spread {}",
-            il.min_adjacent_spread()
+            min_adjacent_spread(&il)
         );
         let mean: f64 = il
             .table()

@@ -17,7 +17,7 @@
 //! * [`BurstCodec`], the one place that decides which CRC and which
 //!   [`CodingScheme`] protect a block and how long the coded block is:
 //!   the uplink lanes, the downlink and the coding experiments use it;
-//! * block/random interleavers and a simplified rate-matching stage;
+//! * block/random interleavers;
 //! * [`wire`], the length-checked cursor every decoder of untrusted bytes
 //!   in the workspace reads through.
 //!
@@ -41,7 +41,6 @@ pub mod conv;
 pub mod crc;
 pub mod interleave;
 pub mod kernels;
-pub mod ratematch;
 pub mod turbo;
 pub mod viterbi;
 pub mod wire;

@@ -281,15 +281,6 @@ impl ConstellationEngine {
         self.sats[s].as_mut().expect("satellite present").fail();
     }
 
-    /// Clears an injected fault before quarantine confirms; service
-    /// resumes on the next frame.
-    pub fn clear_satellite_fault(&mut self, s: usize) {
-        self.sats[s]
-            .as_mut()
-            .expect("satellite present")
-            .clear_fault();
-    }
-
     /// Hands global beam `beam` over to satellite `to` at the current
     /// frame boundary: the beam's population and DAMA backlog migrate and
     /// the routing table re-points. Deterministic: the migrated aggregates
@@ -484,21 +475,5 @@ mod tests {
         e2.fail_satellite(1);
         e2.run(96);
         assert_eq!(e2.report(), r);
-    }
-
-    #[test]
-    fn clearing_a_fault_before_confirmation_keeps_the_satellite_in_service() {
-        let mut e = ConstellationEngine::new(ConstellationConfig::standard(2, 1.0), 7);
-        e.run(16);
-        e.fail_satellite(0);
-        e.run_frame(); // one missed heartbeat: Suspect only
-        e.clear_satellite_fault(0);
-        e.run(16);
-        let r = e.report();
-        assert!(r.quarantines.is_empty());
-        assert!(e.routing().alive(0));
-        assert_eq!(r.satellites[0].health, Health::Healthy);
-        assert_eq!(r.satellites[0].frames_skipped, 1);
-        assert_eq!(r.satellites[0].pending_isl, 0, "buffered ingress replayed");
     }
 }

@@ -186,13 +186,6 @@ impl Satellite {
         self.faulted = true;
     }
 
-    /// Clears an injected fault. Only meaningful before the supervisor
-    /// confirms quarantine; a quarantined spacecraft stays isolated
-    /// (`RecoveryMode::NoRecovery`).
-    pub fn clear_fault(&mut self) {
-        self.faulted = false;
-    }
-
     /// The supervisor's verdict on the spacecraft.
     pub fn health(&self) -> Health {
         self.supervisor.health(0)
@@ -319,18 +312,5 @@ mod tests {
             "frozen ingress must be buffered, not lost"
         );
         assert_eq!(s.take_pending_isl().len(), 8);
-    }
-
-    #[test]
-    fn clearing_a_fault_before_confirmation_resumes_service() {
-        let mut s = Satellite::new(0, &cfg(2), 7, &Registry::noop());
-        s.step(0, Vec::new());
-        s.fail();
-        let out = s.step(1, Vec::new()); // one missed heartbeat: Suspect
-        assert!(out.transitions.iter().any(|t| t.to == Health::Suspect));
-        s.clear_fault();
-        let out = s.step(2, Vec::new()); // clean again: stands down
-        assert!(out.transitions.iter().any(|t| t.to == Health::Healthy));
-        assert_eq!(s.report().frames_run, 2);
     }
 }

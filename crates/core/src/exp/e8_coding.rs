@@ -6,19 +6,27 @@
 use crate::exp::{par_trials, Scale};
 use crate::table::ExpTable;
 use gsp_channel::awgn::GaussianSampler;
-use gsp_coding::BurstCodec;
+use gsp_coding::{BurstCodec, CodingScheme};
 use gsp_dsp::measure::count_bit_errors;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Information bits per probe block (also the decoder-switch scenario's).
-pub(crate) const BLOCK: usize = 320;
+/// Information bits per probe block.
+const BLOCK: usize = 320;
+
+/// The DECOD personalities of the QoS ladder, in order.
+const DECODERS: [CodingScheme; 4] = [
+    CodingScheme::Uncoded,
+    CodingScheme::ConvHalf,
+    CodingScheme::ConvThird,
+    CodingScheme::Turbo { iterations: 6 },
+];
 
 /// Bit errors of one block of `codec.info_bits()` random bits sent through
 /// the codec as BPSK over AWGN at `ebn0_db`, the rate taken from the coded
 /// length, tails included. Draws the bits from `rng`, then one noise
 /// sample per coded bit from `g`.
-pub(crate) fn awgn_bit_errors(
+fn awgn_bit_errors(
     codec: &mut BurstCodec,
     ebn0_db: f64,
     rng: &mut StdRng,
@@ -52,9 +60,8 @@ pub fn e8_coding(scale: Scale, seed: u64) -> ExpTable {
         Scale::Full => &[0.5, 1.0, 1.5, 2.0, 3.0, 4.0],
     };
     let blocks = scale.trials(40, 600);
-    let schemes = crate::scenario::DECODERS.map(|(scheme, _, _)| scheme);
     for &e in points {
-        for scheme in schemes {
+        for scheme in DECODERS {
             let errors: usize = par_trials(blocks, seed, |s| {
                 let mut codec = BurstCodec::new(scheme, None, BLOCK, None);
                 let mut rng = StdRng::seed_from_u64(s);

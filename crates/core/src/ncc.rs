@@ -18,8 +18,6 @@ pub struct Ncc {
     catalogue: HashMap<String, Vec<u8>>,
     /// The TC/TM link used for uploads.
     pub link: LinkConfig,
-    uploads: u64,
-    upload_seconds: f64,
     /// Latest successfully decoded housekeeping snapshot.
     housekeeping: Option<Snapshot>,
     hk_frames_ok: u64,
@@ -32,8 +30,6 @@ impl Ncc {
         Ncc {
             catalogue: HashMap::new(),
             link,
-            uploads: 0,
-            upload_seconds: 0.0,
             housekeeping: None,
             hk_frames_ok: 0,
             hk_frames_rejected: 0,
@@ -85,22 +81,9 @@ impl Ncc {
 
     /// Simulates uploading a catalogued design over the link with the
     /// given protocol; returns the transfer statistics.
-    pub fn upload(
-        &mut self,
-        name: &str,
-        proto: TransferProtocol,
-        seed: u64,
-    ) -> Option<TransferStats> {
+    pub fn upload(&self, name: &str, proto: TransferProtocol, seed: u64) -> Option<TransferStats> {
         let size = self.catalogue.get(name)?.len();
-        let st = simulate_transfer(proto, size, self.link, seed);
-        self.uploads += 1;
-        self.upload_seconds += st.duration_s;
-        Some(st)
-    }
-
-    /// (uploads performed, cumulative upload seconds).
-    pub fn upload_stats(&self) -> (u64, f64) {
-        (self.uploads, self.upload_seconds)
+        Some(simulate_transfer(proto, size, self.link, seed))
     }
 }
 
@@ -130,9 +113,7 @@ mod tests {
             .upload("x", TransferProtocol::Bulk { window: 32 * 1024 }, 1)
             .expect("upload");
         assert!(st.delivered);
-        let (n, secs) = ncc.upload_stats();
-        assert_eq!(n, 1);
-        assert!(secs > 0.0);
+        assert!(st.duration_s > 0.0);
     }
 
     #[test]
@@ -156,12 +137,11 @@ mod tests {
         }
         // TFTP slowest, SCPS-FP fastest on the clean GEO link.
         assert!(times[0] > times[1] && times[1] > times[2], "{times:?}");
-        assert_eq!(ncc.upload_stats().0, 3);
     }
 
     #[test]
     fn unknown_design_yields_none() {
-        let mut ncc = Ncc::new(LinkConfig::geo_default());
+        let ncc = Ncc::new(LinkConfig::geo_default());
         assert!(ncc.upload("ghost", TransferProtocol::Tftp, 1).is_none());
         assert!(ncc.design_bytes("ghost").is_none());
     }

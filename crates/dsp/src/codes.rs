@@ -78,13 +78,6 @@ impl Lfsr {
     pub fn next_chip(&mut self) -> i8 {
         1 - 2 * self.next_bit() as i8
     }
-
-    /// Fills `out` with ±1 chips.
-    pub fn fill_chips(&mut self, out: &mut [i8]) {
-        for o in out.iter_mut() {
-            *o = self.next_chip();
-        }
-    }
 }
 
 /// Gold-code generator: XOR of two preferred-pair m-sequences of equal
@@ -125,16 +118,6 @@ impl GoldCode {
     pub fn next_chip(&mut self) -> i8 {
         let bit = self.a.next_bit() ^ self.b.next_bit();
         1 - 2 * bit as i8
-    }
-
-    /// Materialises one full period of chips.
-    pub fn period_chips(&mut self) -> Vec<i8> {
-        let n = self.a.period() as usize;
-        let mut v = vec![0i8; n];
-        for c in v.iter_mut() {
-            *c = self.next_chip();
-        }
-        v
     }
 }
 
@@ -219,20 +202,24 @@ impl ScramblingCode {
     }
 }
 
-/// Normalised periodic cross-correlation of two ±1 sequences at `shift`.
-pub fn periodic_correlation(a: &[i8], b: &[i8], shift: usize) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let mut acc = 0i64;
-    for i in 0..n {
-        acc += (a[i] as i64) * (b[(i + shift) % n] as i64);
-    }
-    acc as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `n` chips drawn from `next`.
+    fn period_chips(n: usize, next: impl FnMut() -> i8) -> Vec<i8> {
+        std::iter::repeat_with(next).take(n).collect()
+    }
+
+    /// Normalised periodic cross-correlation of two ±1 sequences at `shift`.
+    fn periodic_correlation(a: &[i8], b: &[i8], shift: usize) -> f64 {
+        assert_eq!(a.len(), b.len());
+        let n = a.len();
+        let acc: i64 = (0..n)
+            .map(|i| (a[i] as i64) * (b[(i + shift) % n] as i64))
+            .sum();
+        acc as f64 / n as f64
+    }
 
     #[test]
     fn m_sequence_has_full_period() {
@@ -265,8 +252,7 @@ mod tests {
     fn m_sequence_autocorrelation_is_two_valued() {
         let mut lfsr = Lfsr::m_sequence(7, 1);
         let n = lfsr.period() as usize;
-        let mut chips = vec![0i8; n];
-        lfsr.fill_chips(&mut chips);
+        let chips = period_chips(n, || lfsr.next_chip());
         assert!((periodic_correlation(&chips, &chips, 0) - 1.0).abs() < 1e-12);
         for shift in 1..n {
             let c = periodic_correlation(&chips, &chips, shift);
@@ -279,8 +265,9 @@ mod tests {
         // Gold bound for degree 7 (odd): |θ| ≤ 2^{(n+1)/2}+1 = 17 → 17/127.
         let degree = 7;
         let n = (1usize << degree) - 1;
-        let a = GoldCode::new(degree, 3).period_chips();
-        let b = GoldCode::new(degree, 58).period_chips();
+        let (mut ga, mut gb) = (GoldCode::new(degree, 3), GoldCode::new(degree, 58));
+        let a = period_chips(n, || ga.next_chip());
+        let b = period_chips(n, || gb.next_chip());
         let bound = (2f64.powf((degree as f64 + 1.0) / 2.0) + 1.0) / n as f64;
         for shift in 0..n {
             let c = periodic_correlation(&a, &b, shift).abs();
@@ -290,8 +277,9 @@ mod tests {
 
     #[test]
     fn gold_indices_give_distinct_codes() {
-        let a = GoldCode::new(9, 1).period_chips();
-        let b = GoldCode::new(9, 2).period_chips();
+        let (mut ga, mut gb) = (GoldCode::new(9, 1), GoldCode::new(9, 2));
+        let a = period_chips(511, || ga.next_chip());
+        let b = period_chips(511, || gb.next_chip());
         assert_ne!(a, b);
     }
 

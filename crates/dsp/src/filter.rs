@@ -92,12 +92,6 @@ impl FirKernel {
         self.taps.is_empty()
     }
 
-    /// Group delay in samples for a symmetric design.
-    #[inline]
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
-    }
-
     /// Frequency response magnitude at normalised frequency `f` (cycles per
     /// sample, `|f| ≤ 0.5`). Direct DTFT evaluation; used by design tests.
     pub fn magnitude_at(&self, f: f64) -> f64 {
@@ -290,11 +284,5 @@ mod tests {
         // After reset, an impulse reproduces tap 0 exactly.
         let y = f.push(Cpx::ONE);
         assert!((y.re - f.kernel().taps()[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn group_delay_of_symmetric_filter() {
-        let k = FirKernel::lowpass(41, 0.2, Window::Hamming);
-        assert_eq!(k.group_delay(), 20.0);
     }
 }

@@ -5,8 +5,7 @@
 //! FIR/half-band/root-raised-cosine filters, a radix-2 FFT, a numerically
 //! controlled oscillator, a polyphase channelizer (the MF-TDMA demultiplexer
 //! of the paper's Fig. 2), spreading-code generators (m-sequences, Gold,
-//! OVSF) for the S-UMTS CDMA waveform, resampling, AGC and measurement
-//! helpers.
+//! OVSF) for the S-UMTS CDMA waveform, resampling and measurement helpers.
 //!
 //! Everything here is deterministic and allocation-conscious: streaming
 //! operators own preallocated state and expose `process`-style methods that
@@ -39,7 +38,6 @@
 
 #![deny(missing_docs)]
 
-pub mod agc;
 pub mod beamform;
 pub mod channelizer;
 pub mod codes;
@@ -59,7 +57,6 @@ pub use complex::Cpx;
 
 /// Convenience prelude re-exporting the most common items.
 pub mod prelude {
-    pub use crate::agc::Agc;
     pub use crate::beamform::{Dbfn, UniformLinearArray};
     pub use crate::channelizer::PolyphaseChannelizer;
     pub use crate::codes::{GoldCode, Lfsr, OvsfTree, ScramblingCode};

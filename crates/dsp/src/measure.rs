@@ -48,26 +48,6 @@ pub fn snr_estimate_m2m4(x: &[Cpx]) -> Option<f64> {
     Some(s / noise)
 }
 
-/// Normalised cross-correlation magnitude of `x` against pattern `p` at each
-/// lag in `0..=x.len()-p.len()`, appended to `out`.
-pub fn sliding_correlation(x: &[Cpx], p: &[Cpx], out: &mut Vec<f64>) {
-    assert!(p.len() <= x.len());
-    let p_energy: f64 = p.iter().map(|v| v.norm_sqr()).sum();
-    out.clear();
-    out.reserve(x.len() - p.len() + 1);
-    for lag in 0..=(x.len() - p.len()) {
-        let mut acc = Cpx::ZERO;
-        let mut x_energy = 0.0;
-        for (k, &pk) in p.iter().enumerate() {
-            let xv = x[lag + k];
-            acc += xv.mul_conj(pk);
-            x_energy += xv.norm_sqr();
-        }
-        let denom = (p_energy * x_energy).sqrt();
-        out.push(if denom > 0.0 { acc.abs() / denom } else { 0.0 });
-    }
-}
-
 /// Counts bit errors between two equal-length bit slices.
 pub fn count_bit_errors(a: &[u8], b: &[u8]) -> usize {
     assert_eq!(a.len(), b.len());
@@ -126,24 +106,6 @@ mod tests {
             let est_db = 10.0 * est.log10();
             assert!((est_db - snr_db).abs() < 0.5, "snr {snr_db}: est {est_db}");
         }
-    }
-
-    #[test]
-    fn sliding_correlation_peaks_at_pattern() {
-        let p: Vec<Cpx> = (0..16).map(|i| Cpx::from_angle(i as f64 * 1.1)).collect();
-        let mut x = vec![Cpx::new(0.01, 0.0); 64];
-        for (i, &v) in p.iter().enumerate() {
-            x[24 + i] = v;
-        }
-        let mut corr = Vec::new();
-        sliding_correlation(&x, &p, &mut corr);
-        let (peak_lag, peak) = corr
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap();
-        assert_eq!(peak_lag, 24);
-        assert!(*peak > 0.99);
     }
 
     #[test]

@@ -42,17 +42,6 @@ impl Nco {
         self.step
     }
 
-    /// Retunes the oscillator without resetting phase (phase-continuous).
-    pub fn set_frequency(&mut self, freq_hz: f64, sample_rate_hz: f64) {
-        self.step = std::f64::consts::TAU * freq_hz / sample_rate_hz;
-    }
-
-    /// Adds a one-off phase offset (loop corrections).
-    #[inline]
-    pub fn advance_phase(&mut self, dphi: f64) {
-        self.phase = wrap_angle(self.phase + dphi);
-    }
-
     /// Produces the next oscillator sample.
     #[inline]
     pub fn tick(&mut self) -> Cpx {
@@ -126,14 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn retune_is_phase_continuous() {
-        let mut nco = Nco::new(10.0, 100.0);
-        for _ in 0..7 {
-            nco.tick();
+    fn from_step_matches_the_frequency_constructor() {
+        let step = std::f64::consts::TAU * 10.0 / 100.0;
+        let (mut a, mut b) = (Nco::new(10.0, 100.0), Nco::from_step(step));
+        assert_eq!(b.step(), a.step());
+        for _ in 0..64 {
+            assert_eq!(a.tick(), b.tick());
         }
-        let before = nco.phase();
-        nco.set_frequency(20.0, 100.0);
-        assert!((nco.phase() - before).abs() < 1e-12);
     }
 
     #[test]
@@ -152,14 +140,5 @@ mod tests {
                 assert_eq!(live.tick(), table[n % table.len()], "step {step}, tick {n}");
             }
         }
-    }
-
-    #[test]
-    fn advance_phase_shifts_output() {
-        let mut a = Nco::new(0.0, 1.0);
-        let mut b = Nco::new(0.0, 1.0);
-        b.advance_phase(std::f64::consts::FRAC_PI_2);
-        let (sa, sb) = (a.tick(), b.tick());
-        assert!((sa.mul_conj(sb).arg() + std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 }

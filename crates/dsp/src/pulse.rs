@@ -7,7 +7,6 @@
 
 use crate::complex::Cpx;
 use crate::filter::FirKernel;
-use crate::math::sinc;
 
 /// Root-raised-cosine pulse description.
 #[derive(Clone, Copy, Debug)]
@@ -62,18 +61,6 @@ impl RrcPulse {
             *t /= norm;
         }
         FirKernel::from_taps(taps)
-    }
-
-    /// Raised-cosine (full Nyquist) impulse response at `t` symbol periods —
-    /// the composition of two matched RRC halves; used by tests.
-    pub fn raised_cosine(&self, t: f64) -> f64 {
-        let a = self.rolloff;
-        let pi = std::f64::consts::PI;
-        let sing = 1.0 / (2.0 * a);
-        if (t.abs() - sing).abs() < 1e-9 {
-            return (pi / (2.0 * a)).sin() / (pi / (2.0 * a)) * pi / 4.0;
-        }
-        sinc(t) * (pi * a * t).cos() / (1.0 - (2.0 * a * t).powi(2))
     }
 }
 
@@ -203,15 +190,6 @@ mod tests {
                 v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
             };
             assert_eq!(bits(&got), bits(&want), "{b:?}");
-        }
-    }
-
-    #[test]
-    fn raised_cosine_nyquist_zeros() {
-        let p = RrcPulse::new(0.22, 4, 6);
-        assert!((p.raised_cosine(0.0) - 1.0).abs() < 1e-12);
-        for k in 1..6 {
-            assert!(p.raised_cosine(k as f64).abs() < 1e-12);
         }
     }
 }

@@ -42,17 +42,6 @@ impl Window {
     pub fn build(self, len: usize) -> Vec<f64> {
         (0..len).map(|n| self.coeff(n, len)).collect()
     }
-
-    /// Kaiser β for a desired stop-band attenuation in dB (Kaiser's formula).
-    pub fn kaiser_beta(atten_db: f64) -> f64 {
-        if atten_db > 50.0 {
-            0.1102 * (atten_db - 8.7)
-        } else if atten_db >= 21.0 {
-            0.5842 * (atten_db - 21.0).powf(0.4) + 0.078_86 * (atten_db - 21.0)
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,15 +86,6 @@ mod tests {
     fn hann_endpoints_are_zero() {
         let v = Window::Hann.build(17);
         assert!(v[0].abs() < 1e-12 && v[16].abs() < 1e-12);
-    }
-
-    #[test]
-    fn kaiser_beta_monotone_in_attenuation() {
-        let b1 = Window::kaiser_beta(30.0);
-        let b2 = Window::kaiser_beta(60.0);
-        let b3 = Window::kaiser_beta(90.0);
-        assert!(b1 < b2 && b2 < b3);
-        assert_eq!(Window::kaiser_beta(10.0), 0.0);
     }
 
     #[test]

@@ -189,7 +189,6 @@ pub fn detect_and_repair(
 pub struct Scrubber {
     /// Scrub period in nanoseconds of simulated time.
     pub period_ns: u64,
-    next_frame: usize,
     passes: u64,
 }
 
@@ -199,7 +198,6 @@ impl Scrubber {
         assert!(period_ns > 0);
         Scrubber {
             period_ns,
-            next_frame: 0,
             passes: 0,
         }
     }
@@ -220,23 +218,6 @@ impl Scrubber {
             t += fabric.configure_frame(f, &golden.frames[f])?;
         }
         self.passes += 1;
-        Ok(t)
-    }
-
-    /// Rewrites the next frame in rotation (spread-out scrubbing); returns
-    /// port time.
-    pub fn scrub_step(
-        &mut self,
-        fabric: &mut FpgaFabric,
-        golden: &Bitstream,
-    ) -> Result<u64, FabricError> {
-        let f = self.next_frame;
-        let t = fabric.configure_frame(f, &golden.frames[f])?;
-        self.next_frame += 1;
-        if self.next_frame == fabric.device().frames {
-            self.next_frame = 0;
-            self.passes += 1;
-        }
         Ok(t)
     }
 }
@@ -361,23 +342,6 @@ mod tests {
         }
         let mut s = Scrubber::new(1_000_000);
         s.scrub_full(&mut fab, &bs).unwrap();
-        assert!(fab.diff_frames(&bs).is_empty());
-        assert_eq!(s.passes(), 1);
-    }
-
-    #[test]
-    fn stepped_scrub_rotates_through_frames() {
-        let (mut fab, bs) = loaded();
-        let frames = fab.device().frames;
-        fab.inject_upset_at(frames - 1, 0, 0);
-        let mut s = Scrubber::new(1_000_000);
-        // One step repairs only frame 0; the upset in the last frame stays.
-        s.scrub_step(&mut fab, &bs).unwrap();
-        assert_eq!(fab.diff_frames(&bs), vec![frames - 1]);
-        // Completing the pass clears it.
-        for _ in 1..frames {
-            s.scrub_step(&mut fab, &bs).unwrap();
-        }
         assert!(fab.diff_frames(&bs).is_empty());
         assert_eq!(s.passes(), 1);
     }

@@ -72,13 +72,6 @@ pub fn bitstream_for(design_id: u32, gates: u64, device: &FpgaDevice) -> Bitstre
     Bitstream::synthesise(design_id, device, frames)
 }
 
-/// Gate capacity actually usable when a mitigation overhead factor is
-/// applied (e.g. TMR ≈ 3.2×): the effective design budget.
-pub fn effective_capacity(device: &FpgaDevice, overhead_factor: f64) -> u64 {
-    assert!(overhead_factor >= 1.0);
-    (device.gate_capacity as f64 / overhead_factor) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,13 +108,6 @@ mod tests {
         let tmr_gates = (200_000.0 * crate::mitigation::TmrVoter::GATE_OVERHEAD) as u64;
         assert!(place(tmr_gates, &FpgaDevice::virtex_like_1m()).is_ok());
         assert!(place(tmr_gates, &FpgaDevice::monolithic_600k()).is_err());
-    }
-
-    #[test]
-    fn effective_capacity_scales_down() {
-        let dev = FpgaDevice::virtex_like_1m();
-        assert_eq!(effective_capacity(&dev, 1.0), 1_000_000);
-        assert_eq!(effective_capacity(&dev, 3.2), 312_500);
     }
 
     #[test]

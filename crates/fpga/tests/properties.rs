@@ -72,8 +72,7 @@ proptest! {
     }
 
     /// The FDIR ladder's rung-1 contract: whatever an SEU burst did to
-    /// the fabric, **one** scrub pass — monolithic or a full rotation of
-    /// per-frame steps — leaves every configuration frame *bitwise*
+    /// the fabric, **one** scrub pass leaves every configuration frame *bitwise*
     /// identical to the golden bitstream, and both readback strategies
     /// then agree there is nothing left to find.
     #[test]
@@ -82,7 +81,6 @@ proptest! {
         upsets in proptest::collection::vec(
             (0usize..24, 0usize..512, 0u8..8), 0..60),
         strategy_idx in 0usize..2,
-        step_wise in any::<bool>(),
     ) {
         let strategy = [ReadbackStrategy::FullCompare, ReadbackStrategy::CrcCompare][strategy_idx];
         let (mut fab, bs) = loaded(design);
@@ -90,13 +88,7 @@ proptest! {
             fab.inject_upset_at(f, b, bit);
         }
         let mut s = Scrubber::new(1);
-        if step_wise {
-            for _ in 0..fab.device().frames {
-                s.scrub_step(&mut fab, &bs).unwrap();
-            }
-        } else {
-            s.scrub_full(&mut fab, &bs).unwrap();
-        }
+        s.scrub_full(&mut fab, &bs).unwrap();
         prop_assert_eq!(s.passes(), 1, "exactly one pass was spent");
         for f in 0..fab.device().frames {
             prop_assert_eq!(

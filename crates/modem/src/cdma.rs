@@ -413,12 +413,40 @@ mod tests {
     use super::*;
     use gsp_channel::awgn::AwgnChannel;
     use gsp_channel::impairments::PhaseOffset;
-    use gsp_channel::multiuser::{compose, UserSignal};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn config() -> CdmaConfig {
         CdmaConfig::sumts(16, 3, 64)
+    }
+
+    /// One user in a multi-user composite.
+    struct UserSignal {
+        /// The user's baseband waveform samples.
+        samples: Vec<Cpx>,
+        /// Linear amplitude relative to the reference user.
+        amplitude: f64,
+        /// Whole-sample delay at the composite grid.
+        delay: usize,
+        /// Carrier phase, radians.
+        phase: f64,
+    }
+
+    /// Adds every user into one composite of length `len`, zero-padding
+    /// past each user's waveform.
+    fn compose(users: &[UserSignal], len: usize) -> Vec<Cpx> {
+        let mut out = vec![Cpx::ZERO; len];
+        for u in users {
+            let rot = Cpx::from_polar(u.amplitude, u.phase);
+            for (i, &s) in u.samples.iter().enumerate() {
+                let idx = u.delay + i;
+                if idx >= len {
+                    break;
+                }
+                out[idx] += s * rot;
+            }
+        }
+        out
     }
 
     fn random_bits(n: usize, rng: &mut StdRng) -> Vec<u8> {

@@ -66,13 +66,6 @@ impl BurstFormat {
             .collect()
     }
 
-    /// Assembles a burst's symbol stream from payload bits.
-    pub fn assemble(&self, payload_bits: &[u8]) -> Vec<Cpx> {
-        let mut syms = Vec::with_capacity(self.burst_len());
-        self.assemble_into(payload_bits, &mut syms);
-        syms
-    }
-
     /// Assembles a burst's symbol stream into `syms` (cleared first). A
     /// reused buffer of sufficient capacity makes repeated calls
     /// allocation-free.
@@ -165,19 +158,9 @@ pub struct MfTdmaFrame {
 }
 
 impl MfTdmaFrame {
-    /// Frame duration in seconds.
-    pub fn frame_duration_s(&self) -> f64 {
-        self.slots_per_frame as f64 * self.slot_symbols as f64 / self.symbol_rate
-    }
-
     /// Aggregate slot count per frame across carriers.
     pub fn total_slots(&self) -> usize {
         self.n_carriers * self.slots_per_frame
-    }
-
-    /// Aggregate gross bit rate (QPSK payload, ignoring overheads).
-    pub fn gross_bitrate(&self) -> f64 {
-        self.n_carriers as f64 * self.symbol_rate * 2.0
     }
 }
 
@@ -190,8 +173,9 @@ mod tests {
         let fmt = BurstFormat::standard(16, 16, 100);
         assert_eq!(fmt.burst_len(), 132);
         assert_eq!(fmt.payload_bits(), 200);
-        let bits = vec![0u8; 200];
-        assert_eq!(fmt.assemble(&bits).len(), 132);
+        let mut burst = Vec::new();
+        fmt.assemble_into(&[0u8; 200], &mut burst);
+        assert_eq!(burst.len(), 132);
     }
 
     #[test]
@@ -207,7 +191,8 @@ mod tests {
     fn uw_detection_finds_position_and_phase() {
         let fmt = BurstFormat::standard(12, 24, 50);
         let bits: Vec<u8> = (0..100).map(|i| (i % 3 == 0) as u8).collect();
-        let mut burst = fmt.assemble(&bits);
+        let mut burst = Vec::new();
+        fmt.assemble_into(&bits, &mut burst);
         // Rotate the whole burst by a known phase.
         let theta = 0.6;
         for s in burst.iter_mut() {
@@ -246,7 +231,5 @@ mod tests {
             symbol_rate: 170_667.0, // ≈ 2.048 Msps / 6 carriers / QPSK → 2 Mbps total
         };
         assert_eq!(frame.total_slots(), 48);
-        assert!((frame.gross_bitrate() - 2.048e6).abs() < 2e4);
-        assert!((frame.frame_duration_s() - 8.0 * 1024.0 / 170_667.0).abs() < 1e-9);
     }
 }

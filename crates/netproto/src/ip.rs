@@ -18,8 +18,6 @@ pub type IpAddr = u32;
 pub const ADDR_NCC: IpAddr = 0x0A00_0001;
 /// The on-board processor controller.
 pub const ADDR_OBPC: IpAddr = 0x0A00_0101;
-/// First payload equipment address (equipment `k` = base + k).
-pub const ADDR_EQUIPMENT_BASE: IpAddr = 0x0A00_0200;
 
 /// Transport protocol numbers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -253,16 +251,10 @@ mod tests {
 
     #[test]
     fn full_udp_ip_stack_roundtrip() {
-        let raw = udp_packet(
-            ADDR_NCC,
-            ADDR_EQUIPMENT_BASE + 3,
-            1000,
-            69,
-            Bytes::from_static(b"hi"),
-        );
+        let raw = udp_packet(ADDR_NCC, ADDR_OBPC, 1000, 69, Bytes::from_static(b"hi"));
         let ip = IpPacket::decode(&raw).unwrap();
         assert_eq!(ip.proto, IpProto::Udp);
-        assert_eq!(ip.dst, ADDR_EQUIPMENT_BASE + 3);
+        assert_eq!(ip.dst, ADDR_OBPC);
         let udp = UdpDatagram::decode(&ip.payload).unwrap();
         assert_eq!(&udp.payload[..], b"hi");
     }

@@ -75,12 +75,6 @@ impl LinkConfig {
         }
         rng.gen_bool(self.frame_survival_probability(bytes).clamp(0.0, 1.0))
     }
-
-    /// The bandwidth-delay product of the uplink in bytes — what a window
-    /// must cover to fill the GEO pipe (the RFC 2488 argument).
-    pub fn bdp_bytes_up(&self) -> usize {
-        (self.up_rate_bps as u128 * self.rtt_ns() as u128 / 8 / 1_000_000_000) as usize
-    }
 }
 
 #[cfg(test)]
@@ -156,12 +150,5 @@ mod tests {
         let survived = (0..n).filter(|_| l.frame_survives(64, &mut rng)).count();
         let got = survived as f64 / n as f64;
         assert!((got - 0.8).abs() < 0.01, "{got} vs 0.8");
-    }
-
-    #[test]
-    fn bdp_sizes_the_window() {
-        let l = LinkConfig::geo_default();
-        // 256 kbps × 0.25 s = 8 kB.
-        assert_eq!(l.bdp_bytes_up(), 8_000);
     }
 }

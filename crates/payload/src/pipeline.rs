@@ -672,13 +672,6 @@ impl PipelineEngine {
         self.set_fault(carrier, None);
     }
 
-    /// The fault currently imposed on lane `carrier`, if any.
-    pub fn lane_fault(&self, carrier: usize) -> Option<LaneFault> {
-        self.rx
-            .get(carrier)
-            .and_then(|lane| lane.as_ref().expect(HOME).fault)
-    }
-
     /// Watchdog counters for lane `carrier` (default-zero out of range).
     pub fn lane_health(&self, carrier: usize) -> LaneHealth {
         self.rx.get(carrier).map_or(LaneHealth::default(), |lane| {
@@ -1326,7 +1319,6 @@ mod tests {
 
         engine.inject_lane_fault(2, LaneFault::CorruptCrc);
         engine.inject_lane_fault(4, LaneFault::Stall);
-        assert_eq!(engine.lane_fault(2), Some(LaneFault::CorruptCrc));
         let faulty = engine.run_frame(22);
         assert!(faulty.carriers[2].detected && !faulty.carriers[2].crc_ok);
         assert!(!faulty.carriers[4].detected, "stalled lane sees nothing");

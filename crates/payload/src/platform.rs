@@ -138,11 +138,6 @@ impl Platform {
     pub fn downlink(&mut self) -> Vec<Telemetry> {
         self.tm_queue.drain(..).collect()
     }
-
-    /// Pending command count.
-    pub fn pending_commands(&self) -> usize {
-        self.tc_queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +149,6 @@ mod tests {
         let mut p = Platform::new();
         p.uplink(Telecommand::StatusRequest { equipment: 1 });
         p.uplink(Telecommand::StatusRequest { equipment: 2 });
-        assert_eq!(p.pending_commands(), 2);
         assert_eq!(
             p.next_command(),
             Some(Telecommand::StatusRequest { equipment: 1 })

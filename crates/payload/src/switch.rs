@@ -318,14 +318,6 @@ impl PacketSwitch {
             .sum()
     }
 
-    /// Current depth of one (beam, class) queue.
-    pub fn class_depth(&self, beam: usize, class: usize) -> usize {
-        if beam >= self.beams || class >= self.qos.n_classes() {
-            return 0;
-        }
-        self.queues[self.slot(beam, class)].len()
-    }
-
     /// Empties every class queue of one beam and returns the packets in
     /// class order (class 0 first), FIFO within each class. Used when a
     /// beam is quarantined: its queued traffic is handed back to the
@@ -578,7 +570,7 @@ mod tests {
         for i in 0..10u16 {
             sw.ingress(cpkt(i, 0, 2)); // early_drop at 6, hard limit 8
         }
-        assert_eq!(sw.class_depth(0, 2), 6);
+        assert_eq!(sw.depth(0), 6);
         let cs = sw.class_stats(2);
         assert_eq!(cs.forwarded, 6);
         assert_eq!(cs.dropped_early, 4);
@@ -601,7 +593,7 @@ mod tests {
     fn out_of_range_class_degrades_to_best_effort() {
         let mut sw = PacketSwitch::with_qos(1, three_class());
         sw.ingress(cpkt(7, 0, 9));
-        assert_eq!(sw.class_depth(0, 2), 1);
+        assert_eq!(sw.depth(0), 1);
         assert_eq!(sw.class_stats(2).forwarded, 1);
     }
 

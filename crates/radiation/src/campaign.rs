@@ -14,7 +14,6 @@
 use crate::environment::{PoissonArrivals, RadiationEnvironment};
 use gsp_fpga::device::FpgaDevice;
 use gsp_fpga::fabric::FpgaFabric;
-use gsp_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -271,29 +270,6 @@ fn run_on_workers(cfg: &CampaignConfig, workers: usize) -> Result<CampaignResult
     Ok(total)
 }
 
-/// Runs the campaign and records its aggregate counters —
-/// `radiation.trials`, `radiation.seu.total`, `radiation.seu.essential`
-/// and `radiation.broken_at_end` — on `registry`.
-///
-/// The campaign itself is untouched: counters are added from the merged
-/// result after the worker fan-out joins, so the returned
-/// [`CampaignResult`] is bitwise identical to [`run_scrub_campaign`]'s.
-pub fn run_scrub_campaign_with_telemetry(
-    cfg: &CampaignConfig,
-    registry: &Registry,
-) -> Result<CampaignResult, CampaignError> {
-    let r = run_scrub_campaign(cfg)?;
-    registry.counter("radiation.trials").add(r.trials as u64);
-    registry.counter("radiation.seu.total").add(r.total_upsets);
-    registry
-        .counter("radiation.seu.essential")
-        .add(r.essential_upsets);
-    registry
-        .counter("radiation.broken_at_end")
-        .add(r.broken_at_end as u64);
-    Ok(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,10 +325,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("scrub_period_s"));
-        // The telemetry wrapper rejects identically and records nothing.
-        let registry = Registry::new();
-        assert!(run_scrub_campaign_with_telemetry(&bad_days, &registry).is_err());
-        assert_eq!(registry.snapshot().counter("radiation.trials"), 0);
         // NaN is caught, not treated as "positive enough".
         let nan_days = CampaignConfig {
             sim_days: f64::NAN,

@@ -69,11 +69,6 @@ impl Mh1rtDevice {
             ),
         ]
     }
-
-    /// Expected SEUs per day for a design using `bits` sensitive bits.
-    pub fn expected_upsets_per_day(&self, bits: u64) -> f64 {
-        self.seu_per_bit_day * bits as f64
-    }
 }
 
 #[cfg(test)]
@@ -106,12 +101,5 @@ mod tests {
             assert_eq!(f.tid_krad, 300.0);
             assert_eq!(f.seu_per_bit_day, now.seu_per_bit_day);
         }
-    }
-
-    #[test]
-    fn upset_expectation_scales_with_bits() {
-        let d = Mh1rtDevice::mh1rt();
-        // A 1 Mbit configuration sees ~0.1 upsets/day in quiet GEO.
-        assert!((d.expected_upsets_per_day(1_000_000) - 0.1).abs() < 1e-12);
     }
 }

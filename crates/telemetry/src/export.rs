@@ -1,6 +1,6 @@
-//! Snapshot and export: JSON lines, a single JSON document, and a human
-//! table — plus the parser the ground side uses to decode a housekeeping
-//! downlink frame back into a [`Snapshot`].
+//! Snapshot and export: JSON lines and a single JSON document — plus the
+//! parser the ground side uses to decode a housekeeping downlink frame
+//! back into a [`Snapshot`].
 //!
 //! The JSON encoder/decoder is hand-rolled for exactly the flat schema
 //! this crate emits (metric names are dotted lowercase identifiers with
@@ -141,78 +141,6 @@ impl Snapshot {
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         Some(Snapshot { entries })
     }
-
-    /// Renders an aligned human-readable table (the "housekeeping page").
-    pub fn to_table(&self) -> String {
-        let mut rows: Vec<[String; 6]> = vec![[
-            "metric".into(),
-            "type".into(),
-            "value/count".into(),
-            "p50".into(),
-            "p95".into(),
-            "p99".into(),
-        ]];
-        for e in &self.entries {
-            rows.push(match &e.value {
-                MetricValue::Counter(v) => [
-                    e.name.clone(),
-                    "counter".into(),
-                    v.to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ],
-                MetricValue::Gauge(v) => [
-                    e.name.clone(),
-                    "gauge".into(),
-                    format!("{v:.3}"),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ],
-                MetricValue::Histogram(h) => [
-                    e.name.clone(),
-                    "hist".into(),
-                    h.count.to_string(),
-                    fmt_ns(h.p50),
-                    fmt_ns(h.p95),
-                    fmt_ns(h.p99),
-                ],
-            });
-        }
-        let mut widths = [0usize; 6];
-        for row in &rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        for (i, row) in rows.iter().enumerate() {
-            for (w, cell) in widths.iter().zip(row) {
-                out.push_str(&format!("{cell:<width$}  ", width = w));
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-            if i == 0 {
-                let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-                out.push_str(&"-".repeat(total));
-                out.push('\n');
-            }
-        }
-        out
-    }
-}
-
-/// Human-scale duration: nanoseconds with a unit ladder.
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=9_999 => format!("{ns}ns"),
-        10_000..=9_999_999 => format!("{:.1}us", ns as f64 / 1e3),
-        10_000_000..=9_999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
 }
 
 /// Extracts the raw token for `"key":` from one flat JSON object line.
@@ -312,17 +240,6 @@ mod tests {
         }
         // Histogram summaries carry the percentile fields.
         assert!(doc.contains("\"p95\":"));
-    }
-
-    #[test]
-    fn table_lists_all_metrics_aligned() {
-        let t = sample().to_table();
-        let lines: Vec<&str> = t.lines().collect();
-        assert!(lines[0].starts_with("metric"));
-        assert!(lines[1].starts_with("---"));
-        assert_eq!(lines.len(), 2 + sample().entries.len());
-        assert!(t.contains("payload.demod.ns"));
-        assert!(t.contains("counter"));
     }
 
     #[test]

@@ -344,13 +344,6 @@ pub struct SpanTimer<'a> {
     start: Option<Instant>,
 }
 
-impl SpanTimer<'_> {
-    /// Abandons the span without recording (e.g. on an error path).
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
-}
-
 impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
@@ -475,12 +468,11 @@ mod tests {
     }
 
     #[test]
-    fn span_records_and_cancel_does_not() {
+    fn span_records_once_on_drop() {
         let h = Histogram::with_bounds(ns_buckets());
         {
             let _s = h.span();
         }
-        h.span().cancel();
         assert_eq!(h.snapshot().count, 1);
     }
 

@@ -15,9 +15,8 @@
 //!   [`hist::HistogramBatch`] staging buffer that per-packet loops record
 //!   into and publish once per call;
 //! * [`export`] — immutable [`export::Snapshot`]s of a registry,
-//!   rendered as JSON lines (machine), a single JSON document (the
-//!   `BENCH_*.json` perf trajectory), or an aligned human table, plus
-//!   the parser the NCC uses to decode a housekeeping downlink frame.
+//!   rendered as JSON lines (machine) or a single JSON document (the
+//!   `BENCH_*.json` perf trajectory), plus the parser the NCC uses to decode a housekeeping downlink frame.
 //!
 //! ## Disabled means free
 //!

@@ -199,17 +199,6 @@ impl DamaLoop {
             .sum()
     }
 
-    /// Packets awaiting a grant in one class.
-    pub fn class_backlog(&self, class: usize) -> usize {
-        self.backlog
-            .iter()
-            .enumerate()
-            .filter(|(a, _)| self.class_of(*a) == class)
-            .flat_map(|(_, q)| q.iter())
-            .map(|c| c.pkts.len())
-            .sum()
-    }
-
     /// Runs one frame of the loop: age out stale cohorts, submit the
     /// surviving backlog to the scheduler, release granted packets
     /// oldest-first.
@@ -430,7 +419,7 @@ mod tests {
             b.inject_aggregate(m);
         }
         assert_eq!(b.aggregate_count(), c.n_aggregates() + 3);
-        assert_eq!(b.class_backlog(2), 9);
+        assert_eq!(b.backlog_len(), 9);
         // Granted on the destination with the accrued latency.
         let out = b.run_frame(4);
         assert_eq!(out.released.len(), 9);
@@ -438,18 +427,5 @@ mod tests {
             .released
             .iter()
             .all(|(p, lat)| p.class == 2 && *lat == 4));
-    }
-
-    #[test]
-    fn class_backlog_partitions_the_total() {
-        let c = cfg();
-        let mut d = DamaLoop::new(&c);
-        offer_n(&mut d, 0, 0, 4, c.n_classes());
-        offer_n(&mut d, 0, 1, 6, c.n_classes());
-        offer_n(&mut d, 0, 5, 2, c.n_classes()); // beam 1, class 2
-        assert_eq!(d.backlog_len(), 12);
-        assert_eq!(d.class_backlog(0), 4);
-        assert_eq!(d.class_backlog(1), 6);
-        assert_eq!(d.class_backlog(2), 2);
     }
 }

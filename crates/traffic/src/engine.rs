@@ -203,11 +203,6 @@ impl BeamMigration {
     pub fn home_beam(&self) -> u64 {
         self.pop.home_beam()
     }
-
-    /// Packets awaiting a DAMA grant that travel with the beam.
-    pub fn backlog_packets(&self) -> usize {
-        self.backlog.iter().map(|b| b.packets()).sum()
-    }
 }
 
 /// A registry counter that mirrors one engine total: [`Mirror::publish`]
@@ -962,7 +957,7 @@ mod tests {
         assert_eq!(from.home_beams(), (0..beams).collect::<Vec<_>>());
         let m = from.extract_beam_population(1);
         assert_eq!(m.home_beam(), 1);
-        let moved_backlog = m.backlog_packets() as u64;
+        let moved_backlog: u64 = m.backlog.iter().map(|b| b.packets() as u64).sum();
         assert_eq!(from.home_beams(), vec![0, 2, 3, 4, 5]);
         let backlog_before = to.stats().backlog;
         to.inject_beam_population(m);

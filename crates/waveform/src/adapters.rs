@@ -255,12 +255,6 @@ impl Waveform {
         }
     }
 
-    /// `Running → Deactivated`: quiesce at the frame boundary, keep all
-    /// processing state for a possible rollback.
-    pub fn deactivate(&mut self) -> Result<(), WaveformError> {
-        self.transition(LifecycleOp::Deactivate)
-    }
-
     /// Any non-running state `→ TornDown`: release the processing state.
     /// Returns the modelled teardown cost in simulated nanoseconds.
     pub fn teardown(&mut self) -> Result<u64, WaveformError> {
@@ -294,9 +288,9 @@ mod tests {
             assert!(wf.configure().is_err(), "{}: double configure", d.name);
             wf.run().unwrap();
             assert!(wf.teardown().is_err(), "{}: teardown while running", d.name);
-            wf.deactivate().unwrap();
+            wf.transition(LifecycleOp::Deactivate).unwrap();
             wf.run().unwrap();
-            wf.deactivate().unwrap();
+            wf.transition(LifecycleOp::Deactivate).unwrap();
             wf.teardown().unwrap();
             assert!(wf.run().is_err(), "{}: run after teardown", d.name);
             assert!(wf.step(1, 0).is_err(), "{}: step after teardown", d.name);
@@ -366,7 +360,7 @@ mod tests {
         ] {
             let mut wf = running(&d);
             assert_eq!(wf.absorb_ingress(&pkts), 5, "{}", d.name);
-            wf.deactivate().unwrap();
+            wf.transition(LifecycleOp::Deactivate).unwrap();
             let mut drained = wf.drain_ingress();
             drained.sort_by_key(|p| p.source);
             assert_eq!(drained, pkts, "{}", d.name);
