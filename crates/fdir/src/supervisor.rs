@@ -403,11 +403,7 @@ impl Supervisor {
                     _ => RecoveryAction::Reconfigure { equipment },
                 });
             }
-            // The tick an equipment is written off is not charged: the
-            // committed availability figures count it this way.
-            if to != Health::Healthy
-                && (to, from) != (Health::PermanentlyQuarantined, Health::Recovering)
-            {
+            if to != Health::Healthy {
                 self.unavailable_ticks += 1;
             }
             *st = next;
