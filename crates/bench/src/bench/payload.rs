@@ -8,9 +8,9 @@
 //! `payload.workers` gauge reflects that point's actual worker count.
 //!
 //! The `"kernels"` section is the compute-kernel backend matrix. Its
-//! `"matrix"` rows micro-bench each registered kernel (FIR dot, UW
-//! correlate-and-energy, FFT butterflies, Viterbi ACS, max-log-MAP) once
-//! per backend on identical inputs; its `"e2e"` rows re-run the 1-worker
+//! `"matrix"` rows micro-bench each vector kernel (FIR dot, UW
+//! correlate-and-energy, FFT butterflies, Viterbi ACS) once per backend
+//! on identical inputs; its `"e2e"` rows re-run the 1-worker
 //! engine with the receive chain pinned to each backend
 //! (`ChainConfig::kernel_backend`). `"decode_speedup"` is the
 //! scalar/SIMD ratio of `payload.decode.ns` p50, gated when
@@ -33,7 +33,7 @@
 
 use crate::gate::{Gate, Rule::*};
 use crate::report::{amdahl, Artefact};
-use gsp_coding::{kernels as trellis_kernels, ConvCode, TurboCode, TurboDecoder, ViterbiDecoder};
+use gsp_coding::{kernels as trellis_kernels, ConvCode, ViterbiDecoder};
 use gsp_dsp::fft::Fft;
 use gsp_dsp::kernels::{self as cpx_kernels, Backend, CpxKernelHandle};
 use gsp_dsp::Cpx;
@@ -203,22 +203,6 @@ fn bench_trellis_kernel(kernel: &str, backend: Backend, rng: &mut StdRng) -> u64
                 16,
             )
         }
-        "coding.turbo" => {
-            // One max-log-MAP-heavy block: K=96, 4 iterations.
-            let code = TurboCode::new(96);
-            let llrs: Vec<f64> = (0..code.coded_len())
-                .map(|_| rng.gen_range(-4.0..4.0))
-                .collect();
-            let mut dec = TurboDecoder::with_kernels(code, handle);
-            let mut out = Vec::new();
-            time_ns(
-                || {
-                    dec.decode_into(&llrs, 4, &mut out);
-                    black_box(out.len());
-                },
-                16,
-            )
-        }
         other => unreachable!("unknown trellis kernel {other}"),
     }
 }
@@ -242,7 +226,6 @@ fn kernel_matrix(seed: u64, simd: bool) -> Artefact {
         "dsp.corr_energy",
         "dsp.fft",
         "coding.viterbi",
-        "coding.turbo",
     ];
     Artefact::rows(kernels.iter().map(|&kernel| {
         let scalar_ns = bench_kernel(kernel, Backend::Scalar, seed);

@@ -4,9 +4,8 @@
 //! Everything analogue that the paper abstracts away is modelled here at
 //! complex baseband: AWGN at a configured Es/N0, carrier phase/frequency
 //! offsets, fractional timing offsets and sample-clock drift, the
-//! travelling-wave-tube amplifier nonlinearity (Saleh model), GEO link
-//! geometry (slant range, free-space loss) and the transparent-cascade
-//! link budget.
+//! travelling-wave-tube amplifier nonlinearity (Saleh model) and the
+//! transparent-cascade GEO link budget.
 //!
 //! All stochastic parts take a caller-supplied [`rand::Rng`] so experiments
 //! are reproducible and parallel sweeps can split seeds.
@@ -19,6 +18,5 @@ pub mod impairments;
 pub mod twta;
 
 pub use awgn::{AwgnChannel, GaussianSampler};
-pub use geo::GeoLink;
 pub use impairments::{ClockDrift, FrequencyOffset, PhaseOffset, TimingOffset};
 pub use twta::SalehTwta;

@@ -29,9 +29,10 @@ pub struct BurstCodec {
 }
 
 impl BurstCodec {
-    /// A codec for `info_bits`-bit blocks. `backend` pins the trellis
-    /// decoders to one kernel backend; `None` follows the process-wide
-    /// selection, as [`ViterbiDecoder::new`] and [`TurboDecoder::new`] do.
+    /// A codec for `info_bits`-bit blocks. `backend` pins the Viterbi
+    /// decoder to one kernel backend; `None` follows the process-wide
+    /// selection, as [`ViterbiDecoder::new`] does. It has no effect on the
+    /// turbo decoder, whose recursions are scalar on every backend.
     pub fn new(
         scheme: CodingScheme,
         crc: Option<CrcKind>,
@@ -50,9 +51,7 @@ impl BurstCodec {
             CodingScheme::ConvHalf => conv(ConvCode::umts_half()),
             CodingScheme::ConvThird => conv(ConvCode::umts_third()),
             CodingScheme::Turbo { iterations } => {
-                let map = backend.unwrap_or_else(kernels::map_active);
-                let decoder = TurboDecoder::with_kernels(TurboCode::new(k), map);
-                Engine::Turbo(decoder, iterations)
+                Engine::Turbo(TurboDecoder::new(TurboCode::new(k)), iterations)
             }
         };
         BurstCodec {

@@ -31,7 +31,8 @@ impl ConvCode {
     }
 
     /// A small K=3 test code (7, 5)₈ — handy for exhaustive trellis tests.
-    pub fn k3_test() -> Self {
+    #[cfg(test)]
+    pub(crate) fn k3_test() -> Self {
         ConvCode {
             constraint: 3,
             generators: vec![0o7, 0o5],

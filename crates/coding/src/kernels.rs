@@ -1,18 +1,20 @@
-//! Pluggable compute kernels for the trellis hot loops.
+//! Pluggable compute kernels for the trellis hot loop.
 //!
-//! The decode stage of the Fig. 2 chain is dominated by two inner loops:
-//! the Viterbi add-compare-select sweep over the 256-state K=9 trellis and
-//! the max-log-MAP forward/backward recursions of the 8-state turbo
-//! constituents. Both are expressed through the [`TrellisKernels`] trait
-//! with a portable scalar backend and an AVX2 backend.
+//! The Viterbi decode of the Fig. 2 chain is dominated by the
+//! add-compare-select sweep over the 256-state K=9 trellis, expressed
+//! through the [`TrellisKernels`] trait with a portable scalar backend and
+//! an AVX2 backend. Like every kernel, it follows the process-wide
+//! [`gsp_kernels::selection`] unless a handle is pinned with
+//! [`for_backend`]. (The 8-state max-log-MAP recursions of the turbo
+//! decoder run scalar in `crate::turbo`: an AVX2 version measured 0.83× of
+//! scalar, and a vector kernel that loses on the bench host is deleted.)
 //!
-//! Equivalence contract (DESIGN.md §11): **all trellis kernels are bitwise
+//! Equivalence contract (DESIGN.md §11): **the trellis kernels are bitwise
 //! identical across backends.** The SIMD code performs, per state, exactly
 //! the per-lane IEEE operations of the scalar code — same operand order, no
 //! FMA contraction, ties resolved by the same strict `>` comparison
-//! (`_mm_cmp` + blend, never `maxpd`) — so path metrics, decisions and
-//! extrinsics match bit for bit. The ±1-ulp LLR policy of §11 is headroom
-//! for future backends; the shipped pair achieves 0 ulp.
+//! (`_mm_cmp` + blend, never `maxpd`) — so path metrics and decisions match
+//! bit for bit.
 //!
 //! ### Predecessor-form ACS
 //!
@@ -24,44 +26,17 @@
 //! `ns` — so `metrics_next[ns] = max(metrics[2j] + bm[o₀], metrics[2j+1] +
 //! bm[o₁])` is a pure gather, four states per AVX2 vector. The survivor
 //! byte keeps its historical meaning (the winning predecessor's parity).
-//!
-//! ### Gamma tables for max-log-MAP
-//!
-//! The branch metric `½(sys+apriori)·x + ½·par·z` takes only four values
-//! per step (`x, z ∈ {±1}`); the driver tabulates them once per step as
-//! `[a+b, a−b, −a+b, −a−b]` (exactly the values the original per-branch
-//! expression produces, since multiplying by ±1 and IEEE negation are
-//! exact) and the recursions index the table by `(d<<1)|z`.
 
-pub use gsp_kernels::{selection, simd_available, Backend, KernelRegistry};
-
-/// Number of trellis states of each turbo (RSC) constituent.
-pub const MAP_STATES: usize = 8;
-
-/// The "effectively −∞" path metric of the max-log-MAP recursions.
-///
-/// Small enough that no real path metric approaches it, large enough that
-/// adding a branch metric to it is absorbed exactly (`−1e300 + γ = −1e300`
-/// for every |γ| < 5e283), so unreachable states stay at exactly this value
-/// — the property the bitwise-equivalence contract leans on.
-pub const MAP_NEG: f64 = -1e300;
+pub use gsp_kernels::{selection, simd_available, Backend};
 
 /// A `'static` dispatch handle to one backend's trellis kernel set.
 pub type TrellisKernelHandle = &'static dyn TrellisKernels;
 
-/// The trellis kernel surface shared by [`crate::ViterbiDecoder`] and
-/// [`crate::TurboDecoder`]. All methods are allocation-free; length
-/// mismatches are programming errors and panic.
+/// The trellis kernel surface of [`crate::ViterbiDecoder`]. All methods
+/// are allocation-free; length mismatches are programming errors and panic.
 pub trait TrellisKernels: Send + Sync + std::fmt::Debug {
     /// Which backend this implementation belongs to.
     fn backend(&self) -> Backend;
-
-    /// Branch-metric table for one Viterbi step: for every packed coded
-    /// pattern `p` (MSB-first), `bm[p] = Σᵢ (pᵢ == 0 ? +llr[i] : −llr[i])`.
-    ///
-    /// The table is at most `2^n_out ≤ 8` entries; both backends share the
-    /// sequential build (trivially bitwise-equal).
-    fn viterbi_branch_metrics(&self, step_llrs: &[f64], bm: &mut [f64]);
 
     /// One predecessor-form ACS step.
     ///
@@ -84,92 +59,6 @@ pub trait TrellisKernels: Send + Sync + std::fmt::Debug {
         metrics_next: &mut [f64],
         decisions: &mut [u8],
     );
-
-    /// Max-log-MAP forward recursion over the information steps:
-    /// `alpha[t+1][ns] = max over the two predecessors (s, d) of ns of
-    /// alpha[t][s] + gammas[t][(d<<1)|z]`, for `t` in `0..gammas.len()`.
-    /// `alpha[0]` is the caller's boundary; `alpha.len() ≥ gammas.len()+1`.
-    fn map_forward(&self, alpha: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]);
-
-    /// Max-log-MAP backward recursion over the information steps:
-    /// `beta[t][s] = max over d of gammas[t][(d<<1)|z] + beta[t+1][ns]`,
-    /// for `t` in `(0..gammas.len()).rev()`. The caller seeds
-    /// `beta[gammas.len()]` (tail-propagated); `beta.len() ≥ gammas.len()+1`.
-    fn map_backward(&self, beta: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]);
-
-    /// Per-bit extrinsic extraction over the information steps:
-    /// `m_d = max over s of (alpha[t][s] + gammas[t][(d<<1)|z]) +
-    /// beta[t+1][ns]`, `ext[t] = (m₀ − m₁) − sys[t] − apriori[t]`.
-    /// Lengths: `ext, sys, apriori, gammas` equal `k`; `alpha, beta ≥ k+1`.
-    fn map_extrinsic(
-        &self,
-        alpha: &[[f64; MAP_STATES]],
-        beta: &[[f64; MAP_STATES]],
-        gammas: &[[f64; 4]],
-        sys: &[f64],
-        apriori: &[f64],
-        ext: &mut [f64],
-    );
-}
-
-// ---------------------------------------------------------------------------
-// RSC trellis tables (g0 = 13₈ feedback, g1 = 15₈ feed-forward), computed at
-// compile time. State is (a_{k-1}, a_{k-2}, a_{k-3}) in bits (2, 1, 0).
-// ---------------------------------------------------------------------------
-
-const fn rsc_parity(s: usize, d: usize) -> usize {
-    let s1 = (s >> 2) & 1;
-    let s2 = (s >> 1) & 1;
-    let s3 = s & 1;
-    let a = d ^ s2 ^ s3;
-    a ^ s1 ^ s3
-}
-
-const fn rsc_next(s: usize, d: usize) -> usize {
-    let s2 = (s >> 1) & 1;
-    let s3 = s & 1;
-    let a = d ^ s2 ^ s3;
-    (a << 2) | (s >> 1)
-}
-
-/// `FWD[ns] = [(s, gamma_idx); 2]` — the two predecessors of `ns` (even
-/// first) and the gamma-table index `(d<<1)|z` of each transition.
-const FWD: [[(usize, usize); 2]; MAP_STATES] = build_fwd();
-
-const fn build_fwd() -> [[(usize, usize); 2]; MAP_STATES] {
-    let mut t = [[(0usize, 0usize); 2]; MAP_STATES];
-    let mut ns = 0;
-    while ns < MAP_STATES {
-        let mut p = 0;
-        while p < 2 {
-            let s = 2 * (ns & 3) + p;
-            // The input that drives s to ns: a = ns>>2 = d ^ s2 ^ s3.
-            let d = (ns >> 2) ^ ((s >> 1) & 1) ^ (s & 1);
-            let z = rsc_parity(s, d);
-            t[ns][p] = (s, (d << 1) | z);
-            p += 1;
-        }
-        ns += 1;
-    }
-    t
-}
-
-/// `BWD[s] = [(ns, gamma_idx); 2]` — successors of `s` for inputs d=0, d=1.
-const BWD: [[(usize, usize); 2]; MAP_STATES] = build_bwd();
-
-const fn build_bwd() -> [[(usize, usize); 2]; MAP_STATES] {
-    let mut t = [[(0usize, 0usize); 2]; MAP_STATES];
-    let mut s = 0;
-    while s < MAP_STATES {
-        let mut d = 0;
-        while d < 2 {
-            let z = rsc_parity(s, d);
-            t[s][d] = (rsc_next(s, d), (d << 1) | z);
-            d += 1;
-        }
-        s += 1;
-    }
-    t
 }
 
 // ---------------------------------------------------------------------------
@@ -181,19 +70,6 @@ const fn build_bwd() -> [[(usize, usize); 2]; MAP_STATES] {
 pub struct ScalarTrellisKernels;
 
 static SCALAR: ScalarTrellisKernels = ScalarTrellisKernels;
-
-fn branch_metrics_shared(step_llrs: &[f64], bm: &mut [f64]) {
-    let n_out = step_llrs.len();
-    debug_assert_eq!(bm.len(), 1 << n_out);
-    for (p, b) in bm.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (i, &l) in step_llrs.iter().enumerate() {
-            let coded = (p >> (n_out - 1 - i)) & 1;
-            acc += if coded == 0 { l } else { -l };
-        }
-        *b = acc;
-    }
-}
 
 #[allow(clippy::too_many_arguments)]
 fn viterbi_acs_scalar(
@@ -223,76 +99,9 @@ fn viterbi_acs_scalar(
     }
 }
 
-fn map_forward_scalar(alpha: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-    for (t, g) in gammas.iter().enumerate() {
-        let prev = alpha[t];
-        let mut next = [0.0; MAP_STATES];
-        for (ns, n) in next.iter_mut().enumerate() {
-            let (s0, g0) = FWD[ns][0];
-            let (s1, g1) = FWD[ns][1];
-            let c0 = prev[s0] + g[g0];
-            let c1 = prev[s1] + g[g1];
-            *n = if c1 > c0 { c1 } else { c0 };
-        }
-        alpha[t + 1] = next;
-    }
-}
-
-fn map_backward_scalar(beta: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-    for t in (0..gammas.len()).rev() {
-        let nxt = beta[t + 1];
-        let g = &gammas[t];
-        let mut cur = [0.0; MAP_STATES];
-        for (s, c) in cur.iter_mut().enumerate() {
-            let (n0, g0) = BWD[s][0];
-            let (n1, g1) = BWD[s][1];
-            let c0 = g[g0] + nxt[n0];
-            let c1 = g[g1] + nxt[n1];
-            *c = if c1 > c0 { c1 } else { c0 };
-        }
-        beta[t] = cur;
-    }
-}
-
-fn map_extrinsic_scalar(
-    alpha: &[[f64; MAP_STATES]],
-    beta: &[[f64; MAP_STATES]],
-    gammas: &[[f64; 4]],
-    sys: &[f64],
-    apriori: &[f64],
-    ext: &mut [f64],
-) {
-    for (t, e) in ext.iter_mut().enumerate() {
-        let a = &alpha[t];
-        let b = &beta[t + 1];
-        let g = &gammas[t];
-        let mut m0 = MAP_NEG;
-        let mut m1 = MAP_NEG;
-        for s in 0..MAP_STATES {
-            let (n0, g0) = BWD[s][0];
-            let (n1, g1) = BWD[s][1];
-            // Association (a + γ) + β matches the historical scan.
-            let c0 = a[s] + g[g0] + b[n0];
-            if c0 > m0 {
-                m0 = c0;
-            }
-            let c1 = a[s] + g[g1] + b[n1];
-            if c1 > m1 {
-                m1 = c1;
-            }
-        }
-        let llr = m0 - m1;
-        *e = llr - sys[t] - apriori[t];
-    }
-}
-
 impl TrellisKernels for ScalarTrellisKernels {
     fn backend(&self) -> Backend {
         Backend::Scalar
-    }
-
-    fn viterbi_branch_metrics(&self, step_llrs: &[f64], bm: &mut [f64]) {
-        branch_metrics_shared(step_llrs, bm);
     }
 
     fn viterbi_acs(
@@ -306,26 +115,6 @@ impl TrellisKernels for ScalarTrellisKernels {
         decisions: &mut [u8],
     ) {
         viterbi_acs_scalar(metrics, bm, out0, out1, limit, metrics_next, decisions);
-    }
-
-    fn map_forward(&self, alpha: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        map_forward_scalar(alpha, gammas);
-    }
-
-    fn map_backward(&self, beta: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        map_backward_scalar(beta, gammas);
-    }
-
-    fn map_extrinsic(
-        &self,
-        alpha: &[[f64; MAP_STATES]],
-        beta: &[[f64; MAP_STATES]],
-        gammas: &[[f64; 4]],
-        sys: &[f64],
-        apriori: &[f64],
-        ext: &mut [f64],
-    ) {
-        map_extrinsic_scalar(alpha, beta, gammas, sys, apriori, ext);
     }
 }
 
@@ -347,26 +136,10 @@ static SIMD: SimdTrellisKernels = SimdTrellisKernels { _priv: () };
 mod avx2 {
     //! AVX2 lane implementations. Every per-state operation mirrors the
     //! scalar code exactly: plain `add_pd` (no FMA), decisions by
-    //! `cmp_pd(GT_OQ)` + `blendv` so ties keep the even/d=0 candidate just
-    //! like the scalar strict `>` — the bitwise-equality contract.
+    //! `cmp_pd(GT_OQ)` + `blendv` so ties keep the even candidate just like
+    //! the scalar strict `>` — the bitwise-equality contract.
 
-    use super::{BWD, FWD, MAP_STATES};
     use core::arch::x86_64::*;
-
-    /// Packs four 2-bit gamma-table indices into a `permute4x64` immediate.
-    const fn imm4(a: usize, b: usize, c: usize, d: usize) -> i32 {
-        (a | (b << 2) | (c << 4) | (d << 6)) as i32
-    }
-
-    const F_EVEN_LO: i32 = imm4(FWD[0][0].1, FWD[1][0].1, FWD[2][0].1, FWD[3][0].1);
-    const F_ODD_LO: i32 = imm4(FWD[0][1].1, FWD[1][1].1, FWD[2][1].1, FWD[3][1].1);
-    const F_EVEN_HI: i32 = imm4(FWD[4][0].1, FWD[5][0].1, FWD[6][0].1, FWD[7][0].1);
-    const F_ODD_HI: i32 = imm4(FWD[4][1].1, FWD[5][1].1, FWD[6][1].1, FWD[7][1].1);
-
-    const B_D0_LO: i32 = imm4(BWD[0][0].1, BWD[1][0].1, BWD[2][0].1, BWD[3][0].1);
-    const B_D1_LO: i32 = imm4(BWD[0][1].1, BWD[1][1].1, BWD[2][1].1, BWD[3][1].1);
-    const B_D0_HI: i32 = imm4(BWD[4][0].1, BWD[5][0].1, BWD[6][0].1, BWD[7][0].1);
-    const B_D1_HI: i32 = imm4(BWD[4][1].1, BWD[5][1].1, BWD[6][1].1, BWD[7][1].1);
 
     /// Deinterleaves eight consecutive f64 (four predecessor pairs) into
     /// (even, odd) vectors.
@@ -430,136 +203,11 @@ mod avx2 {
             *m = f64::NEG_INFINITY;
         }
     }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn map_forward(alpha: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        for (t, g) in gammas.iter().enumerate() {
-            let gv = _mm256_loadu_pd(g.as_ptr());
-            let (even, odd) = deinterleave(alpha[t].as_ptr());
-            // Lanes ns..ns+4 share the (even, odd) predecessor vectors:
-            // j = ns mod 4 walks 0..4 in both halves of the state space.
-            let c0 = _mm256_add_pd(even, _mm256_permute4x64_pd::<F_EVEN_LO>(gv));
-            let c1 = _mm256_add_pd(odd, _mm256_permute4x64_pd::<F_ODD_LO>(gv));
-            let (lo, _) = pick(c0, c1);
-            let c0 = _mm256_add_pd(even, _mm256_permute4x64_pd::<F_EVEN_HI>(gv));
-            let c1 = _mm256_add_pd(odd, _mm256_permute4x64_pd::<F_ODD_HI>(gv));
-            let (hi, _) = pick(c0, c1);
-            let out = alpha[t + 1].as_mut_ptr();
-            _mm256_storeu_pd(out, lo);
-            _mm256_storeu_pd(out.add(4), hi);
-        }
-    }
-
-    /// Gathers the four successor betas of states `s0..s0+4` for input `d`.
-    #[inline(always)]
-    unsafe fn succ_beta<const S0: usize, const D: usize>(nxt: &[f64; MAP_STATES]) -> __m256d {
-        _mm256_setr_pd(
-            nxt[BWD[S0][D].0],
-            nxt[BWD[S0 + 1][D].0],
-            nxt[BWD[S0 + 2][D].0],
-            nxt[BWD[S0 + 3][D].0],
-        )
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn map_backward(beta: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        for t in (0..gammas.len()).rev() {
-            let nxt = beta[t + 1];
-            let gv = _mm256_loadu_pd(gammas[t].as_ptr());
-            let c0 = _mm256_add_pd(
-                _mm256_permute4x64_pd::<B_D0_LO>(gv),
-                succ_beta::<0, 0>(&nxt),
-            );
-            let c1 = _mm256_add_pd(
-                _mm256_permute4x64_pd::<B_D1_LO>(gv),
-                succ_beta::<0, 1>(&nxt),
-            );
-            let (lo, _) = pick(c0, c1);
-            let c0 = _mm256_add_pd(
-                _mm256_permute4x64_pd::<B_D0_HI>(gv),
-                succ_beta::<4, 0>(&nxt),
-            );
-            let c1 = _mm256_add_pd(
-                _mm256_permute4x64_pd::<B_D1_HI>(gv),
-                succ_beta::<4, 1>(&nxt),
-            );
-            let (hi, _) = pick(c0, c1);
-            let out = beta[t].as_mut_ptr();
-            _mm256_storeu_pd(out, lo);
-            _mm256_storeu_pd(out.add(4), hi);
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn map_extrinsic(
-        alpha: &[[f64; MAP_STATES]],
-        beta: &[[f64; MAP_STATES]],
-        gammas: &[[f64; 4]],
-        sys: &[f64],
-        apriori: &[f64],
-        ext: &mut [f64],
-    ) {
-        for (t, e) in ext.iter_mut().enumerate() {
-            let a = &alpha[t];
-            let b = &beta[t + 1];
-            let gv = _mm256_loadu_pd(gammas[t].as_ptr());
-            let a_lo = _mm256_loadu_pd(a.as_ptr());
-            let a_hi = _mm256_loadu_pd(a.as_ptr().add(4));
-            // Candidates (a + γ) + β, vectorised over states; the max fold
-            // runs scalar in ascending state order so ties (including
-            // signed zeros) resolve exactly as in the scalar backend.
-            let mut c0 = [0.0f64; MAP_STATES];
-            let mut c1 = [0.0f64; MAP_STATES];
-            let v = _mm256_add_pd(
-                _mm256_add_pd(a_lo, _mm256_permute4x64_pd::<B_D0_LO>(gv)),
-                succ_beta::<0, 0>(b),
-            );
-            _mm256_storeu_pd(c0.as_mut_ptr(), v);
-            let v = _mm256_add_pd(
-                _mm256_add_pd(a_hi, _mm256_permute4x64_pd::<B_D0_HI>(gv)),
-                succ_beta::<4, 0>(b),
-            );
-            _mm256_storeu_pd(c0.as_mut_ptr().add(4), v);
-            let v = _mm256_add_pd(
-                _mm256_add_pd(a_lo, _mm256_permute4x64_pd::<B_D1_LO>(gv)),
-                succ_beta::<0, 1>(b),
-            );
-            _mm256_storeu_pd(c1.as_mut_ptr(), v);
-            let v = _mm256_add_pd(
-                _mm256_add_pd(a_hi, _mm256_permute4x64_pd::<B_D1_HI>(gv)),
-                succ_beta::<4, 1>(b),
-            );
-            _mm256_storeu_pd(c1.as_mut_ptr().add(4), v);
-            let mut m0 = super::MAP_NEG;
-            let mut m1 = super::MAP_NEG;
-            for s in 0..MAP_STATES {
-                if c0[s] > m0 {
-                    m0 = c0[s];
-                }
-                if c1[s] > m1 {
-                    m1 = c1[s];
-                }
-            }
-            let llr = m0 - m1;
-            *e = llr - sys[t] - apriori[t];
-        }
-    }
 }
 
 impl TrellisKernels for SimdTrellisKernels {
     fn backend(&self) -> Backend {
         Backend::Simd
-    }
-
-    fn viterbi_branch_metrics(&self, step_llrs: &[f64], bm: &mut [f64]) {
-        // ≤ 8-entry table: shared sequential build, trivially bitwise-equal.
-        branch_metrics_shared(step_llrs, bm);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -578,32 +226,6 @@ impl TrellisKernels for SimdTrellisKernels {
         unsafe { avx2::viterbi_acs(metrics, bm, out0, out1, limit, metrics_next, decisions) }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    fn map_forward(&self, alpha: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        // SAFETY: as above — the handle implies AVX2 support.
-        unsafe { avx2::map_forward(alpha, gammas) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn map_backward(&self, beta: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        // SAFETY: as above — the handle implies AVX2 support.
-        unsafe { avx2::map_backward(beta, gammas) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn map_extrinsic(
-        &self,
-        alpha: &[[f64; MAP_STATES]],
-        beta: &[[f64; MAP_STATES]],
-        gammas: &[[f64; 4]],
-        sys: &[f64],
-        apriori: &[f64],
-        ext: &mut [f64],
-    ) {
-        // SAFETY: as above — the handle implies AVX2 support.
-        unsafe { avx2::map_extrinsic(alpha, beta, gammas, sys, apriori, ext) }
-    }
-
     #[cfg(not(target_arch = "x86_64"))]
     fn viterbi_acs(
         &self,
@@ -616,29 +238,6 @@ impl TrellisKernels for SimdTrellisKernels {
         decisions: &mut [u8],
     ) {
         viterbi_acs_scalar(metrics, bm, out0, out1, limit, metrics_next, decisions);
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn map_forward(&self, alpha: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        map_forward_scalar(alpha, gammas);
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn map_backward(&self, beta: &mut [[f64; MAP_STATES]], gammas: &[[f64; 4]]) {
-        map_backward_scalar(beta, gammas);
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn map_extrinsic(
-        &self,
-        alpha: &[[f64; MAP_STATES]],
-        beta: &[[f64; MAP_STATES]],
-        gammas: &[[f64; 4]],
-        sys: &[f64],
-        apriori: &[f64],
-        ext: &mut [f64],
-    ) {
-        map_extrinsic_scalar(alpha, beta, gammas, sys, apriori, ext);
     }
 }
 
@@ -663,125 +262,11 @@ pub fn active() -> TrellisKernelHandle {
     for_backend(selection().backend)
 }
 
-/// The auto-dispatched handle for the **max-log-MAP** kernels
-/// (`map_forward` / `map_backward` / `map_extrinsic`, i.e. the
-/// [`crate::TurboDecoder`] hot loops).
-///
-/// The 8-state MAP recursions are too short for AVX2 to pay off: the
-/// committed bench matrix pins `coding.turbo` at an honest 0.83x, so under
-/// a *non-forced* `auto` selection this resolves to the scalar backend
-/// even on AVX2 hosts. A forced `GSP_KERNEL_BACKEND=scalar|simd` still
-/// binds every kernel — including these — so the per-backend CI matrix and
-/// the bitwise equivalence tests exercise both implementations unchanged.
-pub fn map_active() -> TrellisKernelHandle {
-    let sel = selection();
-    if sel.forced {
-        for_backend(sel.backend)
-    } else {
-        &SCALAR
-    }
-}
-
-/// Why [`map_active`] resolved the way it did (mirrors the registry row).
-fn map_reason(sel: gsp_kernels::Selection) -> &'static str {
-    if sel.forced {
-        sel.reason
-    } else {
-        "auto: scalar preferred for 8-state max-log-MAP (SIMD measured 0.83x)"
-    }
-}
-
-/// Registers this crate's kernels on `reg`: the Viterbi kernels follow the
-/// process-wide selection; the MAP kernels follow [`map_active`]'s
-/// per-kernel dispatch (scalar under non-forced `auto`).
-pub fn register(reg: &mut KernelRegistry) {
-    let sel = selection();
-    for name in ["coding.viterbi_bm", "coding.viterbi_acs"] {
-        reg.register(name, sel.backend, sel.reason);
-    }
-    let map_backend = map_active().backend();
-    for name in [
-        "coding.map_forward",
-        "coding.map_backward",
-        "coding.map_extrinsic",
-    ] {
-        reg.register(name, map_backend, map_reason(sel));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn fwd_and_bwd_tables_agree() {
-        // FWD must be the exact inverse image of BWD.
-        for (s, row) in BWD.iter().enumerate() {
-            for (d, &(ns, gidx)) in row.iter().enumerate() {
-                let p = s & 1;
-                assert_eq!(FWD[ns][p], (s, gidx), "s={s} d={d}");
-                assert_eq!(gidx >> 1, d, "gamma idx encodes the input bit");
-            }
-        }
-    }
-
-    fn random_gammas(rng: &mut StdRng, k: usize) -> Vec<[f64; 4]> {
-        (0..k)
-            .map(|_| {
-                let a: f64 = rng.gen_range(-8.0..8.0);
-                let b: f64 = rng.gen_range(-8.0..8.0);
-                [a + b, a - b, -a + b, -a - b]
-            })
-            .collect()
-    }
-
-    #[test]
-    fn simd_map_recursions_bitwise_match_scalar() {
-        if !simd_available() {
-            return;
-        }
-        let simd = for_backend(Backend::Simd);
-        let mut rng = StdRng::seed_from_u64(31);
-        for k in [1usize, 2, 5, 17, 96] {
-            let gammas = random_gammas(&mut rng, k);
-            let mut boundary = [MAP_NEG; MAP_STATES];
-            boundary[0] = 0.0;
-
-            let mut a1 = vec![[0.0; MAP_STATES]; k + 1];
-            a1[0] = boundary;
-            let mut a2 = a1.clone();
-            ScalarTrellisKernels.map_forward(&mut a1, &gammas);
-            simd.map_forward(&mut a2, &gammas);
-            for (t, (x, y)) in a1.iter().zip(&a2).enumerate() {
-                for s in 0..MAP_STATES {
-                    assert_eq!(x[s].to_bits(), y[s].to_bits(), "alpha k={k} t={t} s={s}");
-                }
-            }
-
-            let mut b1 = vec![[0.0; MAP_STATES]; k + 1];
-            b1[k] = boundary;
-            let mut b2 = b1.clone();
-            ScalarTrellisKernels.map_backward(&mut b1, &gammas);
-            simd.map_backward(&mut b2, &gammas);
-            for (t, (x, y)) in b1.iter().zip(&b2).enumerate() {
-                for s in 0..MAP_STATES {
-                    assert_eq!(x[s].to_bits(), y[s].to_bits(), "beta k={k} t={t} s={s}");
-                }
-            }
-
-            let sys: Vec<f64> = (0..k).map(|_| rng.gen_range(-4.0..4.0)).collect();
-            let ap: Vec<f64> = (0..k).map(|_| rng.gen_range(-4.0..4.0)).collect();
-            let mut e1 = vec![0.0; k];
-            let mut e2 = vec![0.0; k];
-            ScalarTrellisKernels.map_extrinsic(&a1, &b1, &gammas, &sys, &ap, &mut e1);
-            simd.map_extrinsic(&a2, &b2, &gammas, &sys, &ap, &mut e2);
-            for (t, (x, y)) in e1.iter().zip(&e2).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "ext k={k} t={t}");
-            }
-        }
-    }
 
     #[test]
     fn simd_viterbi_acs_bitwise_matches_scalar() {
@@ -830,34 +315,5 @@ mod tests {
                 assert_eq!(dec_a, dec_b, "decisions n={n_states} limit={limit}");
             }
         }
-    }
-
-    #[test]
-    fn map_auto_dispatch_prefers_scalar_unless_forced() {
-        let sel = selection();
-        let map = map_active().backend();
-        if sel.forced {
-            assert_eq!(
-                map, sel.backend,
-                "a forced backend must bind the MAP kernels"
-            );
-        } else {
-            assert_eq!(
-                map,
-                Backend::Scalar,
-                "auto must pick scalar for max-log-MAP"
-            );
-        }
-        // The registry rows agree with the dispatched handles.
-        let mut reg = KernelRegistry::new();
-        register(&mut reg);
-        assert_eq!(reg.backend_for("coding.map_forward"), Some(map));
-        assert_eq!(reg.backend_for("coding.map_backward"), Some(map));
-        assert_eq!(reg.backend_for("coding.map_extrinsic"), Some(map));
-        assert_eq!(
-            reg.backend_for("coding.viterbi_acs"),
-            Some(sel.backend),
-            "Viterbi keeps the process-wide selection"
-        );
     }
 }

@@ -9,12 +9,18 @@
 
 use crate::bits::llr_to_bit;
 use crate::interleave::{prime_interleaver, Interleaver};
-use crate::kernels::{self, TrellisKernelHandle};
 
 /// Number of trellis states of each constituent encoder.
 const STATES: usize = 8;
 /// Tail steps per constituent.
 const TAIL: usize = 3;
+
+/// The "effectively −∞" path metric of the max-log-MAP recursions.
+///
+/// Small enough that no real path metric approaches it, large enough that
+/// adding a branch metric to it is absorbed exactly (`−1e300 + γ = −1e300`
+/// for every |γ| < 5e283), so unreachable states stay at exactly this value.
+const NEG: f64 = -1e300;
 
 /// The 8-state RSC constituent trellis (g0 = 13₈, g1 = 15₈).
 ///
@@ -26,7 +32,7 @@ struct RscTrellis;
 impl RscTrellis {
     /// (next_state, parity_bit) for input `d` in state `s`.
     #[inline]
-    fn step(s: usize, d: u8) -> (usize, u8) {
+    const fn step(s: usize, d: u8) -> (usize, u8) {
         let s2 = ((s >> 1) & 1) as u8; // a_{k-2}
         let s3 = (s & 1) as u8; // a_{k-3}
         let s1 = ((s >> 2) & 1) as u8; // a_{k-1}
@@ -40,6 +46,116 @@ impl RscTrellis {
     #[inline]
     fn term_input(s: usize) -> u8 {
         (((s >> 1) & 1) ^ (s & 1)) as u8
+    }
+}
+
+/// `BWD[s] = [(ns, gamma_idx); 2]` — the successors of `s` for inputs
+/// d=0, d=1 and the gamma-table index `(d<<1)|z` of each transition.
+const BWD: [[(usize, usize); 2]; STATES] = build_bwd();
+
+/// `FWD[ns] = [(s, gamma_idx); 2]` — the two predecessors of `ns` (even
+/// first) with the same gamma-table index as in [`BWD`].
+const FWD: [[(usize, usize); 2]; STATES] = build_fwd();
+
+const fn build_bwd() -> [[(usize, usize); 2]; STATES] {
+    let mut t = [[(0, 0); 2]; STATES];
+    let mut s = 0;
+    while s < STATES {
+        let mut d = 0;
+        while d < 2 {
+            let (ns, z) = RscTrellis::step(s, d as u8);
+            t[s][d] = (ns, (d << 1) | z as usize);
+            d += 1;
+        }
+        s += 1;
+    }
+    t
+}
+
+const fn build_fwd() -> [[(usize, usize); 2]; STATES] {
+    let mut t = [[(0, 0); 2]; STATES];
+    let mut s = 0;
+    while s < STATES {
+        let mut d = 0;
+        while d < 2 {
+            let (ns, g) = BWD[s][d];
+            t[ns][s & 1] = (s, g);
+            d += 1;
+        }
+        s += 1;
+    }
+    t
+}
+
+/// Max-log-MAP forward recursion over the information steps:
+/// `alpha[t+1][ns]` = max over the two predecessors `(s, d)` of `ns` of
+/// `alpha[t][s] + gammas[t][(d<<1)|z]`; `alpha[0]` is the caller's boundary.
+fn map_forward(alpha: &mut [[f64; STATES]], gammas: &[[f64; 4]]) {
+    for (t, g) in gammas.iter().enumerate() {
+        let prev = alpha[t];
+        let mut next = [0.0; STATES];
+        for (ns, n) in next.iter_mut().enumerate() {
+            let (s0, g0) = FWD[ns][0];
+            let (s1, g1) = FWD[ns][1];
+            let c0 = prev[s0] + g[g0];
+            let c1 = prev[s1] + g[g1];
+            *n = if c1 > c0 { c1 } else { c0 };
+        }
+        alpha[t + 1] = next;
+    }
+}
+
+/// Max-log-MAP backward recursion over the information steps:
+/// `beta[t][s]` = max over `d` of `gammas[t][(d<<1)|z] + beta[t+1][ns]`;
+/// the caller seeds `beta[gammas.len()]`.
+fn map_backward(beta: &mut [[f64; STATES]], gammas: &[[f64; 4]]) {
+    for t in (0..gammas.len()).rev() {
+        let nxt = beta[t + 1];
+        let g = &gammas[t];
+        let mut cur = [0.0; STATES];
+        for (s, c) in cur.iter_mut().enumerate() {
+            let (n0, g0) = BWD[s][0];
+            let (n1, g1) = BWD[s][1];
+            let c0 = g[g0] + nxt[n0];
+            let c1 = g[g1] + nxt[n1];
+            *c = if c1 > c0 { c1 } else { c0 };
+        }
+        beta[t] = cur;
+    }
+}
+
+/// Per-bit extrinsic over the information steps: `m_d` = max over `s` of
+/// `(alpha[t][s] + gammas[t][(d<<1)|z]) + beta[t+1][ns]`, and
+/// `ext[t] = (m₀ − m₁) − sys[t] − apriori[t]`.
+fn map_extrinsic(
+    alpha: &[[f64; STATES]],
+    beta: &[[f64; STATES]],
+    gammas: &[[f64; 4]],
+    sys: &[f64],
+    apriori: &[f64],
+    ext: &mut [f64],
+) {
+    for (t, e) in ext.iter_mut().enumerate() {
+        let a = &alpha[t];
+        let b = &beta[t + 1];
+        let g = &gammas[t];
+        let mut m0 = NEG;
+        let mut m1 = NEG;
+        for s in 0..STATES {
+            let (n0, g0) = BWD[s][0];
+            let (n1, g1) = BWD[s][1];
+            // Association (a + γ) + β matches the historical scan.
+            let c0 = a[s] + g[g0] + b[n0];
+            if c0 > m0 {
+                m0 = c0;
+            }
+            let c1 = a[s] + g[g1] + b[n1];
+            if c1 > m1 {
+                m1 = c1;
+            }
+        }
+        let llr = m0 - m1;
+        *e = llr - sys[t] - apriori[t];
     }
 }
 
@@ -109,9 +225,8 @@ impl TurboCode {
 /// splits are all preallocated, so steady-state decoding via
 /// [`TurboDecoder::decode_into`] performs no heap allocation.
 ///
-/// The forward/backward recursions and the extrinsic extraction dispatch
-/// through a pluggable kernel backend ([`crate::kernels`]); output is
-/// bitwise identical on every backend.
+/// The recursions are scalar on every kernel backend: the 8-state trellis
+/// is too short for AVX2 to pay off (DESIGN.md §11).
 #[derive(Clone, Debug)]
 pub struct TurboDecoder {
     code: TurboCode,
@@ -120,7 +235,7 @@ pub struct TurboDecoder {
     beta: Vec<[f64; STATES]>,
     /// Per-step branch-metric table over the information steps:
     /// `gammas[t][(d<<1)|z]`. Only four values exist per step, so the
-    /// recursions become table lookups the SIMD backend can permute.
+    /// recursions become table lookups.
     gammas: Vec<[f64; 4]>,
     ext1: Vec<f64>,
     ext2: Vec<f64>,
@@ -131,24 +246,11 @@ pub struct TurboDecoder {
     sys: Vec<f64>,
     par1: Vec<f64>,
     par2: Vec<f64>,
-    /// Compute-kernel backend for the trellis recursions.
-    kernels: TrellisKernelHandle,
 }
 
 impl TurboDecoder {
-    /// Builds a decoder for `code`, using the per-kernel auto-dispatch
-    /// for the MAP recursions ([`kernels::map_active`]): scalar under a
-    /// non-forced `auto` selection (SIMD's measured 0.83x on the 8-state
-    /// trellis), the forced backend when `GSP_KERNEL_BACKEND` is set.
+    /// Builds a decoder for `code`.
     pub fn new(code: TurboCode) -> Self {
-        Self::with_kernels(code, kernels::map_active())
-    }
-
-    /// Builds a decoder pinned to a specific kernel backend handle — the
-    /// per-instance override used by cross-backend tests and benches.
-    /// Decoded bits are bitwise identical to [`TurboDecoder::new`] on any
-    /// backend.
-    pub fn with_kernels(code: TurboCode, kernels: TrellisKernelHandle) -> Self {
         let k = code.info_len();
         let steps = k + TAIL;
         TurboDecoder {
@@ -164,7 +266,6 @@ impl TurboDecoder {
             sys: vec![0.0; k],
             par1: vec![0.0; k],
             par2: vec![0.0; k],
-            kernels,
         }
     }
 
@@ -176,17 +277,16 @@ impl TurboDecoder {
     /// Max-log-MAP over one constituent. Writes per-bit extrinsic LLRs to
     /// `ext`. `sys`/`par`/`apriori` have length K; tails length 3 each.
     ///
-    /// The information steps run through the kernel backend; the three
-    /// tail steps (one termination input per state, no extrinsic) stay in
-    /// the scalar driver. Both paths are bitwise identical to the
-    /// historical single-loop implementation: the four-entry gamma table
-    /// holds exactly the values `±a ± b` that the per-branch expression
-    /// produced (±1 multiplies and IEEE negation are exact), and
-    /// [`kernels::MAP_NEG`] absorbs branch metrics so unreachable states
-    /// keep the precise sentinel the historical skip tests relied on.
+    /// The information steps run through the table-driven recursions; the
+    /// three tail steps (one termination input per state, no extrinsic)
+    /// run per branch. Both are bitwise identical to the historical
+    /// single-loop implementation: the four-entry gamma table holds exactly
+    /// the values `±a ± b` that the per-branch expression produced (±1
+    /// multiplies and IEEE negation are exact), and [`NEG`] absorbs branch
+    /// metrics so unreachable states keep the precise sentinel the
+    /// historical skip tests relied on.
     #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
     fn bcjr(
-        kernels: TrellisKernelHandle,
         alpha: &mut [[f64; STATES]],
         beta: &mut [[f64; STATES]],
         gammas: &mut [[f64; 4]],
@@ -199,7 +299,6 @@ impl TurboDecoder {
     ) {
         let k = sys.len();
         let steps = k + TAIL;
-        const NEG: f64 = crate::kernels::MAP_NEG;
 
         // Per-step branch-metric table over the information steps, indexed
         // by (d<<1)|z: with a = ½(sys+apriori) and b = ½·par the four
@@ -219,10 +318,10 @@ impl TurboDecoder {
         };
 
         // Forward recursion (encoder starts in state 0): information steps
-        // in the kernel, tail steps scalar (single termination input).
+        // from the table, then the tail steps (single termination input).
         alpha[0] = [NEG; STATES];
         alpha[0][0] = 0.0;
-        kernels.map_forward(&mut alpha[..=k], gammas);
+        map_forward(&mut alpha[..=k], gammas);
         for t in k..steps {
             let mut next = [NEG; STATES];
             for s in 0..STATES {
@@ -240,7 +339,7 @@ impl TurboDecoder {
         }
 
         // Backward recursion (termination ends in state 0): tail steps
-        // scalar down to beta[k], then the kernel takes over.
+        // down to beta[k], then the information steps from the table.
         beta[steps] = [NEG; STATES];
         beta[steps][0] = 0.0;
         for t in (k..steps).rev() {
@@ -254,10 +353,10 @@ impl TurboDecoder {
             }
             beta[t] = prev;
         }
-        kernels.map_backward(&mut beta[..=k], gammas);
+        map_backward(&mut beta[..=k], gammas);
 
         // Per-bit LLR and extrinsic extraction over the information steps.
-        kernels.map_extrinsic(alpha, beta, gammas, sys, apriori, ext);
+        map_extrinsic(alpha, beta, gammas, sys, apriori, ext);
     }
 
     /// Decodes a received block of `3K + 12` channel LLRs (same ordering as
@@ -312,7 +411,6 @@ impl TurboDecoder {
                 .interleaver
                 .deinterleave(&self.ext2, &mut self.apriori);
             Self::bcjr(
-                self.kernels,
                 &mut self.alpha,
                 &mut self.beta,
                 &mut self.gammas,
@@ -329,7 +427,6 @@ impl TurboDecoder {
                 .interleave(&self.ext1, &mut self.scratch);
             self.apriori.copy_from_slice(&self.scratch);
             Self::bcjr(
-                self.kernels,
                 &mut self.alpha,
                 &mut self.beta,
                 &mut self.gammas,
@@ -383,6 +480,18 @@ mod tests {
             preds[n1] += 1;
         }
         assert!(preds.iter().all(|&p| p == 2));
+    }
+
+    #[test]
+    fn fwd_and_bwd_tables_agree() {
+        // FWD must be the exact inverse image of BWD.
+        for (s, row) in BWD.iter().enumerate() {
+            for (d, &(ns, gidx)) in row.iter().enumerate() {
+                let p = s & 1;
+                assert_eq!(FWD[ns][p], (s, gidx), "s={s} d={d}");
+                assert_eq!(gidx >> 1, d, "gamma idx encodes the input bit");
+            }
+        }
     }
 
     #[test]

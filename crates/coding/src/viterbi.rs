@@ -15,9 +15,9 @@ use crate::kernels::{self, TrellisKernelHandle};
 /// blocks, so steady-state decoding via
 /// [`ViterbiDecoder::decode_into`] performs no heap allocation.
 ///
-/// The branch-metric and add-compare-select inner loops dispatch through a
-/// pluggable kernel backend ([`crate::kernels`]); output is bitwise
-/// identical on every backend.
+/// The add-compare-select inner loop dispatches through a pluggable kernel
+/// backend ([`crate::kernels`]); output is bitwise identical on every
+/// backend.
 #[derive(Clone, Debug)]
 pub struct ViterbiDecoder {
     code: ConvCode,
@@ -41,7 +41,7 @@ pub struct ViterbiDecoder {
     /// (`1 << n_outputs` entries), rebuilt once per trellis step so the
     /// add-compare-select loop over states is a branch-free table lookup.
     branch_metrics: Vec<f64>,
-    /// Compute-kernel backend for the branch-metric and ACS loops.
+    /// Compute-kernel backend for the ACS loop.
     kernels: TrellisKernelHandle,
 }
 
@@ -143,8 +143,7 @@ impl ViterbiDecoder {
             // the ACS loop over states then pays one table lookup per
             // transition instead of an LLR loop with a data-dependent
             // branch per coded bit.
-            self.kernels
-                .viterbi_branch_metrics(step_llrs, &mut self.branch_metrics);
+            branch_metrics(step_llrs, &mut self.branch_metrics);
             let dec = &mut self.decisions[t * n_states..(t + 1) * n_states];
             // During the tail only bit 0 is transmitted, so only successor
             // states with a zero MSB — the lower half — are reachable; the
@@ -179,6 +178,21 @@ impl ViterbiDecoder {
             let oldest = self.decisions[t * n_states + state as usize];
             state = ((state << 1) & mask) | oldest as u32;
         }
+    }
+}
+
+/// Branch-metric table for one step: for every packed coded pattern `p`
+/// (MSB-first), `bm[p] = Σᵢ (pᵢ == 0 ? +llr[i] : −llr[i])`.
+fn branch_metrics(step_llrs: &[f64], bm: &mut [f64]) {
+    let n_out = step_llrs.len();
+    debug_assert_eq!(bm.len(), 1 << n_out);
+    for (p, b) in bm.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (i, &l) in step_llrs.iter().enumerate() {
+            let coded = (p >> (n_out - 1 - i)) & 1;
+            acc += if coded == 0 { l } else { -l };
+        }
+        *b = acc;
     }
 }
 

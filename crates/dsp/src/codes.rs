@@ -1,7 +1,6 @@
 //! Spreading-code generators for the S-UMTS CDMA waveform: LFSR
-//! m-sequences, Gold codes (the basis of UMTS scrambling), and OVSF
-//! channelization codes (3G TS 25.213-style), plus a complex scrambling
-//! sequence.
+//! m-sequences, OVSF channelization codes (3G TS 25.213-style), and the
+//! complex Gold scrambling sequence.
 
 /// Fibonacci LFSR over GF(2) defined by a tap polynomial.
 ///
@@ -77,47 +76,6 @@ impl Lfsr {
     #[inline]
     pub fn next_chip(&mut self) -> i8 {
         1 - 2 * self.next_bit() as i8
-    }
-}
-
-/// Gold-code generator: XOR of two preferred-pair m-sequences of equal
-/// degree, with a selectable code index (relative phase of the second
-/// register). Gold families give the bounded cross-correlation CDMA needs to
-/// separate users.
-#[derive(Clone, Debug)]
-pub struct GoldCode {
-    a: Lfsr,
-    b: Lfsr,
-}
-
-impl GoldCode {
-    /// Creates the Gold code of the given `degree` and `index`
-    /// (`0 ≤ index < 2^degree − 1` selects the phase offset of register b).
-    pub fn new(degree: u32, index: u64) -> Self {
-        // Second member of a classical preferred pair (Sarwate & Pursley
-        // tables; degree 10 is the GPS C/A G2 polynomial). Paired with the
-        // primitive polynomial registered in [`Lfsr::m_sequence`].
-        let taps_b: u64 = match degree {
-            5 => 0x1D,   // x^5+x^4+x^3+x^2+1      (octal 75)
-            7 => 0xF,    // x^7+x^3+x^2+x+1        (octal 217)
-            9 => 0x59,   // x^9+x^6+x^4+x^3+1      (octal 1131)
-            10 => 0x34D, // x^10+x^9+x^8+x^6+x^3+x^2+1 (GPS G2)
-            _ => panic!("Gold preferred pair not registered for degree {degree}"),
-        };
-        let a = Lfsr::m_sequence(degree, 1);
-        let mut b = Lfsr::new(degree, taps_b, 1);
-        let period = (1u64 << degree) - 1;
-        for _ in 0..(index % period) {
-            b.next_bit();
-        }
-        GoldCode { a, b }
-    }
-
-    /// Next chip as ±1.
-    #[inline]
-    pub fn next_chip(&mut self) -> i8 {
-        let bit = self.a.next_bit() ^ self.b.next_bit();
-        1 - 2 * bit as i8
     }
 }
 
@@ -258,29 +216,6 @@ mod tests {
             let c = periodic_correlation(&chips, &chips, shift);
             assert!((c + 1.0 / n as f64).abs() < 1e-12, "shift {shift}: {c}");
         }
-    }
-
-    #[test]
-    fn gold_cross_correlation_is_bounded() {
-        // Gold bound for degree 7 (odd): |θ| ≤ 2^{(n+1)/2}+1 = 17 → 17/127.
-        let degree = 7;
-        let n = (1usize << degree) - 1;
-        let (mut ga, mut gb) = (GoldCode::new(degree, 3), GoldCode::new(degree, 58));
-        let a = period_chips(n, || ga.next_chip());
-        let b = period_chips(n, || gb.next_chip());
-        let bound = (2f64.powf((degree as f64 + 1.0) / 2.0) + 1.0) / n as f64;
-        for shift in 0..n {
-            let c = periodic_correlation(&a, &b, shift).abs();
-            assert!(c <= bound + 1e-9, "shift {shift}: {c} > {bound}");
-        }
-    }
-
-    #[test]
-    fn gold_indices_give_distinct_codes() {
-        let (mut ga, mut gb) = (GoldCode::new(9, 1), GoldCode::new(9, 2));
-        let a = period_chips(511, || ga.next_chip());
-        let b = period_chips(511, || gb.next_chip());
-        assert_ne!(a, b);
     }
 
     #[test]

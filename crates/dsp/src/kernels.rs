@@ -36,7 +36,7 @@
 //! cross-backend tests.
 
 use crate::complex::Cpx;
-pub use gsp_kernels::{selection, simd_available, Backend, KernelRegistry};
+pub use gsp_kernels::{selection, simd_available, Backend};
 
 /// A `'static` dispatch handle to one backend's kernel set.
 pub type CpxKernelHandle = &'static dyn CpxKernels;
@@ -584,21 +584,6 @@ pub fn for_backend(backend: Backend) -> CpxKernelHandle {
 /// The process-wide auto-dispatched handle (see [`gsp_kernels::selection`]).
 pub fn active() -> CpxKernelHandle {
     for_backend(selection().backend)
-}
-
-/// Registers this crate's kernels on `reg` with the process-wide selection.
-pub fn register(reg: &mut KernelRegistry) {
-    let sel = selection();
-    for name in [
-        "dsp.dot_real",
-        "dsp.corr_energy",
-        "dsp.fft_butterflies",
-        "dsp.fir_block",
-        "dsp.corr_power_strided",
-        "dsp.axpy_real",
-    ] {
-        reg.register(name, sel.backend, sel.reason);
-    }
 }
 
 #[cfg(test)]

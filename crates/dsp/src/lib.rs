@@ -4,8 +4,9 @@
 //! simulation of the `gsp` workspace is built: a small complex-baseband type,
 //! FIR/half-band/root-raised-cosine filters, a radix-2 FFT, a numerically
 //! controlled oscillator, a polyphase channelizer (the MF-TDMA demultiplexer
-//! of the paper's Fig. 2), spreading-code generators (m-sequences, Gold,
-//! OVSF) for the S-UMTS CDMA waveform, resampling and measurement helpers.
+//! of the paper's Fig. 2), spreading-code generators (m-sequences, OVSF,
+//! Gold scrambling) for the S-UMTS CDMA waveform, resampling and measurement
+//! helpers.
 //!
 //! Everything here is deterministic and allocation-conscious: streaming
 //! operators own preallocated state and expose `process`-style methods that
@@ -59,13 +60,13 @@ pub use complex::Cpx;
 pub mod prelude {
     pub use crate::beamform::{Dbfn, UniformLinearArray};
     pub use crate::channelizer::PolyphaseChannelizer;
-    pub use crate::codes::{GoldCode, Lfsr, OvsfTree, ScramblingCode};
+    pub use crate::codes::{Lfsr, OvsfTree, ScramblingCode};
     pub use crate::complex::Cpx;
     pub use crate::fft::Fft;
     pub use crate::filter::{FirFilter, FirKernel};
     pub use crate::halfband::HalfBandDecimator;
     pub use crate::kernels::{Backend, CpxKernelHandle, CpxKernels};
-    pub use crate::math::{db_to_lin, lin_to_db, q_function, sinc};
+    pub use crate::math::{db_to_lin, q_function, sinc};
     pub use crate::measure::{evm_rms, mean_power, snr_estimate_m2m4};
     pub use crate::nco::Nco;
     pub use crate::pulse::RrcPulse;

@@ -1,14 +1,15 @@
 //! # gsp-kernels — compute-kernel backend selection for the gsp workspace
 //!
-//! The hot inner loops of the payload chain (complex dot/MAC, radix-2 FFT
-//! butterflies, Viterbi add-compare-select, max-log-MAP recursions) exist in
+//! The vectorisable hot loops of the payload chain (complex dot/MAC,
+//! radix-2 FFT butterflies, block FIR, Viterbi add-compare-select) exist in
 //! two implementations: a portable **scalar** backend and a **SIMD** backend
 //! built on `core::arch` x86_64 AVX2 intrinsics. This crate owns the
-//! *selection* of a backend — host feature detection, the
-//! `GSP_KERNEL_BACKEND` environment override, and the [`KernelRegistry`]
-//! reporting surface — while the kernel implementations themselves live next
-//! to their data types (`gsp_dsp::kernels` for complex-sample kernels,
-//! `gsp_coding::kernels` for trellis kernels).
+//! *selection* of a backend — host feature detection and the
+//! `GSP_KERNEL_BACKEND` environment override — while the kernel
+//! implementations themselves live next to their data types
+//! (`gsp_dsp::kernels` for complex-sample kernels, `gsp_coding::kernels`
+//! for trellis kernels). Every kernel handle that is not pinned follows the
+//! one [`selection`]; there is no per-kernel exception.
 //!
 //! Selection is resolved once per process ([`selection`]) and is purely a
 //! *performance* decision: the equivalence contract between backends
@@ -74,13 +75,6 @@ pub struct Selection {
     pub backend: Backend,
     /// Human-readable provenance (forced by env, feature-detected, …).
     pub reason: &'static str,
-    /// `true` when the backend was forced via `GSP_KERNEL_BACKEND=scalar`
-    /// or `=simd`. A forced backend binds *every* kernel (the equivalence
-    /// test matrix depends on this); under `auto` a provider may override
-    /// the selection per kernel where the measured speedup says otherwise
-    /// (e.g. the max-log-MAP kernels, where SIMD ships at an honest
-    /// 0.83x — see `gsp_coding::kernels::map_active`).
-    pub forced: bool,
 }
 
 fn auto_selection() -> Selection {
@@ -88,108 +82,52 @@ fn auto_selection() -> Selection {
         Selection {
             backend: Backend::Simd,
             reason: "auto: AVX2 detected",
-            forced: false,
         }
     } else {
         Selection {
             backend: Backend::Scalar,
             reason: "auto: AVX2 unavailable, portable fallback",
-            forced: false,
         }
     }
 }
 
-fn detect_selection() -> Selection {
-    match std::env::var(BACKEND_ENV) {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "scalar" => Selection {
-                backend: Backend::Scalar,
-                reason: "forced by GSP_KERNEL_BACKEND=scalar",
-                forced: true,
-            },
-            "simd" => {
-                assert!(
-                    simd_available(),
-                    "GSP_KERNEL_BACKEND=simd but this host has no AVX2 \
-                     (unset the variable or use `scalar`/`auto`)"
-                );
-                Selection {
-                    backend: Backend::Simd,
-                    reason: "forced by GSP_KERNEL_BACKEND=simd",
-                    forced: true,
-                }
-            }
-            "auto" | "" => auto_selection(),
-            other => panic!("GSP_KERNEL_BACKEND must be `scalar`, `simd` or `auto`, got {other:?}"),
+/// The selection a value of [`BACKEND_ENV`] asks for (`None` = unset).
+/// Panics on an unknown value, and on `simd` when the host has no AVX2.
+fn parse_selection(value: Option<&str>) -> Selection {
+    let Some(v) = value else {
+        return auto_selection();
+    };
+    match v.to_ascii_lowercase().as_str() {
+        "scalar" => Selection {
+            backend: Backend::Scalar,
+            reason: "forced by GSP_KERNEL_BACKEND=scalar",
         },
-        Err(_) => auto_selection(),
+        "simd" => {
+            assert!(
+                simd_available(),
+                "GSP_KERNEL_BACKEND=simd but this host has no AVX2 \
+                 (unset the variable or use `scalar`/`auto`)"
+            );
+            Selection {
+                backend: Backend::Simd,
+                reason: "forced by GSP_KERNEL_BACKEND=simd",
+            }
+        }
+        "auto" | "" => auto_selection(),
+        other => panic!("GSP_KERNEL_BACKEND must be `scalar`, `simd` or `auto`, got {other:?}"),
     }
 }
 
 /// The process-wide backend selection, resolved once on first use
-/// (env override first, then feature detection) and cached.
+/// (env override first, then feature detection) and cached. Every kernel
+/// handle that is not pinned follows it.
 ///
 /// Per-instance overrides (the `with_kernels` constructors and
 /// `ChainConfig::kernel_backend`) bypass this and are how one process runs
 /// both backends side by side, e.g. in the cross-backend equivalence tests.
 pub fn selection() -> Selection {
     static SELECTION: OnceLock<Selection> = OnceLock::new();
-    *SELECTION.get_or_init(detect_selection)
-}
-
-/// One registered kernel: its dotted name (`dsp.dot_real`,
-/// `coding.viterbi_acs`, …) and the backend it dispatches to.
-#[derive(Clone, Copy, Debug)]
-pub struct KernelEntry {
-    /// Dotted kernel name, stable across releases (bench artifacts key on it).
-    pub name: &'static str,
-    /// Backend this kernel resolves to.
-    pub backend: Backend,
-    /// Why (inherited process selection, per-kernel fallback, …).
-    pub reason: &'static str,
-}
-
-/// An inventory of the kernels active in this process and the backend each
-/// dispatches to — the reporting surface behind the bench matrix and the
-/// `--kernels` style listings.
-///
-/// Kernel *providers* (`gsp_dsp::kernels`, `gsp_coding::kernels`) each
-/// expose a `register` function that fills in their rows; the registry
-/// itself is provider-agnostic.
-#[derive(Clone, Debug, Default)]
-pub struct KernelRegistry {
-    entries: Vec<KernelEntry>,
-}
-
-impl KernelRegistry {
-    /// An empty registry seeded with the process-wide [`selection`].
-    pub fn new() -> Self {
-        KernelRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Records one kernel row.
-    pub fn register(&mut self, name: &'static str, backend: Backend, reason: &'static str) {
-        self.entries.push(KernelEntry {
-            name,
-            backend,
-            reason,
-        });
-    }
-
-    /// All registered rows in registration order.
-    pub fn entries(&self) -> &[KernelEntry] {
-        &self.entries
-    }
-
-    /// The backend a named kernel dispatches to, if registered.
-    pub fn backend_for(&self, name: &str) -> Option<Backend> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.backend)
-    }
+    *SELECTION.get_or_init(|| parse_selection(std::env::var(BACKEND_ENV).ok().as_deref()))
 }
 
 #[cfg(test)]
@@ -210,22 +148,50 @@ mod tests {
             assert!(simd_available());
         }
         assert!(!sel.reason.is_empty());
-        // `forced` tracks the env override exactly.
-        let env = std::env::var(BACKEND_ENV).map(|v| v.to_ascii_lowercase());
-        match env.ok().as_deref() {
-            Some("scalar") | Some("simd") => assert!(sel.forced),
-            _ => assert!(!sel.forced),
+    }
+
+    #[test]
+    fn scalar_parses_in_any_case() {
+        for v in ["scalar", "SCALAR", "Scalar"] {
+            let sel = parse_selection(Some(v));
+            assert_eq!(sel.backend, Backend::Scalar, "{v}");
+            assert_eq!(sel.reason, "forced by GSP_KERNEL_BACKEND=scalar");
         }
     }
 
     #[test]
-    fn registry_round_trips_entries() {
-        let mut reg = KernelRegistry::new();
-        reg.register("dsp.dot_real", Backend::Scalar, "test");
-        reg.register("coding.viterbi_acs", Backend::Simd, "test");
-        assert_eq!(reg.entries().len(), 2);
-        assert_eq!(reg.backend_for("dsp.dot_real"), Some(Backend::Scalar));
-        assert_eq!(reg.backend_for("coding.viterbi_acs"), Some(Backend::Simd));
-        assert_eq!(reg.backend_for("nope"), None);
+    fn simd_parses_where_avx2_exists() {
+        if simd_available() {
+            for v in ["simd", "SIMD", "Simd"] {
+                let sel = parse_selection(Some(v));
+                assert_eq!(sel.backend, Backend::Simd, "{v}");
+                assert_eq!(sel.reason, "forced by GSP_KERNEL_BACKEND=simd");
+            }
+        } else {
+            let err = std::panic::catch_unwind(|| parse_selection(Some("simd")));
+            assert!(err.is_err(), "simd without AVX2 must panic");
+        }
+    }
+
+    #[test]
+    fn auto_empty_and_unset_detect_the_host() {
+        let want = if simd_available() {
+            Backend::Simd
+        } else {
+            Backend::Scalar
+        };
+        for v in [Some("auto"), Some("AUTO"), Some("Auto"), Some(""), None] {
+            let sel = parse_selection(v);
+            assert_eq!(sel.backend, want, "{v:?}");
+            assert!(sel.reason.starts_with("auto: "), "{v:?}: {}", sel.reason);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "GSP_KERNEL_BACKEND must be `scalar`, `simd` or `auto`, got \"avx512\""
+    )]
+    fn garbage_panics() {
+        parse_selection(Some("avx512"));
     }
 }

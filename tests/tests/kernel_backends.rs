@@ -5,12 +5,10 @@
 //!
 //! * **bitwise** — FFT butterflies, the block FIR (both demodulators'
 //!   matched filter), the strided correlation power (CDMA acquisition),
-//!   the scaled accumulate (pulse shaping) and every trellis kernel
-//!   (Viterbi branch metrics + ACS, max-log-MAP
-//!   forward/backward/extrinsic) produce identical bit patterns on both
-//!   backends, so anything downstream of them (matched-filter samples,
-//!   decoded bits, path metrics, survivor decisions) is
-//!   backend-invariant by construction;
+//!   the scaled accumulate (pulse shaping) and the Viterbi ACS produce
+//!   identical bit patterns on both backends, so anything downstream of
+//!   them (matched-filter samples, decoded bits, path metrics, survivor
+//!   decisions) is backend-invariant by construction;
 //! * **tolerance-bounded** — `dot_real` and `corr_energy` reassociate
 //!   their sums into SIMD lane partials, so they agree to rounding, not
 //!   bit patterns.
@@ -23,9 +21,9 @@
 //! where a reordered sum would first show a different sign of zero.
 
 use gsp_coding::kernels as trellis_kernels;
-use gsp_coding::{ConvCode, TurboCode, TurboDecoder, ViterbiDecoder};
+use gsp_coding::{ConvCode, ViterbiDecoder};
 use gsp_dsp::fft::Fft;
-use gsp_dsp::kernels::{self as cpx_kernels, Backend, KernelRegistry};
+use gsp_dsp::kernels::{self as cpx_kernels, Backend};
 use gsp_dsp::Cpx;
 use gsp_payload::chain::{run_mf_tdma_frame, ChainConfig};
 use proptest::prelude::*;
@@ -240,33 +238,6 @@ proptest! {
             prop_assert_eq!(scalar.decode_block(llrs), simd.decode_block(llrs));
         }
     }
-
-    /// Turbo decoding (8-state max-log-MAP, both constituent decoders,
-    /// multiple iterations) returns identical hard decisions on both
-    /// backends for arbitrary LLRs — pinning forward, backward and
-    /// extrinsic kernels through a full iterative exchange.
-    #[test]
-    fn turbo_bits_identical_across_backends(
-        k_index in 0usize..3,
-        llr_seed in proptest::collection::vec(-4.0f64..4.0, 3 * 100 + 12),
-        iterations in 1usize..4,
-    ) {
-        let k = [40usize, 67, 96][k_index];
-        let code = TurboCode::new(k);
-        let llrs = &llr_seed[..code.coded_len()];
-        if trellis_kernels::simd_available() {
-            let mut scalar = TurboDecoder::with_kernels(
-                TurboCode::new(k),
-                trellis_kernels::for_backend(Backend::Scalar),
-            );
-            let mut simd =
-                TurboDecoder::with_kernels(code, trellis_kernels::for_backend(Backend::Simd));
-            prop_assert_eq!(
-                scalar.decode_block(llrs, iterations),
-                simd.decode_block(llrs, iterations)
-            );
-        }
-    }
 }
 
 /// The acceptance test from the issue: the full Fig. 2 chain — composite
@@ -302,48 +273,14 @@ fn fig2_chain_decodes_identically_on_both_backends() {
     }
 }
 
-/// The registry enumerates every kernel with the backend the host
-/// selected, and forcing a backend through `for_backend` returns handles
-/// that really identify as that backend.
+/// Every unpinned kernel handle follows the one process-wide selection,
+/// and `for_backend` returns handles that really identify as the backend
+/// they were asked for.
 #[test]
-fn registry_and_forced_handles_are_consistent() {
-    let mut reg = KernelRegistry::new();
-    cpx_kernels::register(&mut reg);
-    trellis_kernels::register(&mut reg);
-    let names: Vec<&str> = reg.entries().iter().map(|e| e.name).collect();
-    for expected in [
-        "dsp.dot_real",
-        "dsp.corr_energy",
-        "dsp.fft_butterflies",
-        "dsp.fir_block",
-        "dsp.corr_power_strided",
-        "dsp.axpy_real",
-        "coding.viterbi_bm",
-        "coding.viterbi_acs",
-        "coding.map_forward",
-        "coding.map_backward",
-        "coding.map_extrinsic",
-    ] {
-        assert!(names.contains(&expected), "registry lacks {expected}");
-    }
-    // Viterbi and complex-sample kernels follow the process selection;
-    // the MAP kernels auto-dispatch per kernel (scalar unless forced —
-    // SIMD's 8-state max-log-MAP ships at an honest 0.83x).
+fn active_and_pinned_handles_are_consistent() {
     let sel = cpx_kernels::selection();
-    let map_expected = trellis_kernels::map_active().backend();
-    if sel.forced {
-        assert_eq!(map_expected, sel.backend, "forced env must bind MAP too");
-    } else {
-        assert_eq!(map_expected, Backend::Scalar, "auto must prefer scalar MAP");
-    }
-    for e in reg.entries() {
-        let expected = if e.name.starts_with("coding.map_") {
-            map_expected
-        } else {
-            sel.backend
-        };
-        assert_eq!(e.backend, expected, "{} disagrees with dispatch", e.name);
-    }
+    assert_eq!(cpx_kernels::active().backend(), sel.backend);
+    assert_eq!(trellis_kernels::active().backend(), sel.backend);
     assert_eq!(
         cpx_kernels::for_backend(Backend::Scalar).backend(),
         Backend::Scalar
