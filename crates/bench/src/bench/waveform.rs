@@ -67,8 +67,6 @@ fn run_event(i: u64, seed: u64, fault_at_step: Option<u64>) -> Event {
         swap_at: FRAMES / 4 + (i * 5) % (FRAMES / 4),
         from,
         to,
-        load: 1.0,
-        seu_rate_multiplier: 3.0,
         fault_at_step,
     };
     let outcome = waveform_swap_soak(&cfg, seed ^ (0x5EED_u64 << 12) ^ i);

@@ -12,7 +12,7 @@
 //! 3. **Merge** — ISL egress is pushed onto the per-destination link
 //!    queues in **fixed ascending satellite order** (dead destinations
 //!    rerouted via [`RoutingTable::route_sat`]); queues are bounded by
-//!    `isl_queue_limit` with per-class drop accounting.
+//!    `ISL_QUEUE_LIMIT` with per-class drop accounting.
 //! 4. **Reconverge** — any satellite whose supervisor confirmed
 //!    `Quarantined` this frame is migrated out at the boundary: the
 //!    routing table reassigns its beams round-robin over the survivors,
@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use crate::routing::RoutingTable;
 use crate::satellite::{Satellite, SatelliteReport, SatelliteStep};
-use crate::ConstellationConfig;
+use crate::{ConstellationConfig, GATEWAYS, ISL_QUEUE_LIMIT};
 
 /// One whole-satellite quarantine, as reacted to by the coordinator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,7 +155,7 @@ impl ConstellationEngine {
             .map(|i| Some(Box::new(Satellite::new(i, &cfg, seed, registry))))
             .collect();
         ConstellationEngine {
-            routing: RoutingTable::new(cfg.satellites, cfg.traffic.beams, cfg.gateways),
+            routing: RoutingTable::new(cfg.satellites, cfg.traffic.beams, GATEWAYS),
             sats,
             links: vec![Vec::new(); cfg.satellites],
             isl_dropped: vec![0; cfg.traffic.n_classes()],
@@ -185,7 +185,7 @@ impl ConstellationEngine {
     /// Pushes one packet onto the link toward `dest`, honouring the
     /// bounded queue (drops are counted per class).
     fn push_link(&mut self, dest: usize, pkt: BasebandPacket) {
-        if self.links[dest].len() >= self.cfg.isl_queue_limit {
+        if self.links[dest].len() >= ISL_QUEUE_LIMIT {
             self.isl_dropped[pkt.class as usize] += 1;
         } else {
             self.links[dest].push(pkt);

@@ -49,8 +49,17 @@ pub use satellite::{Satellite, SatelliteReport, SatelliteStep};
 use gsp_payload::chain::ChainConfig;
 use gsp_traffic::TrafficConfig;
 
+/// Fraction of granted packets destined to a remote satellite's coverage
+/// (hash-selected per packet; see [`gsp_traffic::IslConfig`]).
+pub(crate) const REMOTE_FRACTION: f64 = 0.15;
+/// Bound on each inter-satellite link queue, packets per frame; the
+/// overflow is dropped with per-class accounting.
+pub(crate) const ISL_QUEUE_LIMIT: usize = 4096;
+/// Ground gateways the beam-to-gateway table folds downlinks onto.
+pub(crate) const GATEWAYS: usize = 3;
+
 /// Constellation-level configuration: the per-satellite stacks plus the
-/// sharding, ISL and ground-segment knobs.
+/// sharding knob.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConstellationConfig {
     /// Satellites in the constellation (N).
@@ -65,15 +74,6 @@ pub struct ConstellationConfig {
     /// The per-satellite transponder pipeline (M carrier lanes), or
     /// `None` to run the traffic/FDIR planes alone.
     pub payload: Option<ChainConfig>,
-    /// Fraction of granted packets destined to a remote satellite's
-    /// coverage (hash-selected per packet; see
-    /// [`gsp_traffic::IslConfig`]).
-    pub remote_fraction: f64,
-    /// Bound on each inter-satellite link queue, packets per frame; the
-    /// overflow is dropped with per-class accounting.
-    pub isl_queue_limit: usize,
-    /// Ground gateways the beam-to-gateway table folds downlinks onto.
-    pub gateways: usize,
 }
 
 impl ConstellationConfig {
@@ -87,9 +87,6 @@ impl ConstellationConfig {
             shard_threads: 1,
             traffic: TrafficConfig::standard(load),
             payload: None,
-            remote_fraction: 0.15,
-            isl_queue_limit: 4096,
-            gateways: 3,
         }
     }
 
@@ -98,7 +95,7 @@ impl ConstellationConfig {
     pub fn terminals_total(&self) -> u64 {
         self.satellites as u64
             * self.traffic.n_aggregates() as u64
-            * self.traffic.terminals_per_aggregate
+            * gsp_traffic::TERMINALS_PER_AGGREGATE
     }
 }
 

@@ -110,7 +110,7 @@ impl Satellite {
         traffic.set_isl(Some(IslConfig {
             self_sat: idx as u16,
             n_sats: cfg.satellites as u16,
-            remote_fraction: cfg.remote_fraction,
+            remote_fraction: crate::REMOTE_FRACTION,
         }));
         let payload = cfg.payload.clone().map(|p| {
             // One serial transponder pipeline per shard: the parallelism

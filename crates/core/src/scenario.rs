@@ -152,6 +152,13 @@ fn downlink_housekeeping(registry: &gsp_telemetry::Registry) -> (gsp_telemetry::
     (snapshot, frame_bytes)
 }
 
+/// Offered traffic load of the live hot-swap soak, as a multiple of
+/// uplink capacity.
+const SWAP_SOAK_LOAD: f64 = 1.0;
+/// SEU rate multiplier for the FDIR injector running under the live
+/// hot-swap soak.
+const SWAP_SOAK_SEU_RATE_MULTIPLIER: f64 = 3.0;
+
 /// Configuration of the live hot-swap soak (see [`waveform_swap_soak`]).
 #[derive(Clone, Debug)]
 pub struct WaveformSwapSoakConfig {
@@ -163,10 +170,6 @@ pub struct WaveformSwapSoakConfig {
     pub to: gsp_waveform::WaveformDescriptor,
     /// Frame boundary at which the carrier quiesces.
     pub swap_at: u64,
-    /// Offered traffic load as a multiple of uplink capacity.
-    pub load: f64,
-    /// SEU rate multiplier for the FDIR injector running underneath.
-    pub seu_rate_multiplier: f64,
     /// Scripted waveform-processor fault, as a window step index: the
     /// FDIR fault signal goes high `fault_at_step` ticks into the swap
     /// window, forcing a rollback. `None` lets the swap commit.
@@ -182,8 +185,6 @@ impl WaveformSwapSoakConfig {
             from: gsp_waveform::WaveformDescriptor::sumts_cdma(),
             to: gsp_waveform::WaveformDescriptor::mf_tdma(),
             swap_at: 40,
-            load: 1.0,
-            seu_rate_multiplier: 3.0,
             fault_at_step: None,
         }
     }
@@ -218,13 +219,14 @@ pub struct WaveformSwapSoakOutcome {
 }
 
 /// The live in-orbit waveform exchange: while the FDIR harness offers
-/// `load`× traffic and injects SEUs on live equipment, a swap command
-/// arrives over the N3 stack (descriptor delivered and validated via
-/// TFTP), the carrier quiesces at `swap_at`, the old personality is
-/// deactivated, the new one runs its confidence window, and the frames
-/// that arrived meanwhile are replayed — committed or, if the scripted
-/// waveform-processor fault lands mid-window, rolled back onto the old
-/// personality with a bitwise-contiguous frame history. Distinct from
+/// 1.0× traffic and injects SEUs at 3× the Table 1 baseline on live
+/// equipment, a swap command arrives over the N3 stack (descriptor
+/// delivered and validated via TFTP), the carrier quiesces at
+/// `swap_at`, the old personality is deactivated, the new one runs its
+/// confidence window, and the frames that arrived meanwhile are
+/// replayed — committed or, if the scripted waveform-processor fault
+/// lands mid-window, rolled back onto the old personality with a
+/// bitwise-contiguous frame history. Distinct from
 /// [`waveform_switch`], which exercises the narrative §2.3
 /// reconfiguration story offline; this one keeps the transponder live
 /// throughout. Bitwise deterministic per `(config, seed)`.
@@ -237,10 +239,10 @@ pub fn waveform_swap_soak(cfg: &WaveformSwapSoakConfig, seed: u64) -> WaveformSw
     let registry = gsp_telemetry::Registry::new();
 
     // The load + fault plane underneath: the FDIR soak harness at the
-    // requested load and SEU rate, stepped tick by tick alongside the
+    // soak's load and SEU rate, stepped tick by tick alongside the
     // waveform plane.
-    let mut hcfg = gsp_fdir::HarnessConfig::soak(cfg.seu_rate_multiplier);
-    hcfg.load = cfg.load;
+    let mut hcfg = gsp_fdir::HarnessConfig::soak(SWAP_SOAK_SEU_RATE_MULTIPLIER);
+    hcfg.load = SWAP_SOAK_LOAD;
     hcfg.frames = cfg.frames;
     hcfg.inject_until = cfg.frames.saturating_sub(cfg.frames / 8);
     let mut harness = gsp_fdir::FdirHarness::with_telemetry(hcfg, seed, &registry);
@@ -289,27 +291,30 @@ pub fn waveform_swap_soak(cfg: &WaveformSwapSoakConfig, seed: u64) -> WaveformSw
     }
 }
 
+/// Offered traffic load of the ground-contact soak (fraction of
+/// capacity).
+const GROUND_SOAK_LOAD: f64 = 0.75;
+/// Golden-bitstream size of the ground-contact soak: configuration
+/// frames per beam FPGA. 48 frames serialise to ~25 TFTP blocks — more
+/// than one clean pass carries, so the re-upload *must* span passes.
+const GOLDEN_FRAMES: usize = 48;
+/// Background SEU rate multiplier of the ground-contact soak (0 = only
+/// the forced fault).
+const BACKGROUND_RATE: f64 = 0.0;
+/// Contact-plan horizon per upload, nanoseconds: 20 orbits.
+const HORIZON_NS: u64 = 40_000_000_000;
+/// Beam the forced hard fault lands on at tick 0.
+const FAULTED_BEAM: usize = 0;
+
 /// Configuration of the ground-contact soak (see [`ground_contact_soak`]).
 #[derive(Clone, Debug)]
 pub struct GroundSoakConfig {
     /// Frame ticks to run.
     pub frames: u64,
-    /// Offered traffic load (fraction of capacity).
-    pub load: f64,
-    /// Golden-bitstream size knob: configuration frames per beam FPGA.
-    /// 48 frames serialise to ~25 TFTP blocks — more than one clean
-    /// pass carries, so the re-upload *must* span passes.
-    pub golden_frames: usize,
     /// Link-fade fault injection on the contact plane.
     pub fades: gsp_ground::FadeConfig,
-    /// Background SEU rate multiplier (0 = only the forced fault).
-    pub background_rate: f64,
     /// On-board resume-state lifetime, nanoseconds (0 = forever).
     pub resume_expiry_ns: u64,
-    /// Contact-plan horizon per upload, nanoseconds.
-    pub horizon_ns: u64,
-    /// Beam the forced hard fault lands on at tick 0.
-    pub faulted_beam: usize,
 }
 
 impl GroundSoakConfig {
@@ -318,13 +323,8 @@ impl GroundSoakConfig {
     pub fn standard() -> Self {
         GroundSoakConfig {
             frames: 256,
-            load: 0.75,
-            golden_frames: 48,
             fades: gsp_ground::FadeConfig::soak(),
-            background_rate: 0.0,
             resume_expiry_ns: 0,
-            horizon_ns: 40_000_000_000,
-            faulted_beam: 0,
         }
     }
 }
@@ -353,7 +353,7 @@ pub struct GroundSoakOutcome {
 }
 
 /// Runs the ground-segment contact plane end to end: a forced hard
-/// fault sends beam `faulted_beam` down the FDIR ladder to the
+/// fault sends beam 0 down the FDIR ladder to the
 /// Reconfigure rung, whose golden-bitstream re-upload now crosses a
 /// pass-windowed, Doppler-derated, fade-injected three-station network
 /// instead of an always-on GEO pipe. The image is sized not to fit one
@@ -366,8 +366,7 @@ pub fn ground_contact_soak(cfg: &GroundSoakConfig, seed: u64) -> GroundSoakOutco
     use gsp_netproto::BackoffPolicy;
 
     let contact = gsp_ground::ContactLink::standard(cfg.fades, seed ^ 0x6E0F_17A5);
-    let plan = contact.schedule(cfg.horizon_ns);
-    let orbit_link = contact.orbit.base;
+    let plan = contact.schedule(HORIZON_NS);
 
     // The uplink: the orbit's zenith channel as the base, a backoff
     // sized for the per-block ~11 ms lockstep, sessions bounded by each
@@ -379,7 +378,7 @@ pub fn ground_contact_soak(cfg: &GroundSoakConfig, seed: u64) -> GroundSoakOutco
             jitter: 0.25,
             max_attempts: 4,
         },
-        link: orbit_link,
+        link: gsp_ground::orbit::ZENITH_LINK,
         max_sessions: 40,
         session_deadline_ns: 400_000_000,
         contacts: None,
@@ -390,17 +389,14 @@ pub fn ground_contact_soak(cfg: &GroundSoakConfig, seed: u64) -> GroundSoakOutco
     let harness_cfg = gsp_fdir::HarnessConfig {
         frames: cfg.frames,
         inject_until: cfg.frames.saturating_sub(96),
-        load: cfg.load,
-        golden_frames: cfg.golden_frames,
+        load: GROUND_SOAK_LOAD,
+        golden_frames: GOLDEN_FRAMES,
         uplink,
-        injector: gsp_fdir::InjectorConfig {
-            rate_multiplier: cfg.background_rate,
-            ..gsp_fdir::InjectorConfig::baseline()
-        },
+        rate_multiplier: BACKGROUND_RATE,
         ..gsp_fdir::HarnessConfig::soak(1.0)
     };
     let mut harness = gsp_fdir::FdirHarness::new(harness_cfg, seed);
-    harness.force_hard_fault(cfg.faulted_beam);
+    harness.force_hard_fault(FAULTED_BEAM);
     let report = harness.run();
 
     // The routine ground work over the same contact plane.
@@ -424,14 +420,7 @@ pub fn ground_contact_soak(cfg: &GroundSoakConfig, seed: u64) -> GroundSoakOutco
             bytes: 64 * 1024,
         },
     ];
-    let ground_work = gsp_ground::run_schedule(
-        &jobs,
-        &plan,
-        &gsp_ground::SchedulerConfig {
-            resume_expiry_ns: cfg.resume_expiry_ns,
-            ..gsp_ground::SchedulerConfig::default()
-        },
-    );
+    let ground_work = gsp_ground::run_schedule(&jobs, &plan, cfg.resume_expiry_ns);
 
     let upload_resumes = report
         .uploads
@@ -444,7 +433,7 @@ pub fn ground_contact_soak(cfg: &GroundSoakConfig, seed: u64) -> GroundSoakOutco
         .any(|u| u.outcome.stations_used.len() >= 2);
     GroundSoakOutcome {
         plan_windows: plan.windows().len(),
-        duty_cycle: plan.contact_ns() as f64 / cfg.horizon_ns as f64,
+        duty_cycle: plan.contact_ns() as f64 / HORIZON_NS as f64,
         upload_resumes,
         cross_station_resume,
         recovery_ticks: report.mttr_ticks.first().copied(),

@@ -29,16 +29,15 @@
 //! consulted: the [`SoakReport`] is bit-identical with the registry
 //! enabled or disabled.
 //!
-//! A note on clocks: one frame tick stands for
-//! [`InjectorConfig::tick_exposure_days`](crate::inject::InjectorConfig)
-//! of orbital radiation exposure, so a few-hundred-tick soak sees a
-//! realistic upset population. The reconfiguration uplink's simulated
-//! transfer time is charged against the recovering equipment at
-//! [`HarnessConfig::uplink_ns_per_tick`] — compressed by the same
-//! spirit, so a multi-second GEO transfer costs tens of ticks of
+//! A note on clocks: one frame tick stands for the injector's
+//! `TICK_EXPOSURE_DAYS` of orbital radiation exposure, so a
+//! few-hundred-tick soak sees a realistic upset population. The
+//! reconfiguration uplink's simulated transfer time is charged against
+//! the recovering equipment at `UPLINK_NS_PER_TICK` — compressed by the
+//! same spirit, so a multi-second GEO transfer costs tens of ticks of
 //! unavailability rather than dominating (or vanishing from) the soak.
 
-use crate::inject::{FaultInjector, FaultKind, InjectorConfig};
+use crate::inject::{FaultInjector, FaultKind};
 use crate::recovery::{ReconfigUplink, UplinkOutcome};
 use crate::supervisor::{
     DetectorReadout, Health, RecoveryAction, RecoveryMode, Supervisor, SupervisorConfig,
@@ -69,6 +68,12 @@ fn beam_device(frames: usize) -> FpgaDevice {
     }
 }
 
+/// Simulated uplink nanoseconds charged as one tick of equipment busy
+/// time (the transfer-to-frame clock exchange rate).
+const UPLINK_NS_PER_TICK: u64 = 1_000_000_000;
+/// Grant-table sensitive bits on the scheduler equipment.
+const SCHEDULER_BITS: u64 = 4096;
+
 /// Soak parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HarnessConfig {
@@ -81,17 +86,13 @@ pub struct HarnessConfig {
     /// Injection stops at this tick (a quiet tail lets every recovery
     /// finish, so a healthy end state is a meaningful assertion).
     pub inject_until: u64,
-    /// SEU statistics.
-    pub injector: InjectorConfig,
+    /// SEU rate as a multiple of the Table 1 baseline (1.0 = baseline,
+    /// 10.0 = the accelerated soak regime).
+    pub rate_multiplier: f64,
     /// Detection / escalation policy.
     pub supervisor: SupervisorConfig,
     /// The reconfiguration uplink the ladder's last rung crosses.
     pub uplink: ReconfigUplink,
-    /// Simulated uplink nanoseconds charged as one tick of equipment
-    /// busy time (the transfer-to-frame clock exchange rate).
-    pub uplink_ns_per_tick: u64,
-    /// Grant-table sensitive bits on the scheduler equipment.
-    pub scheduler_bits: u64,
     /// Configuration frames per beam FPGA (golden bitstream size knob:
     /// the wire image is roughly `golden_frames × 256` bytes, which is
     /// what must fit — or resume across — contact windows).
@@ -108,11 +109,9 @@ impl HarnessConfig {
             load: 0.75,
             frames: 768,
             inject_until: 672,
-            injector: InjectorConfig::accelerated(rate_multiplier),
+            rate_multiplier,
             supervisor: SupervisorConfig::standard(RecoveryMode::FullLadder),
             uplink: ReconfigUplink::flight_default(),
-            uplink_ns_per_tick: 1_000_000_000,
-            scheduler_bits: 4096,
             golden_frames: 4,
         }
     }
@@ -238,7 +237,7 @@ impl FdirHarness {
             ..TrafficConfig::standard(cfg.load)
         };
         FdirHarness {
-            injector: FaultInjector::new(cfg.injector.clone()),
+            injector: FaultInjector::new(cfg.rate_multiplier),
             supervisor: Supervisor::new(cfg.beams + 1, cfg.supervisor),
             beams: (0..cfg.beams)
                 .map(|b| BeamEquipment::new(b, cfg.golden_frames))
@@ -281,9 +280,7 @@ impl FdirHarness {
     fn inject(&mut self) {
         let n = self.cfg.beams;
         let bits = self.beams[0].sensitive_bits();
-        let faults = self
-            .injector
-            .draw(n, bits, self.cfg.scheduler_bits, &mut self.rng);
+        let faults = self.injector.draw(n, bits, SCHEDULER_BITS, &mut self.rng);
         for f in faults {
             self.injected[f.kind.index()] += 1;
             self.tel.injected[f.kind.index()].inc();
@@ -388,7 +385,7 @@ impl FdirHarness {
                 }
                 // The transfer occupied the equipment for its simulated
                 // duration, success or not.
-                let busy = out.elapsed_ns / self.cfg.uplink_ns_per_tick;
+                let busy = out.elapsed_ns / UPLINK_NS_PER_TICK;
                 self.supervisor.extend_busy(equipment, busy);
             }
         }
@@ -596,10 +593,7 @@ mod tests {
     #[test]
     fn quiet_soak_stays_healthy_and_drops_nothing_to_fdir() {
         let cfg = HarnessConfig {
-            injector: InjectorConfig {
-                rate_multiplier: 0.0,
-                ..InjectorConfig::baseline()
-            },
+            rate_multiplier: 0.0,
             frames: 128,
             inject_until: 128,
             ..HarnessConfig::soak(1.0)

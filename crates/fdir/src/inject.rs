@@ -83,69 +83,38 @@ pub struct Fault {
     pub kind: FaultKind,
 }
 
-/// Injection-rate configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InjectorConfig {
-    /// Quiet-GEO per-bit daily upset rate (Table 1: 1e-7 for the MH1RT
-    /// class).
-    pub seu_per_bit_day: f64,
-    /// Acceleration multiplier on top of the environment (1.0 = the
-    /// Table 1 baseline, 10.0 = the accelerated soak regime).
-    pub rate_multiplier: f64,
-    /// Radiation environment (its flux multiplier composes with
-    /// `rate_multiplier`).
-    pub environment: RadiationEnvironment,
-    /// Simulated days of orbital exposure compressed into one frame
-    /// tick — the soak's time-acceleration knob. A 48 ms MF-TDMA frame
-    /// standing in for a quarter-day of exposure turns per-day rates
-    /// into per-tick rates a few-hundred-tick soak can exercise.
-    pub tick_exposure_days: f64,
+/// Quiet-GEO per-bit daily upset rate (Table 1: 1e-7 for the MH1RT
+/// class).
+const SEU_PER_BIT_DAY: f64 = 1e-7;
+/// Simulated days of orbital exposure compressed into one frame tick —
+/// the soak's time acceleration. A 48 ms MF-TDMA frame standing in for
+/// a quarter-day of exposure turns per-day rates into per-tick rates a
+/// few-hundred-tick soak can exercise.
+const TICK_EXPOSURE_DAYS: f64 = 0.25;
+
+/// Draws each tick's fault set from the Table 1 Poisson statistics in
+/// quiet GEO ([`RadiationEnvironment::geo_quiet`]), accelerated by a
+/// rate multiplier.
+#[derive(Clone, Debug)]
+pub struct FaultInjector {
+    /// Acceleration multiplier on top of the environment's flux (1.0 =
+    /// the Table 1 baseline, 10.0 = the accelerated soak regime).
+    rate_multiplier: f64,
 }
 
-impl InjectorConfig {
-    /// The Table 1 baseline regime in quiet GEO.
-    pub fn baseline() -> Self {
-        InjectorConfig {
-            seu_per_bit_day: 1e-7,
-            rate_multiplier: 1.0,
-            environment: RadiationEnvironment::geo_quiet(),
-            tick_exposure_days: 0.25,
-        }
-    }
-
-    /// The baseline accelerated by `multiplier` (the soak's 10× regime).
-    pub fn accelerated(multiplier: f64) -> Self {
-        InjectorConfig {
-            rate_multiplier: multiplier,
-            ..Self::baseline()
-        }
+impl FaultInjector {
+    /// Injector at `rate_multiplier`× the Table 1 baseline.
+    pub fn new(rate_multiplier: f64) -> Self {
+        FaultInjector { rate_multiplier }
     }
 
     /// Expected faults per frame tick for an equipment exposing `bits`
     /// sensitive bits.
     pub fn fault_rate_per_tick(&self, bits: u64) -> f64 {
-        self.environment
-            .seu_rate_per_second(self.seu_per_bit_day * self.rate_multiplier, bits)
-            * self.tick_exposure_days
+        RadiationEnvironment::geo_quiet()
+            .seu_rate_per_second(SEU_PER_BIT_DAY * self.rate_multiplier, bits)
+            * TICK_EXPOSURE_DAYS
             * 86_400.0
-    }
-}
-
-/// Draws each tick's fault set from the configured Poisson statistics.
-#[derive(Clone, Debug)]
-pub struct FaultInjector {
-    cfg: InjectorConfig,
-}
-
-impl FaultInjector {
-    /// Injector for `cfg`.
-    pub fn new(cfg: InjectorConfig) -> Self {
-        FaultInjector { cfg }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &InjectorConfig {
-        &self.cfg
     }
 
     /// Draws one tick's faults: a Poisson count per equipment (beams
@@ -162,7 +131,7 @@ impl FaultInjector {
         rng: &mut R,
     ) -> Vec<Fault> {
         let mut out = Vec::new();
-        let beam_arrivals = PoissonArrivals::new(self.cfg.fault_rate_per_tick(beam_bits));
+        let beam_arrivals = PoissonArrivals::new(self.fault_rate_per_tick(beam_bits));
         for equipment in 0..n_beams {
             for _ in beam_arrivals.arrivals_in_window(1.0, rng) {
                 let roll = rng.gen_range(0..100u32);
@@ -180,7 +149,7 @@ impl FaultInjector {
                 out.push(Fault { equipment, kind });
             }
         }
-        let sched_arrivals = PoissonArrivals::new(self.cfg.fault_rate_per_tick(sched_bits));
+        let sched_arrivals = PoissonArrivals::new(self.fault_rate_per_tick(sched_bits));
         for _ in sched_arrivals.arrivals_in_window(1.0, rng) {
             out.push(Fault {
                 equipment: n_beams,
@@ -201,16 +170,16 @@ mod tests {
     fn rate_composes_baseline_multiplier_and_exposure() {
         // 8192 bits at 1e-7/bit/day, quarter-day ticks: 2.048e-4 per
         // tick; the 10x regime is exactly ten times that.
-        let base = InjectorConfig::baseline();
+        let base = FaultInjector::new(1.0);
         assert!((base.fault_rate_per_tick(8192) - 8192.0 * 1e-7 * 0.25).abs() < 1e-15);
-        let hot = InjectorConfig::accelerated(10.0);
+        let hot = FaultInjector::new(10.0);
         let ratio = hot.fault_rate_per_tick(8192) / base.fault_rate_per_tick(8192);
         assert!((ratio - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn draws_are_deterministic_per_seed() {
-        let inj = FaultInjector::new(InjectorConfig::accelerated(50.0));
+        let inj = FaultInjector::new(50.0);
         let draw = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..64)
@@ -224,7 +193,7 @@ mod tests {
     #[test]
     fn accelerated_regime_injects_more() {
         let count = |mult: f64| {
-            let inj = FaultInjector::new(InjectorConfig::accelerated(mult));
+            let inj = FaultInjector::new(mult);
             let mut rng = StdRng::seed_from_u64(3);
             (0..512)
                 .map(|_| inj.draw(6, 8192, 4096, &mut rng).len())
@@ -238,7 +207,7 @@ mod tests {
 
     #[test]
     fn scheduler_faults_are_always_grant_table() {
-        let inj = FaultInjector::new(InjectorConfig::accelerated(2000.0));
+        let inj = FaultInjector::new(2000.0);
         let mut rng = StdRng::seed_from_u64(1);
         let faults: Vec<Fault> = (0..64)
             .flat_map(|_| inj.draw(4, 8192, 8192, &mut rng))

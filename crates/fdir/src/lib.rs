@@ -36,7 +36,7 @@ pub mod recovery;
 pub mod supervisor;
 
 pub use harness::{FdirHarness, HarnessConfig, SoakReport, UploadRecord};
-pub use inject::{Fault, FaultInjector, FaultKind, InjectorConfig};
+pub use inject::{Fault, FaultInjector, FaultKind};
 pub use recovery::{ReconfigUplink, UplinkOutcome};
 pub use supervisor::{
     DetectorReadout, Health, RecoveryAction, RecoveryMode, Supervisor, SupervisorConfig, Transition,

@@ -117,20 +117,21 @@ pub enum RecoveryMode {
     FullLadder,
 }
 
-/// Supervisor timing and escalation policy.
+/// Consecutive dirty ticks before a suspect is confirmed.
+const CONFIRM_TICKS: u64 = 2;
+/// Ticks a scrub pass occupies the equipment.
+const SCRUB_BUSY_TICKS: u64 = 2;
+/// Ticks a state reset occupies the equipment.
+const RESET_BUSY_TICKS: u64 = 3;
+/// Consecutive clean ticks (after the rung completes) to declare the
+/// equipment healthy again.
+const CLEAN_TICKS_TO_HEAL: u64 = 2;
+
+/// Supervisor escalation policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SupervisorConfig {
     /// Ladder reach.
     pub mode: RecoveryMode,
-    /// Consecutive dirty ticks before a suspect is confirmed.
-    pub confirm_ticks: u64,
-    /// Ticks a scrub pass occupies the equipment.
-    pub scrub_busy_ticks: u64,
-    /// Ticks a state reset occupies the equipment.
-    pub reset_busy_ticks: u64,
-    /// Consecutive clean ticks (after the rung completes) to declare
-    /// the equipment healthy again.
-    pub clean_ticks_to_heal: u64,
     /// Full ladder passes allowed beyond the first before the
     /// equipment is permanently quarantined.
     pub max_ladder_restarts: u32,
@@ -141,10 +142,6 @@ impl SupervisorConfig {
     pub fn standard(mode: RecoveryMode) -> Self {
         SupervisorConfig {
             mode,
-            confirm_ticks: 2,
-            scrub_busy_ticks: 2,
-            reset_busy_ticks: 3,
-            clean_ticks_to_heal: 2,
             max_ladder_restarts: 1,
         }
     }
@@ -154,7 +151,7 @@ impl SupervisorConfig {
     /// busy window plus `uplink_ticks`, the largest extension
     /// ([`Supervisor::extend_busy`]), plus the clean streak.
     pub fn recovery_bound_ticks(&self, uplink_ticks: u64) -> u64 {
-        self.scrub_busy_ticks.max(self.reset_busy_ticks) + uplink_ticks + self.clean_ticks_to_heal
+        SCRUB_BUSY_TICKS.max(RESET_BUSY_TICKS) + uplink_ticks + CLEAN_TICKS_TO_HEAL
     }
 }
 
@@ -223,7 +220,7 @@ pub fn decide(
         Suspect if !dirty => next.health = Healthy,
         Suspect => {
             next.dirty_streak += 1;
-            if next.dirty_streak >= cfg.confirm_ticks {
+            if next.dirty_streak >= CONFIRM_TICKS {
                 (next.health, next.rung, next.restarts) = (Quarantined, 0, 0);
             }
         }
@@ -236,7 +233,7 @@ pub fn decide(
         Recovering if tick < st.busy_until => {}
         Recovering if !dirty => {
             next.clean_streak += 1;
-            if next.clean_streak >= cfg.clean_ticks_to_heal {
+            if next.clean_streak >= CLEAN_TICKS_TO_HEAL {
                 next.health = Healthy;
             }
         }
@@ -274,9 +271,9 @@ fn issue_rung(
     // A reconfigure's uplink transfer dominates its window; the harness
     // extends it once it knows the simulated transfer time.
     let busy = if rung == 0 {
-        cfg.scrub_busy_ticks
+        SCRUB_BUSY_TICKS
     } else {
-        cfg.reset_busy_ticks
+        RESET_BUSY_TICKS
     };
     next.busy_until = tick + busy;
     next.clean_streak = 0;

@@ -29,7 +29,5 @@
 pub mod orbit;
 pub mod scheduler;
 
-pub use orbit::{standard_network, ContactLink, FadeConfig, GroundStation, OrbitConfig};
-pub use scheduler::{
-    run_schedule, Job, JobCompletion, JobKind, PassUtilization, ScheduleReport, SchedulerConfig,
-};
+pub use orbit::{standard_network, ContactLink, FadeConfig, GroundStation};
+pub use scheduler::{run_schedule, Job, JobCompletion, JobKind, PassUtilization, ScheduleReport};

@@ -2,16 +2,16 @@
 //! satellite when, and how good the link is at each moment of a pass.
 //!
 //! The model is deliberately kinematic rather than Keplerian: a
-//! circular orbit of period `P` carries the satellite over each station
-//! once per revolution, at a phase fixed by the station's longitude.
-//! Every pass lasts `pass_ns` centred on the overhead point and is cut
-//! into `slices` abutting [`ContactWindow`]s. Each slice's link is the
-//! zenith-quality base channel derated for its elevation/Doppler
-//! profile — the AOS/LOS edges see the satellite low and fast, so they
-//! run slower and lossier than the overhead midpoint — and optionally
-//! degraded (or cut outright) by seeded link fades. Everything is a
-//! pure function of `(config, seed)`: two builds of the same plan are
-//! identical down to the last nanosecond.
+//! circular orbit of period `PERIOD_NS` carries the satellite over each
+//! station once per revolution, at a phase fixed by the station's
+//! longitude. Every pass lasts `PASS_NS` centred on the overhead point
+//! and is cut into `SLICES` abutting [`ContactWindow`]s. Each slice's
+//! link is the zenith-quality base channel derated for its
+//! elevation/Doppler profile — the AOS/LOS edges see the satellite low
+//! and fast, so they run slower and lossier than the overhead midpoint —
+//! and optionally degraded (or cut outright) by seeded link fades.
+//! Everything is a pure function of `(stations, fades, seed)`: two
+//! builds of the same plan are identical down to the last nanosecond.
 
 use gsp_netproto::{ContactSchedule, ContactWindow, LinkConfig};
 
@@ -27,46 +27,31 @@ pub struct GroundStation {
     pub phase_millis: u32,
 }
 
-/// The orbit and per-pass link geometry.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OrbitConfig {
-    /// Orbital period, nanoseconds.
-    pub period_ns: u64,
-    /// AOS-to-LOS span of one pass, nanoseconds.
-    pub pass_ns: u64,
-    /// Doppler/elevation slices per pass (each becomes one window).
-    pub slices: u32,
-    /// The zenith-quality channel, in force at the pass midpoint.
-    pub base: LinkConfig,
-    /// Edge-slice rate as thousandths of the zenith rate (a pass opens
-    /// and closes at this fraction and ramps linearly to 1.0 mid-pass).
-    pub edge_rate_millis: u32,
-    /// Extra whole-frame loss probability at the extreme edge, in
-    /// thousandths (applied ∝ the square of the distance from zenith).
-    pub edge_loss_millis: u32,
-}
+// The orbit is a compressed LEO-class regime sized for simulation: 2 s
+// period, 240 ms passes in 8 slices, a 1 Mbps up / 4 Mbps down bent pipe
+// with 3 ms propagation, edges at 40% rate with +12% frame loss.
 
-impl OrbitConfig {
-    /// A compressed LEO-class regime sized for simulation: 2 s period,
-    /// 240 ms passes in 8 slices, a 1 Mbps up / 4 Mbps down bent pipe
-    /// with 3 ms propagation, edges at 40% rate with +12% frame loss.
-    pub fn leo_compressed() -> Self {
-        OrbitConfig {
-            period_ns: 2_000_000_000,
-            pass_ns: 240_000_000,
-            slices: 8,
-            base: LinkConfig {
-                delay_ns: 3_000_000,
-                up_rate_bps: 1_000_000,
-                down_rate_bps: 4_000_000,
-                ber: 0.0,
-                loss_prob: 0.0,
-            },
-            edge_rate_millis: 400,
-            edge_loss_millis: 120,
-        }
-    }
-}
+/// Orbital period, nanoseconds.
+const PERIOD_NS: u64 = 2_000_000_000;
+/// AOS-to-LOS span of one pass, nanoseconds.
+const PASS_NS: u64 = 240_000_000;
+/// Doppler/elevation slices per pass (each becomes one window).
+const SLICES: u32 = 8;
+/// The zenith-quality channel, in force at the pass midpoint.
+pub const ZENITH_LINK: LinkConfig = LinkConfig {
+    delay_ns: 3_000_000,
+    up_rate_bps: 1_000_000,
+    down_rate_bps: 4_000_000,
+    ber: 0.0,
+    loss_prob: 0.0,
+};
+/// Edge-slice rate as thousandths of the zenith rate (a pass opens and
+/// closes at this fraction and ramps linearly to 1.0 mid-pass).
+const EDGE_RATE_MILLIS: u64 = 400;
+/// Extra whole-frame loss probability at the extreme edge, in
+/// thousandths (applied ∝ the square of the distance from zenith).
+const EDGE_LOSS_MILLIS: u64 = 120;
+const _: () = assert!(SLICES > 0 && PASS_NS >= SLICES as u64, "degenerate pass");
 
 /// Seeded link-fade fault injection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,8 +93,6 @@ impl FadeConfig {
 pub struct ContactLink {
     /// The station network.
     pub stations: Vec<GroundStation>,
-    /// Orbit and pass-profile geometry.
-    pub orbit: OrbitConfig,
     /// Fade injection.
     pub fades: FadeConfig,
     /// Seed keying the fade draws.
@@ -142,7 +125,6 @@ impl ContactLink {
     pub fn standard(fades: FadeConfig, seed: u64) -> Self {
         ContactLink {
             stations: standard_network(),
-            orbit: OrbitConfig::leo_compressed(),
             fades,
             seed,
         }
@@ -153,7 +135,6 @@ impl ContactLink {
     /// square of the distance from zenith (both symmetric around the
     /// overhead point, so slice `k` and slice `n-1-k` match).
     fn slice_link(&self, k: u32, n: u32) -> LinkConfig {
-        let o = &self.orbit;
         // Distance of the slice midpoint from the pass midpoint,
         // normalised to 0 (zenith) ..= ~1 (extreme edge), in
         // thousandths. The |4k+2-2n| numerator is identical for slice
@@ -161,13 +142,13 @@ impl ContactLink {
         // even under integer division.
         let x_num = (4 * k as u64 + 2).abs_diff(2 * n as u64);
         let x_millis = x_num * 1000 / (2 * n as u64);
-        let rate_millis = 1000 - (1000 - o.edge_rate_millis as u64) * x_millis / 1000;
-        let added_loss = o.edge_loss_millis as u64 * x_millis * x_millis / 1_000_000;
+        let rate_millis = 1000 - (1000 - EDGE_RATE_MILLIS) * x_millis / 1000;
+        let added_loss = EDGE_LOSS_MILLIS * x_millis * x_millis / 1_000_000;
         LinkConfig {
-            up_rate_bps: (o.base.up_rate_bps * rate_millis / 1000).max(1),
-            down_rate_bps: (o.base.down_rate_bps * rate_millis / 1000).max(1),
-            loss_prob: (o.base.loss_prob + added_loss as f64 / 1000.0).min(1.0),
-            ..o.base
+            up_rate_bps: (ZENITH_LINK.up_rate_bps * rate_millis / 1000).max(1),
+            down_rate_bps: (ZENITH_LINK.down_rate_bps * rate_millis / 1000).max(1),
+            loss_prob: (ZENITH_LINK.loss_prob + added_loss as f64 / 1000.0).min(1.0),
+            ..ZENITH_LINK
         }
     }
 
@@ -176,19 +157,14 @@ impl ContactLink {
     /// passes (stations phased closer than a pass width) resolve to the
     /// earlier station, deterministically.
     pub fn schedule(&self, horizon_ns: u64) -> ContactSchedule {
-        let o = &self.orbit;
-        assert!(
-            o.slices > 0 && o.pass_ns >= o.slices as u64,
-            "degenerate pass"
-        );
         // All pass intervals [start, end) in chronological order.
         let mut passes: Vec<(u64, u16, u64)> = Vec::new(); // (start, station, orbit_k)
         for s in &self.stations {
-            let phase = o.period_ns * s.phase_millis as u64 / 1000;
+            let phase = PERIOD_NS * s.phase_millis as u64 / 1000;
             let mut k = 0u64;
             loop {
-                let centre = phase + k * o.period_ns;
-                let start = centre.saturating_sub(o.pass_ns / 2);
+                let centre = phase + k * PERIOD_NS;
+                let start = centre.saturating_sub(PASS_NS / 2);
                 if start >= horizon_ns {
                     break;
                 }
@@ -204,12 +180,12 @@ impl ContactLink {
             if start < last_end {
                 continue; // Earlier station keeps an overlapping pass.
             }
-            let slice_ns = o.pass_ns / o.slices as u64;
+            let slice_ns = PASS_NS / SLICES as u64;
             let mut emitted = false;
-            for k in 0..o.slices {
+            for k in 0..SLICES {
                 let w_start = start + k as u64 * slice_ns;
-                let w_end = if k + 1 == o.slices {
-                    start + o.pass_ns
+                let w_end = if k + 1 == SLICES {
+                    start + PASS_NS
                 } else {
                     w_start + slice_ns
                 };
@@ -219,7 +195,7 @@ impl ContactLink {
                 if self.fades.cut_millis > 0 && h % 1000 < self.fades.cut_millis as u64 {
                     continue; // Faded out: a hole in the pass.
                 }
-                let mut link = self.slice_link(k, o.slices);
+                let mut link = self.slice_link(k, SLICES);
                 if self.fades.fade_millis > 0 && (h >> 32) % 1000 < self.fades.fade_millis as u64 {
                     link.loss_prob =
                         (link.loss_prob + self.fades.fade_loss_millis as f64 / 1000.0).min(1.0);
@@ -233,7 +209,7 @@ impl ContactLink {
                 });
                 emitted = true;
             }
-            last_end = start + o.pass_ns;
+            last_end = start + PASS_NS;
             if emitted {
                 pass_id += 1;
             }

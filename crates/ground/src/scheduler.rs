@@ -11,7 +11,7 @@
 //! the next window — at whatever station that is. Resume state expires
 //! like the on-board TFTP server's: a job left suspended longer than
 //! the budget restarts from byte zero. The whole run is a pure
-//! function of `(jobs, plan, config)`.
+//! function of `(jobs, plan, resume_expiry_ns)`.
 
 use gsp_netproto::{ContactSchedule, LinkConfig};
 
@@ -49,26 +49,10 @@ pub struct Job {
     pub bytes: u64,
 }
 
-/// Scheduler knobs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SchedulerConfig {
-    /// Transfer block payload, bytes.
-    pub block_bytes: u64,
-    /// Per-block protocol overhead (headers both ways), bytes.
-    pub overhead_bytes: u64,
-    /// Suspended-job state lifetime, nanoseconds (0 = forever).
-    pub resume_expiry_ns: u64,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            block_bytes: 512,
-            overhead_bytes: 48,
-            resume_expiry_ns: 0,
-        }
-    }
-}
+/// Transfer block payload, bytes.
+const BLOCK_BYTES: u64 = 512;
+/// Per-block protocol overhead (headers both ways), bytes.
+const OVERHEAD_BYTES: u64 = 48;
 
 /// How one pass was spent.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -149,12 +133,12 @@ struct JobState {
 /// retransmissions: serialisation of data + overhead in the job's
 /// direction, the return ack, and a round trip — divided by the
 /// probability both frames survive.
-fn block_ns(cfg: &SchedulerConfig, link: &LinkConfig, uplink: bool) -> u64 {
-    let data = link.tx_time_ns((cfg.block_bytes + cfg.overhead_bytes) as usize, uplink);
-    let ack = link.tx_time_ns(cfg.overhead_bytes as usize, !uplink);
+fn block_ns(link: &LinkConfig, uplink: bool) -> u64 {
+    let data = link.tx_time_ns((BLOCK_BYTES + OVERHEAD_BYTES) as usize, uplink);
+    let ack = link.tx_time_ns(OVERHEAD_BYTES as usize, !uplink);
     let nominal = data + ack + link.rtt_ns();
-    let p = link.frame_survival_probability((cfg.block_bytes + cfg.overhead_bytes) as usize)
-        * link.frame_survival_probability(cfg.overhead_bytes as usize);
+    let p = link.frame_survival_probability((BLOCK_BYTES + OVERHEAD_BYTES) as usize)
+        * link.frame_survival_probability(OVERHEAD_BYTES as usize);
     if p <= 0.0 {
         u64::MAX
     } else {
@@ -164,8 +148,9 @@ fn block_ns(cfg: &SchedulerConfig, link: &LinkConfig, uplink: bool) -> u64 {
 
 /// Runs `jobs` over `plan` and reports. Jobs are served strictly by
 /// (priority, id) — a high-priority arrival always preempts queue
-/// order at the next window boundary, never mid-block.
-pub fn run_schedule(jobs: &[Job], plan: &ContactSchedule, cfg: &SchedulerConfig) -> ScheduleReport {
+/// order at the next window boundary, never mid-block. A job's
+/// suspended state lives `resume_expiry_ns` nanoseconds (0 = forever).
+pub fn run_schedule(jobs: &[Job], plan: &ContactSchedule, resume_expiry_ns: u64) -> ScheduleReport {
     let mut states: Vec<JobState> = jobs
         .iter()
         .map(|&job| JobState {
@@ -195,14 +180,14 @@ pub fn run_schedule(jobs: &[Job], plan: &ContactSchedule, cfg: &SchedulerConfig)
             if s.bytes_done >= s.job.bytes {
                 continue; // Already complete.
             }
-            let per_block = block_ns(cfg, &w.link, s.job.kind.uplink());
+            let per_block = block_ns(&w.link, s.job.kind.uplink());
             if per_block > w.end_ns.saturating_sub(now) {
                 continue; // Not even one block fits; try the next job.
             }
             if let Some(end) = s.last_service_end {
-                if cfg.resume_expiry_ns > 0
+                if resume_expiry_ns > 0
                     && s.bytes_done > 0
-                    && now.saturating_sub(end) > cfg.resume_expiry_ns
+                    && now.saturating_sub(end) > resume_expiry_ns
                 {
                     s.bytes_done = 0;
                     s.expired_restarts += 1;
@@ -215,7 +200,7 @@ pub fn run_schedule(jobs: &[Job], plan: &ContactSchedule, cfg: &SchedulerConfig)
             }
             while s.bytes_done < s.job.bytes && now + per_block <= w.end_ns {
                 now += per_block;
-                s.bytes_done = (s.bytes_done + cfg.block_bytes).min(s.job.bytes);
+                s.bytes_done = (s.bytes_done + BLOCK_BYTES).min(s.job.bytes);
             }
             // Suspension starts at window close, not at the last block:
             // a job parked while the window served other queue entries
@@ -268,7 +253,7 @@ mod tests {
             job(0, 0, 2048, JobKind::WaveformDescriptor),
             job(1, 1, 4096, JobKind::HousekeepingDownlink),
         ];
-        let r = run_schedule(&jobs, &p, &SchedulerConfig::default());
+        let r = run_schedule(&jobs, &p, 0);
         assert_eq!(r.completed.len(), 2);
         assert!(r.unfinished.is_empty());
         assert!(r.completed.iter().all(|c| c.finished_pass == 0));
@@ -289,7 +274,7 @@ mod tests {
             60 * 1024,
             JobKind::ReconfigUpload { equipment: 3 },
         )];
-        let r = run_schedule(&jobs, &p, &SchedulerConfig::default());
+        let r = run_schedule(&jobs, &p, 0);
         assert_eq!(r.completed.len(), 1, "{r:?}");
         let c = r.completed[0];
         assert!(c.finished_pass >= 1, "must cross a pass: {c:?}");
@@ -307,7 +292,7 @@ mod tests {
             job(7, 3, 40 * 1024, JobKind::HousekeepingDownlink),
             job(8, 0, 40 * 1024, JobKind::ReconfigUpload { equipment: 0 }),
         ];
-        let r = run_schedule(&jobs, &p, &SchedulerConfig::default());
+        let r = run_schedule(&jobs, &p, 0);
         assert_eq!(r.completed.len(), 2, "{r:?}");
         let finish = |id: u32| r.completed.iter().find(|c| c.id == id).unwrap().finished_ns;
         assert!(
@@ -323,17 +308,13 @@ mod tests {
         let mut link = ContactLink::standard(FadeConfig::none(), 2);
         link.stations.truncate(1);
         let p = link.schedule(30_000_000_000);
-        let cfg = SchedulerConfig {
-            resume_expiry_ns: 300_000_000,
-            ..SchedulerConfig::default()
-        };
         let jobs = [job(
             0,
             0,
             40 * 1024,
             JobKind::ReconfigUpload { equipment: 0 },
         )];
-        let r = run_schedule(&jobs, &p, &cfg);
+        let r = run_schedule(&jobs, &p, 300_000_000);
         assert!(
             r.expired_restarts_total >= 1,
             "the gap must void the resume state: {r:?}"
@@ -353,11 +334,11 @@ mod tests {
             job(1, 1, 2048, JobKind::WaveformDescriptor),
             job(2, 2, 80 * 1024, JobKind::HousekeepingDownlink),
         ];
-        let cfg = SchedulerConfig {
-            resume_expiry_ns: 5_000_000_000,
-            ..SchedulerConfig::default()
-        };
-        assert_eq!(run_schedule(&jobs, &p, &cfg), run_schedule(&jobs, &p, &cfg));
+        let expiry = 5_000_000_000;
+        assert_eq!(
+            run_schedule(&jobs, &p, expiry),
+            run_schedule(&jobs, &p, expiry)
+        );
     }
 
     #[test]
@@ -367,7 +348,7 @@ mod tests {
             job(0, 0, 20 * 1024, JobKind::ReconfigUpload { equipment: 0 }),
             job(1, 1, 20 * 1024, JobKind::HousekeepingDownlink),
         ];
-        let r = run_schedule(&jobs, &p, &SchedulerConfig::default());
+        let r = run_schedule(&jobs, &p, 0);
         assert!(r.unfinished.is_empty(), "{r:?}");
         assert!(r.resumes_total >= 1, "cut slices must force resumes");
     }

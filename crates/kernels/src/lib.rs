@@ -19,8 +19,7 @@
 //!
 //! ```
 //! let sel = gsp_kernels::selection();
-//! // On any host this resolves to a usable backend with a stated reason.
-//! assert!(!sel.reason.is_empty());
+//! // On any host this resolves to a usable backend.
 //! if sel.backend == gsp_kernels::Backend::Simd {
 //!     assert!(gsp_kernels::simd_available());
 //! }
@@ -68,27 +67,20 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// The process-wide backend decision and why it was taken.
+/// The process-wide backend decision.
 #[derive(Clone, Copy, Debug)]
 pub struct Selection {
     /// The backend every auto-dispatched kernel handle resolves to.
     pub backend: Backend,
-    /// Human-readable provenance (forced by env, feature-detected, …).
-    pub reason: &'static str,
 }
 
 fn auto_selection() -> Selection {
-    if simd_available() {
-        Selection {
-            backend: Backend::Simd,
-            reason: "auto: AVX2 detected",
-        }
+    let backend = if simd_available() {
+        Backend::Simd
     } else {
-        Selection {
-            backend: Backend::Scalar,
-            reason: "auto: AVX2 unavailable, portable fallback",
-        }
-    }
+        Backend::Scalar
+    };
+    Selection { backend }
 }
 
 /// The selection a value of [`BACKEND_ENV`] asks for (`None` = unset).
@@ -100,7 +92,6 @@ fn parse_selection(value: Option<&str>) -> Selection {
     match v.to_ascii_lowercase().as_str() {
         "scalar" => Selection {
             backend: Backend::Scalar,
-            reason: "forced by GSP_KERNEL_BACKEND=scalar",
         },
         "simd" => {
             assert!(
@@ -110,7 +101,6 @@ fn parse_selection(value: Option<&str>) -> Selection {
             );
             Selection {
                 backend: Backend::Simd,
-                reason: "forced by GSP_KERNEL_BACKEND=simd",
             }
         }
         "auto" | "" => auto_selection(),
@@ -147,7 +137,6 @@ mod tests {
         if sel.backend == Backend::Simd {
             assert!(simd_available());
         }
-        assert!(!sel.reason.is_empty());
     }
 
     #[test]
@@ -155,7 +144,6 @@ mod tests {
         for v in ["scalar", "SCALAR", "Scalar"] {
             let sel = parse_selection(Some(v));
             assert_eq!(sel.backend, Backend::Scalar, "{v}");
-            assert_eq!(sel.reason, "forced by GSP_KERNEL_BACKEND=scalar");
         }
     }
 
@@ -165,7 +153,6 @@ mod tests {
             for v in ["simd", "SIMD", "Simd"] {
                 let sel = parse_selection(Some(v));
                 assert_eq!(sel.backend, Backend::Simd, "{v}");
-                assert_eq!(sel.reason, "forced by GSP_KERNEL_BACKEND=simd");
             }
         } else {
             let err = std::panic::catch_unwind(|| parse_selection(Some("simd")));
@@ -181,9 +168,7 @@ mod tests {
             Backend::Scalar
         };
         for v in [Some("auto"), Some("AUTO"), Some("Auto"), Some(""), None] {
-            let sel = parse_selection(v);
-            assert_eq!(sel.backend, want, "{v:?}");
-            assert!(sel.reason.starts_with("auto: "), "{v:?}: {}", sel.reason);
+            assert_eq!(parse_selection(v).backend, want, "{v:?}");
         }
     }
 

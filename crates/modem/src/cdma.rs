@@ -23,25 +23,26 @@ use gsp_dsp::pulse::{shape_symbols, RrcPulse};
 use gsp_dsp::Cpx;
 use gsp_telemetry::{Counter, Registry};
 
+/// Chip rate in chips/s (paper: 2.048 Mcps for S-UMTS).
+const CHIP_RATE: f64 = 2.048e6;
+/// Samples per chip.
+const SPS: usize = 4;
+/// RRC roll-off (UMTS: 0.22).
+const ROLLOFF: f64 = 0.22;
+/// RRC half-span in chips.
+const SPAN: usize = 6;
+/// Known pilot symbols prepended to each burst.
+const PILOT_LEN: usize = 16;
+
 /// Static CDMA waveform parameters.
 #[derive(Clone, Debug)]
 pub struct CdmaConfig {
-    /// Chip rate in chips/s (paper: 2.048 Mcps for S-UMTS).
-    pub chip_rate: f64,
     /// Spreading factor (chips per symbol).
     pub sf: usize,
     /// OVSF code index at this SF.
     pub ovsf_index: usize,
     /// Scrambling-code number (selects the user/cell sequence).
     pub scrambling: u64,
-    /// Samples per chip.
-    pub sps: usize,
-    /// RRC roll-off (UMTS: 0.22).
-    pub rolloff: f64,
-    /// RRC half-span in chips.
-    pub span: usize,
-    /// Known pilot symbols prepended to each burst.
-    pub pilot_len: usize,
     /// Payload symbols per burst.
     pub payload_len: usize,
 }
@@ -51,21 +52,16 @@ impl CdmaConfig {
     /// chip, 16 pilot symbols.
     pub fn sumts(sf: usize, ovsf_index: usize, payload_len: usize) -> Self {
         CdmaConfig {
-            chip_rate: 2.048e6,
             sf,
             ovsf_index,
             scrambling: 42,
-            sps: 4,
-            rolloff: 0.22,
-            span: 6,
-            pilot_len: 16,
             payload_len,
         }
     }
 
     /// Symbol rate in symbols/s.
     pub fn symbol_rate(&self) -> f64 {
-        self.chip_rate / self.sf as f64
+        CHIP_RATE / self.sf as f64
     }
 
     /// Information bit rate for QPSK payload (bits/s).
@@ -75,7 +71,7 @@ impl CdmaConfig {
 
     /// Burst length in symbols (pilot + payload).
     pub fn burst_symbols(&self) -> usize {
-        self.pilot_len + self.payload_len
+        PILOT_LEN + self.payload_len
     }
 
     /// Burst length in chips.
@@ -91,7 +87,7 @@ impl CdmaConfig {
     /// The known pilot symbol sequence (constant diagonal QPSK points).
     pub fn pilot_symbols(&self) -> Vec<Cpx> {
         let a = std::f64::consts::FRAC_1_SQRT_2;
-        vec![Cpx::new(a, a); self.pilot_len]
+        vec![Cpx::new(a, a); PILOT_LEN]
     }
 
     /// Generates the burst's combined spreading sequence
@@ -108,10 +104,11 @@ impl CdmaConfig {
             })
             .collect()
     }
+}
 
-    fn kernel(&self) -> FirKernel {
-        RrcPulse::new(self.rolloff, self.sps, self.span).kernel()
-    }
+/// The chip pulse: RRC at [`ROLLOFF`] over ±[`SPAN`] chips.
+fn rrc_kernel() -> FirKernel {
+    RrcPulse::new(ROLLOFF, SPS, SPAN).kernel()
 }
 
 /// CDMA transmitter.
@@ -125,7 +122,7 @@ pub struct CdmaTransmitter {
 impl CdmaTransmitter {
     /// Builds the transmitter (pulse + spreading sequence designed once).
     pub fn new(config: CdmaConfig) -> Self {
-        let kernel = config.kernel();
+        let kernel = rrc_kernel();
         let chips = config.spreading_chips();
         CdmaTransmitter {
             config,
@@ -153,7 +150,7 @@ impl CdmaTransmitter {
             }
         }
         let mut out = Vec::new();
-        shape_symbols(&chip_stream, &self.kernel, self.config.sps, &mut out);
+        shape_symbols(&chip_stream, &self.kernel, SPS, &mut out);
         out
     }
 }
@@ -226,7 +223,7 @@ pub struct CdmaReceiver {
 impl CdmaReceiver {
     /// Builds the receiver.
     pub fn new(config: CdmaConfig) -> Self {
-        let matched = config.kernel();
+        let matched = rrc_kernel();
         let chips = config.spreading_chips();
         CdmaReceiver {
             config,
@@ -281,10 +278,10 @@ impl CdmaReceiver {
     /// CFAR-style decision: the correlation power is computed at every
     /// candidate offset; the peak is detected when it exceeds
     /// `acq_threshold` times the mean power of the other cells (a guard
-    /// zone of ±`sps` samples around the peak is excluded from the floor
+    /// zone of ±[`SPS`] samples around the peak is excluded from the floor
     /// estimate, since the chip pulse spreads the peak).
     ///
-    /// Offsets and `sps` are integers here, so every read is an exact
+    /// Offsets and [`SPS`] are integers here, so every read is an exact
     /// gather: one [`CpxKernels::corr_power_strided`] call over a copy of
     /// `filtered` that keeps [`CdmaReceiver::sample_at`]'s edge (index
     /// `len − 1` and beyond read as zero). On finite input the powers equal
@@ -297,8 +294,7 @@ impl CdmaReceiver {
     fn acquire_filtered(&mut self, search_window: usize) -> Option<Acquisition> {
         self.tel.acq_attempts.inc();
         let n_acq = self.acq_chips.min(self.config.burst_chips());
-        let sps = self.config.sps;
-        let need = search_window + n_acq.saturating_sub(1) * sps;
+        let need = search_window + n_acq.saturating_sub(1) * SPS;
         let valid = self.filtered.len().saturating_sub(1).min(need);
         self.search.clear();
         self.search.extend_from_slice(&self.filtered[..valid]);
@@ -308,7 +304,7 @@ impl CdmaReceiver {
         self.matched.kernel_backend().corr_power_strided(
             &self.search,
             &self.chips[..n_acq],
-            sps,
+            SPS,
             &mut self.powers,
         );
         let powers = &self.powers;
@@ -316,11 +312,10 @@ impl CdmaReceiver {
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))?;
-        let guard = self.config.sps;
         let mut floor = 0.0;
         let mut n_floor = 0usize;
         for (d, &p) in powers.iter().enumerate() {
-            if d.abs_diff(peak_idx) > guard {
+            if d.abs_diff(peak_idx) > SPS {
                 floor += p;
                 n_floor += 1;
             }
@@ -354,7 +349,7 @@ impl CdmaReceiver {
         let acq = self.acquire_filtered(search_window)?;
 
         let cfg = &self.config;
-        let sps = cfg.sps as f64;
+        let sps = SPS as f64;
         let sf = cfg.sf;
         let half_chip = sps / 2.0;
         let mut tau = 0.0f64; // fractional delay in samples, DLL-tracked
@@ -385,9 +380,9 @@ impl CdmaReceiver {
 
         // Pilot-aided phase correction.
         let pilot_ref = cfg.pilot_symbols();
-        let phase = data_aided_phase(&symbols[..cfg.pilot_len], &pilot_ref);
+        let phase = data_aided_phase(&symbols[..PILOT_LEN], &pilot_ref);
         derotate(&mut symbols, phase);
-        let payload = symbols.split_off(cfg.pilot_len);
+        let payload = symbols.split_off(PILOT_LEN);
 
         let snr = snr_estimate_m2m4(&payload);
         let sigma2 = snr.map_or(0.5, |s| 0.5 / s).max(1e-6);
@@ -485,7 +480,7 @@ mod tests {
     /// one interpolated `sample_at` per (offset, chip) pair.
     fn sample_at_search(rx: &CdmaReceiver, search_window: usize) -> Vec<f64> {
         let n_acq = rx.acq_chips.min(rx.config.burst_chips());
-        let sps = rx.config.sps as f64;
+        let sps = SPS as f64;
         (0..search_window)
             .map(|d| {
                 let mut acc = Cpx::ZERO;

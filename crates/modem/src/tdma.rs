@@ -25,57 +25,40 @@ pub enum TimingRecoveryKind {
     OerderMeyr,
 }
 
-/// Carrier-recovery depth for the burst demodulator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CarrierMode {
-    /// UW correlation phase only (no frequency correction) — adequate for
-    /// short bursts with negligible CFO.
-    StaticPhase,
-    /// Static phase + data-aided frequency ramp from preamble+UW.
-    FreqRamp,
-    /// Ramp plus anchored blockwise Viterbi&Viterbi fine tracking.
-    FreqRampPlusVv,
-}
+/// Samples per symbol (≥ 3 for Oerder–Meyr).
+const SPS: usize = 4;
+/// RRC roll-off.
+const ROLLOFF: f64 = 0.35;
+/// RRC half-span in symbols.
+const SPAN: usize = 8;
+/// UW detection threshold on normalised correlation.
+const UW_THRESHOLD: f64 = 0.55;
 
 /// Static configuration of the TDMA burst modem.
 #[derive(Clone, Debug)]
 pub struct TdmaConfig {
-    /// Samples per symbol (≥ 3 for Oerder–Meyr; 4 typical).
-    pub sps: usize,
-    /// RRC roll-off.
-    pub rolloff: f64,
-    /// RRC half-span in symbols.
-    pub span: usize,
     /// Burst layout.
     pub format: BurstFormat,
     /// Timing-recovery selection.
     pub timing: TimingRecoveryKind,
     /// Gardner normalised loop bandwidth.
     pub loop_bw: f64,
-    /// UW detection threshold on normalised correlation.
-    pub uw_threshold: f64,
-    /// Carrier-recovery depth.
-    pub carrier: CarrierMode,
 }
 
 impl TdmaConfig {
     /// A sensible default configuration for the given burst format.
     pub fn new(format: BurstFormat, timing: TimingRecoveryKind) -> Self {
         TdmaConfig {
-            sps: 4,
-            rolloff: 0.35,
-            span: 8,
             format,
             timing,
             loop_bw: 0.02,
-            uw_threshold: 0.55,
-            carrier: CarrierMode::FreqRampPlusVv,
         }
     }
+}
 
-    fn kernel(&self) -> FirKernel {
-        RrcPulse::new(self.rolloff, self.sps, self.span).kernel()
-    }
+/// The symbol pulse: RRC at [`ROLLOFF`] over ±[`SPAN`] symbols.
+fn rrc_kernel() -> FirKernel {
+    RrcPulse::new(ROLLOFF, SPS, SPAN).kernel()
 }
 
 /// Burst modulator: payload bits → RRC-shaped complex baseband.
@@ -88,7 +71,7 @@ pub struct TdmaBurstModulator {
 impl TdmaBurstModulator {
     /// Builds the modulator (designs the pulse once).
     pub fn new(config: TdmaConfig) -> Self {
-        let kernel = config.kernel();
+        let kernel = rrc_kernel();
         TdmaBurstModulator { config, kernel }
     }
 
@@ -112,7 +95,7 @@ impl TdmaBurstModulator {
     pub fn modulate_into(&self, payload_bits: &[u8], syms: &mut Vec<Cpx>, out: &mut Vec<Cpx>) {
         self.config.format.assemble_into(payload_bits, syms);
         out.clear();
-        shape_symbols(syms, &self.kernel, self.config.sps, out);
+        shape_symbols(syms, &self.kernel, SPS, out);
     }
 }
 
@@ -182,7 +165,7 @@ impl TdmaBurstDemodulator {
     /// handle (matched filter MAC + UW correlator) — the per-instance
     /// override used by cross-backend tests and benches.
     pub fn with_kernels(config: TdmaConfig, kernels: CpxKernelHandle) -> Self {
-        let matched = config.kernel().with_kernels(kernels);
+        let matched = rrc_kernel().with_kernels(kernels);
         TdmaBurstDemodulator {
             config,
             matched,
@@ -287,7 +270,6 @@ impl TdmaBurstDemodulator {
         uw: &UwDetection,
         start: usize,
         end: usize,
-        _force: bool,
         out: &mut Vec<Cpx>,
     ) -> f64 {
         let payload_start = start;
@@ -395,7 +377,7 @@ impl TdmaBurstDemodulator {
         df + df_fine
     }
 
-    /// Demodulates one received burst (samples at `sps` per symbol).
+    /// Demodulates one received burst (four samples per symbol).
     ///
     /// Returns `None` when the unique word is not found — a missed burst.
     /// Allocates the result; steady-state callers should prefer
@@ -431,11 +413,11 @@ impl TdmaBurstDemodulator {
         self.symbol_buf.clear();
         match cfg.timing {
             TimingRecoveryKind::Gardner => {
-                let mut tr = GardnerLoop::new(cfg.sps as f64, cfg.loop_bw);
+                let mut tr = GardnerLoop::new(SPS as f64, cfg.loop_bw);
                 tr.process(&self.filtered, &mut self.symbol_buf);
             }
             TimingRecoveryKind::OerderMeyr => {
-                let est = OerderMeyrEstimator::new(cfg.sps);
+                let est = OerderMeyrEstimator::new(SPS);
                 let tau = est.estimate(&self.filtered);
                 est.extract(&self.filtered, tau, &mut self.symbol_buf);
             }
@@ -445,7 +427,7 @@ impl TdmaBurstDemodulator {
         let Some(uw) = detect_unique_word_with(
             &self.symbol_buf,
             &cfg.format.unique_word,
-            cfg.uw_threshold,
+            UW_THRESHOLD,
             self.kernels,
         ) else {
             self.tel.uw_miss.inc();
@@ -480,32 +462,25 @@ impl TdmaBurstDemodulator {
             payload_end,
             &mut self.static_buf,
         );
-        let (use_ramp, df) = if cfg.carrier == CarrierMode::StaticPhase {
+        let (use_ramp, df) = if Self::vv_drift(&self.static_buf) < 0.25 {
             (false, 0.0)
         } else {
-            let drift_static = Self::vv_drift(&self.static_buf);
-            let force_ramp = cfg.carrier == CarrierMode::FreqRamp;
-            if !force_ramp && drift_static < 0.25 {
-                (false, 0.0)
+            let df = Self::correct_ramp_vv(
+                &self.config,
+                &self.symbol_buf,
+                &uw,
+                payload_start,
+                payload_end,
+                &mut self.ramp_buf,
+            );
+            // The winner is decided on decision quality (EVM over the
+            // whole payload), not on the drift metric: at low SNR the
+            // four-point drift estimate is noisy enough to hand a
+            // clean static burst to a mis-estimated ramp correction.
+            if Self::evm(&self.ramp_buf) < Self::evm(&self.static_buf) {
+                (true, df)
             } else {
-                let df = Self::correct_ramp_vv(
-                    &self.config,
-                    &self.symbol_buf,
-                    &uw,
-                    payload_start,
-                    payload_end,
-                    force_ramp,
-                    &mut self.ramp_buf,
-                );
-                // The winner is decided on decision quality (EVM over the
-                // whole payload), not on the drift metric: at low SNR the
-                // four-point drift estimate is noisy enough to hand a
-                // clean static burst to a mis-estimated ramp correction.
-                if force_ramp || Self::evm(&self.ramp_buf) < Self::evm(&self.static_buf) {
-                    (true, df)
-                } else {
-                    (false, 0.0)
-                }
+                (false, 0.0)
             }
         };
         let symbols: &[Cpx] = if use_ramp {

@@ -16,12 +16,13 @@ use gsp_coding::{BurstCodec, CodingScheme, CrcKind};
 use gsp_modem::framing::BurstFormat;
 use gsp_modem::tdma::{TdmaConfig, TimingRecoveryKind};
 
+/// Channelizer size (power of two): the width of the MF-TDMA bank.
+pub const CHANNELS: usize = 8;
+
 /// Chain configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChainConfig {
-    /// Channelizer size (power of two).
-    pub channels: usize,
-    /// Active carriers (≤ channels; paper: 6).
+    /// Active carriers (≤ [`CHANNELS`]; paper: 6).
     pub active_carriers: usize,
     /// Information bits per burst, before CRC and coding.
     pub info_bits: usize,
@@ -49,7 +50,6 @@ pub struct ChainConfig {
 impl Default for ChainConfig {
     fn default() -> Self {
         ChainConfig {
-            channels: 8,
             active_carriers: 6,
             info_bits: 96,
             esn0_db: None,
@@ -97,7 +97,7 @@ pub struct ChainReport {
     /// Channel blocks the polyphase DEMUX actually produced this frame.
     pub demux_produced: usize,
     /// Channel blocks the DEMUX was expected to produce
-    /// (`ceil(composite_samples / channels)`). A mismatch means the
+    /// (`ceil(composite_samples / CHANNELS)`). A mismatch means the
     /// composite was not a whole number of channelizer blocks — the lanes
     /// demodulated zero-padded garbage, which a `debug_assert` used to
     /// catch only in debug builds. See [`ChainReport::demux_ok`].

@@ -57,7 +57,7 @@
 //! * the switch ingests CRC-clean packets serially in carrier order, and
 //!   all counters are folded in frame order when a frame retires.
 
-use crate::chain::{burst_link, CarrierOutcome, ChainConfig, ChainReport};
+use crate::chain::{burst_link, CarrierOutcome, ChainConfig, ChainReport, CHANNELS};
 use crate::pool::{self, Pool};
 use crate::switch::{BasebandPacket, PacketSwitch};
 use gsp_channel::awgn::AwgnChannel;
@@ -473,9 +473,9 @@ impl PipelineEngine {
     /// sized here — so first-frame latency matches steady state instead
     /// of spiking on cold allocations.
     pub fn with_workers(cfg: ChainConfig, workers: usize) -> Self {
-        assert!(cfg.active_carriers <= cfg.channels);
+        assert!(cfg.active_carriers <= CHANNELS);
         assert!(workers >= 1);
-        let m = cfg.channels;
+        let m = CHANNELS;
         let n = cfg.active_carriers;
         // Resolve the receive chain's compute-kernel handles once; every
         // lane (and the shared channelizer) is pinned to the same backend
@@ -772,7 +772,7 @@ impl PipelineEngine {
     /// noise on the frame's RNG: the serial Tx residue.
     fn compose(&mut self, slot: usize) {
         let t0 = Instant::now();
-        let m = self.cfg.channels;
+        let m = CHANNELS;
         let guard = 64 * m;
         let composite_len = self.burst_len * m + 2 * guard;
         let sl = &mut self.slots[slot];
@@ -809,7 +809,7 @@ impl PipelineEngine {
     /// history.
     fn send_demux(&mut self, slot: usize) {
         let t0 = Instant::now();
-        let m = self.cfg.channels;
+        let m = CHANNELS;
         let blocks = self.composite.len() / m;
         let sl = &mut self.slots[slot];
         for io in sl.ios.iter_mut() {
@@ -839,7 +839,7 @@ impl PipelineEngine {
     /// engine's copy and scatter.
     fn recv_demux(&mut self, slot: usize) {
         let t0 = Instant::now();
-        let m = self.cfg.channels;
+        let m = CHANNELS;
         let sl = &mut self.slots[slot];
         let mut produced = 0;
         for (r, home) in self.demux.iter_mut().enumerate() {
@@ -1112,7 +1112,7 @@ mod tests {
     /// each carrier `k ∈ 0..M`.
     fn full_bank() -> PipelineEngine {
         let cfg = ChainConfig {
-            active_carriers: ChainConfig::default().channels,
+            active_carriers: CHANNELS,
             ..ChainConfig::default()
         };
         PipelineEngine::with_workers(cfg, 1)
@@ -1121,7 +1121,7 @@ mod tests {
     #[test]
     fn table_synthesis_equals_resampler_and_nco() {
         let mut engine = full_bank();
-        let (m, info_bits) = (engine.cfg.channels, engine.cfg.info_bits);
+        let (m, info_bits) = (CHANNELS, engine.cfg.info_bits);
         let mut io = LaneIo::with_capacity(info_bits, 0, 0);
         let mut rng = StdRng::seed_from_u64(0x7A_B1E5);
         for frame in 0..200 {
@@ -1148,7 +1148,7 @@ mod tests {
         // sequence drifts, so that lane tabulates the full burst instead.
         // Either way the table reproduces every tick of the burst.
         let engine = full_bank();
-        let m = engine.cfg.channels;
+        let m = CHANNELS;
         let burst = engine.tx[0]
             .as_ref()
             .expect(HOME)

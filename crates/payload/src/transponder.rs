@@ -209,10 +209,7 @@ mod tests {
         // 8-byte downlink packets carry only 8 of each 12-byte uplink
         // packet: every one is delivered, none is exact.
         let cfg = TransponderConfig {
-            downlink: DownlinkConfig {
-                packet_bytes: 8,
-                ..DownlinkConfig::default()
-            },
+            downlink: DownlinkConfig { packet_bytes: 8 },
             ..TransponderConfig::default()
         };
         let rep = run_transponder(&cfg, 1);

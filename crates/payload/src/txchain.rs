@@ -15,24 +15,19 @@ use gsp_modem::tdma::{
     TdmaBurstDemodulator, TdmaBurstModulator, TdmaConfig, TdmaDemodResult, TimingRecoveryKind,
 };
 
+/// TWTA input back-off in dB (§ Fig. 2's Tx part drives a TWTA).
+const TWTA_BACKOFF_DB: f64 = 6.0;
+
 /// Downlink frame parameters shared by the payload Tx and the ground Rx.
 #[derive(Clone, Debug)]
 pub struct DownlinkConfig {
     /// Payload bytes carried per downlink burst.
     pub packet_bytes: usize,
-    /// TWTA input back-off in dB (§ Fig. 2's Tx part drives a TWTA).
-    pub twta_backoff_db: f64,
-    /// Enable the TWTA model (disable for ideal-amplifier ablations).
-    pub twta_enabled: bool,
 }
 
 impl Default for DownlinkConfig {
     fn default() -> Self {
-        DownlinkConfig {
-            packet_bytes: 32,
-            twta_backoff_db: 6.0,
-            twta_enabled: true,
-        }
+        DownlinkConfig { packet_bytes: 32 }
     }
 }
 
@@ -68,7 +63,7 @@ impl TxChain {
     pub fn new(config: DownlinkConfig) -> Self {
         let (codec, tdma) = config.burst();
         TxChain {
-            twta: SalehTwta::classic(config.twta_backoff_db),
+            twta: SalehTwta::classic(TWTA_BACKOFF_DB),
             config,
             modulator: TdmaBurstModulator::new(tdma),
             codec,
@@ -98,9 +93,7 @@ impl TxChain {
         self.codec.encode_into(&self.bits, &mut self.coded);
         self.modulator
             .modulate_into(&self.coded, &mut self.syms, wave);
-        if self.config.twta_enabled {
-            self.twta.apply(wave);
-        }
+        self.twta.apply(wave);
     }
 }
 

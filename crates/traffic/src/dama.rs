@@ -9,7 +9,7 @@
 //! * offered packets enter per-aggregate **cohorts** stamped with their
 //!   arrival frame, so grant latency falls out as `tick − born`;
 //! * each frame, every backlogged aggregate submits one [`SlotRequest`]
-//!   (capped at `max_request` slots) under its class's DAMA priority;
+//!   (capped at `MAX_REQUEST` slots) under its class's DAMA priority;
 //! * granted slots release the **oldest** packets first (FIFO within an
 //!   aggregate), preserving per-flow order into the switch;
 //! * cohorts older than the class's `max_age` are dropped *before*
@@ -23,6 +23,9 @@ use crate::TrafficConfig;
 use gsp_payload::scheduler::{DamaScheduler, SlotRequest};
 use gsp_payload::switch::BasebandPacket;
 use std::collections::VecDeque;
+
+/// Largest slot request one aggregate submits per frame.
+const MAX_REQUEST: usize = 48;
 
 /// Packets that arrived at one aggregate in the same frame.
 #[derive(Clone, Debug)]
@@ -73,7 +76,6 @@ impl AggregateBacklog {
 pub struct DamaLoop {
     scheduler: DamaScheduler,
     n_classes: usize,
-    max_request: usize,
     /// Per-class backlog age limit, frames.
     max_age: Vec<u64>,
     /// Per-class DAMA priority.
@@ -98,7 +100,6 @@ impl DamaLoop {
         DamaLoop {
             scheduler: DamaScheduler::new(cfg.frame),
             n_classes: cfg.n_classes(),
-            max_request: cfg.max_request,
             max_age: cfg.classes.iter().map(|c| c.max_age).collect(),
             priority: cfg.classes.iter().map(|c| c.priority).collect(),
             backlog: (0..cfg.n_aggregates()).map(|_| VecDeque::new()).collect(),
@@ -228,7 +229,7 @@ impl DamaLoop {
             if queued > 0 {
                 requests.push(SlotRequest {
                     terminal: agg as u16,
-                    slots: queued.min(self.max_request),
+                    slots: queued.min(MAX_REQUEST),
                     priority: self.priority[self.class_of(agg)],
                 });
             }
@@ -350,11 +351,11 @@ mod tests {
     fn requests_are_capped_at_max_request() {
         let c = cfg();
         let mut d = DamaLoop::new(&c);
-        offer_n(&mut d, 0, 0, c.max_request + 40, c.n_classes());
+        offer_n(&mut d, 0, 0, MAX_REQUEST + 40, c.n_classes());
         let out = d.run_frame(0);
-        assert_eq!(out.requested, c.max_request);
+        assert_eq!(out.requested, MAX_REQUEST);
         // The uncapped remainder stays queued.
-        assert_eq!(d.backlog_len(), 40 + c.max_request - out.released.len());
+        assert_eq!(d.backlog_len(), 40 + MAX_REQUEST - out.released.len());
     }
 
     #[test]

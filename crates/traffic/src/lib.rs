@@ -75,6 +75,11 @@ pub struct TrafficClass {
     pub max_age: u64,
 }
 
+/// Logical terminals aggregated behind each (beam, class) flow aggregate
+/// — the "millions of users" scale figure. Only the packet `source` ids
+/// sample it; the DAMA loop requests per aggregate.
+pub const TERMINALS_PER_AGGREGATE: u64 = 200_000;
+
 /// Traffic-engine configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrafficConfig {
@@ -89,19 +94,9 @@ pub struct TrafficConfig {
     /// Offered load as a multiple of the frame capacity (1.0 = the
     /// uplink can just barely carry the long-run mean).
     pub load: f64,
-    /// Logical terminals aggregated behind each (beam, class) flow
-    /// aggregate — the "millions of users" scale knob. Only the packet
-    /// `source` ids sample it; the DAMA loop requests per aggregate.
-    pub terminals_per_aggregate: u64,
     /// Packets each beam's Tx chain drains from the switch per frame
     /// (the downlink rate).
     pub beam_egress_per_frame: usize,
-    /// Largest slot request one aggregate submits per frame.
-    pub max_request: usize,
-    /// Bounded-Pareto shape parameter for session sizes (α > 1).
-    pub pareto_alpha: f64,
-    /// Payload bytes per generated packet.
-    pub payload_bytes: usize,
 }
 
 impl TrafficConfig {
@@ -158,11 +153,7 @@ impl TrafficConfig {
                 },
             ],
             load,
-            terminals_per_aggregate: 200_000,
             beam_egress_per_frame: 10,
-            max_request: 48,
-            pareto_alpha: 1.5,
-            payload_bytes: 8,
         }
     }
 

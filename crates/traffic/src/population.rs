@@ -3,7 +3,7 @@
 //! The paper's payload serves a whole coverage of user terminals; this
 //! module models that population *statistically* rather than per-object.
 //! Each uplink beam carries one flow aggregate per QoS class, standing
-//! in for `terminals_per_aggregate` logical terminals. An aggregate holds
+//! in for [`TERMINALS_PER_AGGREGATE`] logical terminals. An aggregate holds
 //! the set of live *sessions*:
 //!
 //! * sessions **arrive** at a calibrated rate — a fractional-Bernoulli
@@ -37,9 +37,14 @@
 //! the never-migrated population would have produced. The handover
 //! proptests pin this bitwise.
 
-use crate::TrafficConfig;
+use crate::{TrafficConfig, TERMINALS_PER_AGGREGATE};
 use gsp_payload::switch::BasebandPacket;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Bounded-Pareto shape parameter for session sizes (α > 1).
+const PARETO_ALPHA: f64 = 1.5;
+/// Payload bytes per generated packet.
+const PAYLOAD_BYTES: usize = 8;
 
 /// Per-frame probability that an *on* session falls silent.
 const P_OFF: f64 = 0.3;
@@ -139,9 +144,6 @@ pub struct Population {
     aggregates: Vec<FlowAggregate>,
     beams: usize,
     n_classes: usize,
-    pareto_alpha: f64,
-    terminals_per_aggregate: u64,
-    payload_bytes: usize,
 }
 
 impl Population {
@@ -163,7 +165,7 @@ impl Population {
         for beam in 0..cfg.beams {
             for (class, c) in cfg.classes.iter().enumerate() {
                 let pkts_per_frame = cfg.load * cfg.capacity() as f64 * c.share / cfg.beams as f64;
-                let mean = bounded_pareto_mean(cfg.pareto_alpha, c.max_session as f64);
+                let mean = bounded_pareto_mean(PARETO_ALPHA, c.max_session as f64);
                 let home = (home_beam_base + beam as u64) * cfg.n_classes() as u64 + class as u64;
                 aggregates.push(FlowAggregate {
                     class,
@@ -171,7 +173,7 @@ impl Population {
                     arrival_rate: pkts_per_frame / mean,
                     on_rate: c.on_rate as u32,
                     max_session: c.max_session as f64,
-                    terminal_base: home * cfg.terminals_per_aggregate,
+                    terminal_base: home * TERMINALS_PER_AGGREGATE,
                     rng: StdRng::seed_from_u64(aggregate_seed(seed, home)),
                     sessions: Vec::new(),
                 });
@@ -181,9 +183,6 @@ impl Population {
             aggregates,
             beams: cfg.beams,
             n_classes: cfg.n_classes(),
-            pareto_alpha: cfg.pareto_alpha,
-            terminals_per_aggregate: cfg.terminals_per_aggregate,
-            payload_bytes: cfg.payload_bytes,
         }
     }
 
@@ -253,10 +252,10 @@ impl Population {
                 n += 1;
             }
             for _ in 0..n {
-                let size = bounded_pareto(rng, self.pareto_alpha, agg.max_session)
+                let size = bounded_pareto(rng, PARETO_ALPHA, agg.max_session)
                     .round()
                     .clamp(1.0, agg.max_session) as u32;
-                let terminal = agg.terminal_base + rng.gen_range(0..self.terminals_per_aggregate);
+                let terminal = agg.terminal_base + rng.gen_range(0..TERMINALS_PER_AGGREGATE);
                 agg.sessions.push(Session {
                     remaining: size,
                     on: true,
@@ -284,7 +283,7 @@ impl Population {
                             dest_beam,
                             class: agg.class as u8,
                             born_tick: tick,
-                            data: vec![agg.class as u8; self.payload_bytes],
+                            data: vec![agg.class as u8; PAYLOAD_BYTES],
                         },
                     });
                 }

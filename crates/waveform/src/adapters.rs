@@ -13,7 +13,7 @@ use crate::component::{LifecycleOp, LifecycleState, WaveformError, WaveformFrame
 use crate::descriptor::{WaveformDescriptor, WaveformKind};
 use gsp_channel::awgn::AwgnChannel;
 use gsp_modem::cdma::{CdmaConfig, CdmaReceiver, CdmaTransmitter};
-use gsp_payload::chain::ChainConfig;
+use gsp_payload::chain::{ChainConfig, CHANNELS};
 use gsp_payload::pipeline::PipelineEngine;
 use gsp_payload::switch::BasebandPacket;
 use rand::rngs::StdRng;
@@ -81,7 +81,7 @@ impl Waveform {
             WaveformKind::Cdma if descriptor.info_bits > 256 => {
                 Some("CDMA burst payload exceeds 256 bits")
             }
-            WaveformKind::MfTdma if descriptor.carriers > 8 => {
+            WaveformKind::MfTdma if usize::from(descriptor.carriers) > CHANNELS => {
                 Some("MF-TDMA bank is 8 channels wide")
             }
             _ => None,

@@ -43,7 +43,7 @@ const SLOT_NS: u64 = 4_000_000;
 /// Contact slots explored: every AOS/LOS sequence of this length.
 const SLOTS: u32 = 9;
 /// The frame-tick exchange rate for upload time (the harness's
-/// `uplink_ns_per_tick`).
+/// `UPLINK_NS_PER_TICK`).
 const TICK_NS: u64 = 8 * SLOT_NS;
 /// Depth cap in frame ticks: the product search must reach its fixpoint
 /// (no new state) within it, so every input sequence of any length is

@@ -134,10 +134,7 @@ fn pipeline_lane_faults_are_detectable_and_recoverable() {
 fn harness_exposes_equipment_health_for_operations() {
     // A quiet harness reports everything healthy from tick zero.
     let cfg = HarnessConfig {
-        injector: gsp_fdir::InjectorConfig {
-            rate_multiplier: 0.0,
-            ..gsp_fdir::InjectorConfig::baseline()
-        },
+        rate_multiplier: 0.0,
         frames: 16,
         inject_until: 16,
         ..HarnessConfig::soak(1.0)
